@@ -37,6 +37,10 @@ class LengthMismatchError(SketchError):
     """Attention length does not match the sketch point count."""
 
 
+class NonFiniteAttentionError(SketchError):
+    """An attention value is NaN or infinite."""
+
+
 class InvalidConfigError(SketchError):
     """A configuration value violates its invariants."""
 

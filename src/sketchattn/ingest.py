@@ -289,14 +289,7 @@ def load_internal(path) -> Dataset:
         raise VersionMismatchError(f"unsupported dataset version {payload.get('version')}")
     categories = list(payload["categories"])
     items = [
-        LabeledSketch(
-            VectorSketch(
-                np.asarray([[p[0], p[1]] for p in rec["points"]], dtype=np.float64),
-                np.asarray([p[2] for p in rec["points"]], dtype=np.int8),
-            ),
-            int(rec["label"]),
-            str(rec["category"]),
-        )
+        LabeledSketch(validate_and_normalize(rec["points"]), int(rec["label"]), str(rec["category"]))
         for rec in payload["items"]
     ]
     return Dataset(categories, items, str(payload.get("split", "train")))

@@ -5,8 +5,9 @@ requires gradients, records one closure on the tape. backward() replays
 the closures in exact reverse recording order, which is a valid reverse
 topological order because tensors are created before they are consumed.
 
-The op set covers exactly what the sketch pipeline needs (LSTM cells, a
-small CNN, softmax cross entropy); it is not a general-purpose autodiff.
+The op set covers exactly what the sketch pipeline needs (a fused LSTM
+layer with a hand-written BPTT backward, a small CNN, softmax cross
+entropy); it is not a general-purpose autodiff.
 """
 
 from __future__ import annotations
@@ -210,28 +211,6 @@ def relu(tape: Tape, a: Tensor) -> Tensor:
     return out
 
 
-def split(tape: Tape, a: Tensor, sections: int, axis: int) -> list[Tensor]:
-    parts = np.split(a.data, sections, axis=axis)
-    outs = [Tensor(p, a.requires_grad) for p in parts]
-    if a.requires_grad:
-        width = parts[0].shape[axis]
-
-        def make_bwd(k, out):
-            def bwd():
-                if out.grad is None:
-                    return
-                a.ensure_grad()
-                sl = [slice(None)] * a.data.ndim
-                sl[axis] = slice(k * width, (k + 1) * width)
-                a.grad[tuple(sl)] += out.grad
-
-            return bwd
-
-        for k, out in enumerate(outs):
-            tape.record(make_bwd(k, out))
-    return outs
-
-
 def concat(tape: Tape, tensors: list[Tensor], axis: int) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), any(t.requires_grad for t in tensors))
     if out.requires_grad:
@@ -267,38 +246,6 @@ def reshape(tape: Tape, a: Tensor, shape) -> Tensor:
     return out
 
 
-def stack_steps(tape: Tape, tensors: list[Tensor]) -> Tensor:
-    """Stack per-step (B, D) tensors into (B, T, D)."""
-    out = Tensor(np.stack([t.data for t in tensors], axis=1), any(t.requires_grad for t in tensors))
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            for k, t in enumerate(tensors):
-                if t.requires_grad:
-                    t.ensure_grad()
-                    t.grad += out.grad[:, k, :]
-
-        tape.record(bwd)
-    return out
-
-
-def time_slice(tape: Tape, a: Tensor, t: int) -> Tensor:
-    """Select step t from a (B, T, D) tensor."""
-    out = Tensor(a.data[:, t, :], a.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            a.grad[:, t, :] += out.grad
-
-        tape.record(bwd)
-    return out
-
-
 def take_time(tape: Tape, a: Tensor, idx: np.ndarray) -> Tensor:
     """Reorder (B, T, D) along time with a per-item index map (B, T)."""
     out = Tensor(np.take_along_axis(a.data, idx[:, :, None], axis=1), a.requires_grad)
@@ -310,6 +257,75 @@ def take_time(tape: Tape, a: Tensor, idx: np.ndarray) -> Tensor:
                 return
             a.ensure_grad()
             np.add.at(a.grad, (bidx, idx), out.grad)
+
+        tape.record(bwd)
+    return out
+
+
+def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer from zero state: x (B, T, D) -> hidden states (B, T, H).
+
+    Gate order i, f, g, o; step t computes z = (x_t wx + h_{t-1} wh) + b.
+    The input projection of all T steps is one GEMM and the recurrence
+    runs on plain arrays, so the layer records a single closure. Its
+    backward is hand-written BPTT over the stored gates into dZ, then one
+    GEMM per gradient over all B*T rows.
+    """
+    B, T, D = x.data.shape
+    H = wh.data.shape[0]
+    xw = (x.data.reshape(B * T, D) @ wx.data).reshape(B, T, 4 * H)
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    acts, cs, tcs, hs = [], [], [], []
+    for t in range(T):
+        z = (xw[:, t] + h @ wh.data) + b.data
+        a = _stable_sigmoid(z)
+        a[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
+        c = a[:, H : 2 * H] * c + a[:, :H] * a[:, 2 * H : 3 * H]
+        tc = np.tanh(c)
+        h = a[:, 3 * H :] * tc
+        acts.append(a)
+        cs.append(c)
+        tcs.append(tc)
+        hs.append(h)
+    out = Tensor(np.stack(hs, axis=1), any(t.requires_grad for t in (x, wx, wh, b)))
+    if out.requires_grad:
+
+        def bwd():
+            if out.grad is None:
+                return
+            a4 = np.stack(acts).reshape(T, B, 4, H)
+            i, f, g, o = a4[:, :, 0], a4[:, :, 1], a4[:, :, 2], a4[:, :, 3]
+            tc = np.stack(tcs)
+            c_prev = np.stack([np.zeros((B, H))] + cs[:-1])
+            # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o)
+            k = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)], axis=2)
+            dc_dh = o * (1.0 - tc * tc)
+            dz = np.empty((B, T, 4, H))
+            dh_next = np.zeros((B, H))
+            dc_next = np.zeros((B, H))
+            for t in range(T - 1, -1, -1):
+                dh = out.grad[:, t] + dh_next
+                dc = dh * dc_dh[t] + dc_next
+                dz_t = dz[:, t]
+                dz_t[:, :3] = k[t, :, :3] * dc[:, None, :]
+                dz_t[:, 3] = k[t, :, 3] * dh
+                dh_next = dz_t.reshape(B, 4 * H) @ wh.data.T
+                dc_next = dc * f[t]
+            dz = dz.reshape(B * T, 4 * H)
+            if x.requires_grad:
+                x.ensure_grad()
+                x.grad += (dz @ wx.data.T).reshape(B, T, D)
+            if wx.requires_grad:
+                wx.ensure_grad()
+                wx.grad += x.data.reshape(B * T, D).T @ dz
+            if wh.requires_grad:
+                h_prev = np.concatenate([np.zeros((B, 1, H)), out.data[:, :-1]], axis=1)
+                wh.ensure_grad()
+                wh.grad += h_prev.reshape(B * T, H).T @ dz
+            if b.requires_grad:
+                b.ensure_grad()
+                b.grad += dz.sum(axis=0)
 
         tape.record(bwd)
     return out

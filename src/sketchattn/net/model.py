@@ -98,28 +98,6 @@ def init_cnn_params(rng: np.random.Generator, cfg: CnnConfig, in_channels: int =
     return params
 
 
-def _lstm_cell(tape, x, h, c, wx, wh, b):
-    z = ad.add(tape, ad.add(tape, ad.matmul(tape, x, wx), ad.matmul(tape, h, wh)), b)
-    zi, zf, zg, zo = ad.split(tape, z, 4, axis=1)
-    i = ad.sigmoid(tape, zi)
-    f = ad.sigmoid(tape, zf)
-    g = ad.tanh(tape, zg)
-    o = ad.sigmoid(tape, zo)
-    c2 = ad.add(tape, ad.mul(tape, f, c), ad.mul(tape, i, g))
-    h2 = ad.mul(tape, o, ad.tanh(tape, c2))
-    return h2, c2
-
-
-def _run_direction(tape, steps: list[Tensor], wx, wh, b, batch: int, hidden: int) -> list[Tensor]:
-    h = ad.constant(np.zeros((batch, hidden)))
-    c = ad.constant(np.zeros((batch, hidden)))
-    outs = []
-    for x in steps:
-        h, c = _lstm_cell(tape, x, h, c, wx, wh, b)
-        outs.append(h)
-    return outs
-
-
 def _reverse_index(lengths: np.ndarray, T: int) -> np.ndarray:
     """Per-item time reversal map: index t -> n_b-1-t on the real prefix,
     identity on padding, so padded steps never leak into real ones."""
@@ -154,37 +132,19 @@ def rnn_attention_batch(
     rev_idx = _reverse_index(lengths, T)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
 
-    fwd_steps = [ad.constant(inputs[:, t, :]) for t in range(T)]
-    rev_inputs = np.take_along_axis(inputs, rev_idx[:, :, None], axis=1)
-    bwd_steps = [ad.constant(rev_inputs[:, t, :]) for t in range(T)]
-
-    H = cfg.hidden_size
-    layer_out: Tensor | None = None
+    x = ad.constant(inputs)
     for layer in range(cfg.num_layers):
-        hf = _run_direction(
-            tape, fwd_steps,
-            params[f"rnn.l{layer}.fw.wx"], params[f"rnn.l{layer}.fw.wh"], params[f"rnn.l{layer}.fw.b"],
-            B, H,
-        )
-        Hf = ad.stack_steps(tape, hf)
+        p = f"rnn.l{layer}"
+        layer_out = ad.lstm(tape, x, params[f"{p}.fw.wx"], params[f"{p}.fw.wh"], params[f"{p}.fw.b"])
         if cfg.bidirectional:
-            hb = _run_direction(
-                tape, bwd_steps,
-                params[f"rnn.l{layer}.bw.wx"], params[f"rnn.l{layer}.bw.wh"], params[f"rnn.l{layer}.bw.b"],
-                B, H,
-            )
-            Hb = ad.take_time(tape, ad.stack_steps(tape, hb), rev_idx)
-            layer_out = ad.concat(tape, [Hf, Hb], axis=2)
-        else:
-            layer_out = Hf
-        if layer < cfg.num_layers - 1:
-            if mode == "train" and cfg.dropout_prob > 0.0:
-                if rng is None:
-                    raise ValueError("train mode needs an rng for dropout")
-                layer_out = ad.dropout(tape, layer_out, cfg.dropout_prob, rng)
-            fwd_steps = [ad.time_slice(tape, layer_out, t) for t in range(T)]
-            rev_out = ad.take_time(tape, layer_out, rev_idx)
-            bwd_steps = [ad.time_slice(tape, rev_out, t) for t in range(T)]
+            x_rev = ad.take_time(tape, x, rev_idx)
+            h_rev = ad.lstm(tape, x_rev, params[f"{p}.bw.wx"], params[f"{p}.bw.wh"], params[f"{p}.bw.b"])
+            layer_out = ad.concat(tape, [layer_out, ad.take_time(tape, h_rev, rev_idx)], axis=2)
+        if layer < cfg.num_layers - 1 and mode == "train" and cfg.dropout_prob > 0.0:
+            if rng is None:
+                raise ValueError("train mode needs an rng for dropout")
+            layer_out = ad.dropout(tape, layer_out, cfg.dropout_prob, rng)
+        x = layer_out
 
     feat = cfg.feature_size
     flat = ad.reshape(tape, layer_out, (B * T, feat))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, LengthMismatchError, ShapeMismatchError
+from .errors import InvalidConfigError, LengthMismatchError, NonFiniteAttentionError, ShapeMismatchError
 from .geometry import VectorSketch, stroke_slices
 
 
@@ -102,6 +102,8 @@ def _check_inputs(sketch: VectorSketch, attention: np.ndarray, config: RasterCon
     a = np.asarray(attention, dtype=np.float64).reshape(-1)
     if a.shape[0] != sketch.n:
         raise LengthMismatchError(f"attention length {a.shape[0]} != sketch length {sketch.n}")
+    if not np.isfinite(a).all():
+        raise NonFiniteAttentionError("attention contains NaN or infinite values")
     return a
 
 

@@ -8,6 +8,7 @@ from sketchattn.errors import (
     EmptyDatasetError,
     EmptySketchError,
     MalformedLineError,
+    NonFiniteCoordinateError,
     RaggedStrokeError,
     VersionMismatchError,
 )
@@ -27,7 +28,7 @@ from sketchattn.ingest import (
     synth_dataset,
     synth_generate,
 )
-from sketchattn.raster import RasterConfig, binary_rasterize
+from sketchattn.raster import RasterConfig, binary_rasterize, rasterize_forward
 
 
 class TestParseQuickdraw:
@@ -209,6 +210,27 @@ class TestInternalFormat:
             assert a.category_name == b.category_name
             assert np.array_equal(a.sketch.xy, b.sketch.xy)
             assert np.array_equal(a.sketch.s, b.sketch.s)
+
+    def _write_points(self, tmp_path, points):
+        ds = synth_dataset(1, seed=0, split="train", categories=("line",))
+        path = tmp_path / "ds.json"
+        save_internal(ds, path)
+        payload = json.loads(path.read_text())
+        payload["items"][0]["points"] = points
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_open_final_stroke_is_closed_on_load(self, tmp_path):
+        path = self._write_points(tmp_path, [[5.0, 5.0, 0], [20.0, 5.0, 0], [20.0, 30.0, 0]])
+        sk = load_internal(path).items[0].sketch
+        assert sk.s.tolist() == [0, 0, 1]
+        amap = rasterize_forward(sk, np.ones(sk.n), RasterConfig(64, 64, 1.0))
+        assert amap.owned_pixel_count > 0
+
+    def test_nan_coordinate_rejected(self, tmp_path):
+        path = self._write_points(tmp_path, [[5.0, 5.0, 0], [float("nan"), 5.0, 1]])
+        with pytest.raises(NonFiniteCoordinateError):
+            load_internal(path)
 
     def test_version_mismatch(self, tmp_path):
         ds = synth_dataset(1, seed=0, split="train")

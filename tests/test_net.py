@@ -182,6 +182,88 @@ class TestRnnAttention:
             RnnConfig(dropout_prob=1.0)
 
 
+def reference_lstm_grads(x, wx, wh, b, upstream):
+    """Step-by-step LSTM built from primitive tape ops, one tensor per step
+    and per gate. Returns the (B, T, H) output and the gradients of
+    sum(output * upstream) w.r.t. x, wx, wh and b."""
+    B, T, _ = x.shape
+    H = wh.shape[0]
+    gate = [slice(k * H, (k + 1) * H) for k in range(4)]
+    wxs = [ad.parameter(wx[:, s]) for s in gate]
+    whs = [ad.parameter(wh[:, s]) for s in gate]
+    bs = [ad.parameter(b[s]) for s in gate]
+    xs = [ad.parameter(x[:, t]) for t in range(T)]
+    tape = Tape()
+    h = ad.constant(np.zeros((B, H)))
+    c = ad.constant(np.zeros((B, H)))
+    hs, loss = [], None
+    for t in range(T):
+        z = [ad.add(tape, ad.add(tape, ad.matmul(tape, xs[t], wxs[k]), ad.matmul(tape, h, whs[k])), bs[k])
+             for k in range(4)]
+        i, f, o = ad.sigmoid(tape, z[0]), ad.sigmoid(tape, z[1]), ad.sigmoid(tape, z[3])
+        g = ad.tanh(tape, z[2])
+        c = ad.add(tape, ad.mul(tape, f, c), ad.mul(tape, i, g))
+        h = ad.mul(tape, o, ad.tanh(tape, c))
+        hs.append(h.data)
+        step = ad.sum_all(tape, ad.mul(tape, h, ad.constant(upstream[:, t])))
+        loss = step if loss is None else ad.add(tape, loss, step)
+    backward(tape, loss)
+    return (
+        np.stack(hs, axis=1),
+        np.stack([xt.grad for xt in xs], axis=1),
+        np.concatenate([w.grad for w in wxs], axis=1),
+        np.concatenate([w.grad for w in whs], axis=1),
+        np.concatenate([v.grad for v in bs]),
+    )
+
+
+class TestFusedLstm:
+    def test_matches_step_by_step_reference(self):
+        rng = np.random.default_rng(11)
+        B, T, D, H = 3, 7, 5, 4
+        x = rng.normal(size=(B, T, D))
+        wx = rng.normal(size=(D, 4 * H))
+        wh = rng.normal(size=(H, 4 * H))
+        b = rng.normal(size=4 * H)
+        upstream = rng.normal(size=(B, T, H))
+        ref_out, *ref_grads = reference_lstm_grads(x, wx, wh, b, upstream)
+
+        tensors = [ad.parameter(a.copy()) for a in (x, wx, wh, b)]
+        tape = Tape()
+        out = ad.lstm(tape, *tensors)
+        assert len(tape) == 1
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        for t, ref in zip(tensors, ref_grads):
+            np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12)
+
+    def test_attention_tape_length_independent_of_sequence_length(self):
+        cfg, params = small_rnn(13)
+        rng = np.random.default_rng(13)
+        lengths = []
+        for T in (5, 50):
+            tape = Tape()
+            rnn_attention_batch(tape, rng.normal(size=(2, T, 3)), np.array([T, T - 2]), params, cfg, "eval")
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+    def test_padded_batch_matches_finite_differences(self):
+        cfg, params = small_rnn(14, hidden=4)
+        rng = np.random.default_rng(14)
+        lengths = np.array([6, 3, 5])
+        inputs = rng.normal(scale=0.3, size=(3, 6, 3))
+        for bi, n in enumerate(lengths):
+            inputs[bi, n:] = 0.0
+        w = rng.normal(size=(3, 6))
+
+        def fn(tape):
+            attn = rnn_attention_batch(tape, inputs, lengths, params, cfg, "eval")
+            return ad.sum_all(tape, ad.mul_const(tape, attn, w))
+
+        rep = grad_check(fn, params, step=1e-4, tolerance=1e-5)
+        assert rep.passed, rep.format()
+
+
 class TestCnn:
     def test_zero_image_equal_logits(self):
         rng = np.random.default_rng(9)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sketchattn.errors import InvalidConfigError, LengthMismatchError, ShapeMismatchError
+from sketchattn.errors import (
+    InvalidConfigError,
+    LengthMismatchError,
+    NonFiniteAttentionError,
+    ShapeMismatchError,
+)
 from sketchattn.geometry import validate_and_normalize
 from sketchattn.ingest import random_sketch
 from sketchattn.raster import (
@@ -103,6 +108,12 @@ class TestForward:
         owned = amap.owner >= 0
         assert owned.any()
         assert np.isfinite(amap.intensities[owned]).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_attention_rejected(self, bad):
+        sk = make([(5, 5, 0), (20, 5, 1)])
+        with pytest.raises(NonFiniteAttentionError):
+            rasterize_forward(sk, [0.5, bad], CFG64)
 
     def test_painters_order_latest_segment_owns(self):
         # two crossing strokes: the second drawn owns the crossing pixel
