@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import SketchError
+from .errors import CategoryMismatchError, ShapeMismatchError, SketchError
 from .geometry import VectorSketch, normalize_to_canvas, scale_offsets, to_offsets
 from .ingest import (
     SYNTH_CATEGORIES,
@@ -25,24 +25,27 @@ from .ingest import (
     save_internal,
     save_sketch,
     synth_dataset,
+    synth_generate,
 )
 from .net import autodiff as ad
 from .net.autodiff import Tape, Tensor, cross_entropy_logits
 from .net.gradcheck import grad_check
 from .net.model import CnnConfig, RnnConfig, cnn_forward_batch, init_cnn_params, init_rnn_params, rnn_attention_forward
-from .net.optim import load_checkpoint
+from .net.optim import ModelState, load_checkpoint
 from .pipeline import (
     ExperimentConfig,
+    _forward_batch,
+    _rasterize_batch,
     desk_config,
+    evaluate,
     forward_classify,
+    init_model_state,
     prepare_sketch,
     train,
-    evaluate,
 )
 from .raster import (
     RasterConfig,
     order_ramp,
-    rasterize_backward,
     rasterize_forward,
     write_grid_json,
     write_pgm,
@@ -152,18 +155,36 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    state = load_checkpoint(args.checkpoint)
+def _load_model(path) -> tuple[ModelState, ExperimentConfig]:
+    """Load a checkpoint whose parameter names and shapes match its config."""
+    state = load_checkpoint(path)
     cfg = ExperimentConfig.from_json_dict(state.config)
+    expected = {name: p.data.shape for name, p in init_model_state(cfg).params.items()}
+    found = {name: p.data.shape for name, p in state.params.items()}
+    for name in sorted(expected.keys() | found.keys()):
+        if expected.get(name) != found.get(name):
+            raise ShapeMismatchError(
+                f"{path}: parameter {name} has shape {found.get(name, 'none')}, "
+                f"its config expects {expected.get(name, 'none')}"
+            )
+    return state, cfg
+
+
+def cmd_eval(args) -> int:
+    state, cfg = _load_model(args.checkpoint)
     ds = load_dataset(args.data, "test")
+    trained_on = state.config.get("categories")
+    if trained_on is not None and list(ds.categories) != list(trained_on):
+        raise CategoryMismatchError(
+            f"dataset categories {list(ds.categories)} != checkpoint categories {list(trained_on)}"
+        )
     acc = evaluate(state, cfg, ds)
     print(json.dumps({"accuracy": acc, "items": len(ds)}))
     return 0
 
 
 def cmd_predict(args) -> int:
-    state = load_checkpoint(args.checkpoint)
-    cfg = ExperimentConfig.from_json_dict(state.config)
+    state, cfg = _load_model(args.checkpoint)
     categories = state.config.get("categories")
     sketch = prepare_sketch(_load_input_sketch(args.input), cfg)
     logits, _attention, amap = forward_classify(state, cfg, sketch, mode="eval")
@@ -182,30 +203,21 @@ def cmd_predict(args) -> int:
 # --- gradcheck profiles ----------------------------------------------------
 
 
-def _nlr_profile(seed: int, corrupt: str | None, max_entries: int | None):
+def _nlr_profile(seed: int):
     rng = np.random.default_rng((seed, 11))
     sketch = random_sketch(rng, 24, 32.0, 32.0)
     config = RasterConfig(width=32, height=32, epsilon=1.0)
-    delta = rng.normal(size=(32, 32))
-    attention = Tensor(rng.uniform(0.1, 0.9, size=sketch.n), requires_grad=True)
+    delta = rng.normal(size=(1, 1, 32, 32))
+    attention = ad.parameter(rng.uniform(0.1, 0.9, size=(1, sketch.n)))
 
     def fn(tape: Tape) -> Tensor:
-        amap = rasterize_forward(sketch, attention.data, config)
-        out = Tensor(float((delta * amap.intensities).sum()), attention.requires_grad)
-
-        def bwd():
-            if out.grad is None:
-                return
-            attention.ensure_grad()
-            attention.grad += rasterize_backward(amap, delta * float(out.grad), sketch.n)
-
-        tape.record(bwd)
-        return out
+        images, _ = _rasterize_batch(tape, attention, [sketch], config)
+        return ad.sum_all(tape, ad.mul_const(tape, images, delta))
 
     return fn, {"attention": attention}
 
 
-def _rnn_profile(seed: int, corrupt: str | None, max_entries: int | None):
+def _rnn_profile(seed: int):
     rng = np.random.default_rng((seed, 12))
     cfg = RnnConfig(hidden_size=8, num_layers=2, bidirectional=True, dropout_prob=0.0)
     params = init_rnn_params(rng, cfg)
@@ -229,7 +241,7 @@ def _jitter_biases(params, rng) -> None:
             p.data += rng.normal(0.0, 0.05, size=p.data.shape)
 
 
-def _cnn_profile(seed: int, corrupt: str | None, max_entries: int | None):
+def _cnn_profile(seed: int):
     rng = np.random.default_rng((seed, 13))
     cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2)
     params = init_cnn_params(rng, cfg)
@@ -244,10 +256,7 @@ def _cnn_profile(seed: int, corrupt: str | None, max_entries: int | None):
     return fn, params
 
 
-def _full_profile(seed: int, corrupt: str | None, max_entries: int | None):
-    from .ingest import synth_generate
-    from .pipeline import _forward_batch, init_model_state
-
+def _full_profile(seed: int):
     cfg = desk_config(
         2,
         seed=seed,
@@ -273,7 +282,7 @@ _PROFILES = {"nlr": _nlr_profile, "rnn": _rnn_profile, "cnn": _cnn_profile, "ful
 
 def cmd_gradcheck(args) -> int:
     tolerance = GRADCHECK_TOLERANCES[args.profile]
-    fn, params = _PROFILES[args.profile](args.seed, args.corrupt, args.max_entries)
+    fn, params = _PROFILES[args.profile](args.seed)
     report = grad_check(
         fn,
         params,

@@ -49,6 +49,10 @@ class ShapeMismatchError(SketchError):
     """Array shapes are inconsistent with the operation's contract."""
 
 
+class CategoryMismatchError(SketchError):
+    """A dataset's category list differs from the one a model was trained on."""
+
+
 class LabelOutOfRangeError(SketchError):
     """A class label does not index a valid logit."""
 

@@ -8,7 +8,6 @@ immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,25 +15,6 @@ import numpy as np
 from .errors import EmptySketchError, InvalidCanvasError, NonFiniteCoordinateError
 
 RawPoint = tuple[float, float, int]
-
-
-@dataclass(frozen=True)
-class Point:
-    """Single sketch point: canvas coordinates plus end-of-stroke state."""
-
-    x: float
-    y: float
-    s: int
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Directed line segment between consecutive points of one stroke."""
-
-    start_index: int
-    end_index: int
-    p0: tuple[float, float]
-    p1: tuple[float, float]
 
 
 class VectorSketch:
@@ -66,10 +46,6 @@ class VectorSketch:
     def n(self) -> int:
         return self.xy.shape[0]
 
-    @property
-    def points(self) -> list[Point]:
-        return [Point(float(x), float(y), int(st)) for (x, y), st in zip(self.xy, self.s)]
-
     def __repr__(self) -> str:
         return f"VectorSketch(n={self.n}, strokes={len(stroke_slices(self))})"
 
@@ -97,19 +73,14 @@ class OffsetSketch:
         return np.column_stack([self.d, self.s.astype(np.float64)])
 
 
-def validate_and_normalize(raw_points: Iterable[RawPoint | Point | Sequence[float]]) -> VectorSketch:
+def validate_and_normalize(raw_points: Iterable[RawPoint | Sequence[float]]) -> VectorSketch:
     """Build a VectorSketch from raw (x, y, s) triples.
 
     Drops consecutive duplicate points within a stroke (keeping the later
     stroke state, so a duplicate that ends a stroke still ends it) and
     forces the final point's state to 1.
     """
-    rows = []
-    for p in raw_points:
-        if isinstance(p, Point):
-            rows.append((p.x, p.y, p.s))
-        else:
-            rows.append((p[0], p[1], p[2]))
+    rows = [(p[0], p[1], p[2]) for p in raw_points]
     if not rows:
         raise EmptySketchError("no points provided")
     arr = np.asarray(rows, dtype=np.float64)
@@ -177,22 +148,6 @@ def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: floa
         center_box = (lo + hi) / 2.0
         xy = (sketch.xy - center_box) * scale + center_canvas
     return VectorSketch(xy, sketch.s.copy())
-
-
-def segments(sketch: VectorSketch) -> list[Segment]:
-    """One Segment per point with s=0, in temporal order, 0-based dense."""
-    out = []
-    for i in range(sketch.n - 1):
-        if sketch.s[i] == 0:
-            out.append(
-                Segment(
-                    i,
-                    i + 1,
-                    (float(sketch.xy[i, 0]), float(sketch.xy[i, 1])),
-                    (float(sketch.xy[i + 1, 0]), float(sketch.xy[i + 1, 1])),
-                )
-            )
-    return out
 
 
 def stroke_slices(sketch: VectorSketch) -> list[tuple[int, int]]:

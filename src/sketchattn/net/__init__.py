@@ -5,10 +5,7 @@ from .gradcheck import GradCheckEntry, GradCheckReport, grad_check
 from .model import (
     CnnConfig,
     RnnConfig,
-    cnn_forward,
     cnn_forward_batch,
-    cross_entropy,
-    cross_entropy_grad,
     init_cnn_params,
     init_rnn_params,
     rnn_attention_batch,
@@ -27,10 +24,7 @@ __all__ = [
     "grad_check",
     "CnnConfig",
     "RnnConfig",
-    "cnn_forward",
     "cnn_forward_batch",
-    "cross_entropy",
-    "cross_entropy_grad",
     "init_cnn_params",
     "init_rnn_params",
     "rnn_attention_batch",

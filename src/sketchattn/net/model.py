@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfigError, LabelOutOfRangeError, ShapeMismatchError
+from ..errors import InvalidConfigError, ShapeMismatchError
 from ..geometry import OffsetSketch
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
@@ -178,36 +178,3 @@ def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg
         x = ad.maxpool2d(tape, x, pool)
     x = ad.global_avg_pool(tape, x)
     return ad.add(tape, ad.matmul(tape, x, params["cnn.fc.w"]), params["cnn.fc.b"])
-
-
-def cnn_forward(image, cfg: CnnConfig, params: dict[str, Tensor], tape: Tape | None = None) -> Tensor:
-    """Single attention map (H, W) or (1, H, W) -> (num_classes,) logits."""
-    tape = tape if tape is not None else Tape()
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[0] != 1:
-        raise ShapeMismatchError("cnn_forward expects a single-channel image")
-    logits = cnn_forward_batch(tape, ad.constant(arr[None]), params, cfg)
-    return ad.reshape(tape, logits, (cfg.num_classes,))
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Scalar softmax cross entropy, -log softmax(logits)[label]."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not (0 <= label < logits.shape[0]):
-        raise LabelOutOfRangeError(f"label {label} outside [0, {logits.shape[0]})")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[label])
-
-
-def cross_entropy_grad(logits: np.ndarray, label: int) -> np.ndarray:
-    """Gradient of cross_entropy w.r.t. the logits: softmax - one_hot."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not (0 <= label < logits.shape[0]):
-        raise LabelOutOfRangeError(f"label {label} outside [0, {logits.shape[0]})")
-    z = logits - logits.max()
-    ez = np.exp(z)
-    p = ez / ez.sum()
-    p[label] -= 1.0
-    return p

@@ -1,8 +1,10 @@
 """End-to-end assembly: model variants, augmentation, training, evaluation.
 
-The full variant runs RNN attention -> differentiable rasterization -> CNN
-in one taped graph, so a single backward pass reaches every parameter.
-Baselines reuse the same CNN on fixed (binary or order-encoded) rasters.
+Every variant runs per-point attention -> differentiable rasterization ->
+CNN. The RNN variants take the attention from the RNN, in one taped graph,
+so a single backward pass reaches every parameter; the baselines feed the
+same rasterizer fixed attention: all ones (binary) or the first-to-last
+ramp (order encoded).
 
 All randomness is derived from the experiment seed: parameter init from
 (seed, 0); epoch shuffling from (seed, 1, epoch); augmentation from
@@ -271,12 +273,13 @@ def randomize_stroke_order(sketch: VectorSketch, rng: np.random.Generator) -> Ve
     return VectorSketch(xy, s)
 
 
-def _nlr_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg: RasterConfig):
-    """Bridge op: per-item rasterization of taped attentions.
+def _rasterize_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg: RasterConfig):
+    """The one bridge from per-point attention (B, T) to images (B, 1, H, W).
 
-    Forward stacks the per-item intensity grids into a (B, 1, H, W)
-    tensor; backward hands each item's incoming pixel gradients to
-    rasterize_backward and scatters the result into the attention rows.
+    Every variant and the nlr gradcheck pass through here. Backward hands
+    each item's incoming pixel gradients to rasterize_backward and scatters
+    the result into the attention rows; it is recorded only when attn
+    requires a gradient, so fixed attention adds no tape op.
     """
     maps: list[AttentionMap] = []
     images = np.zeros((len(sketches), 1, cfg.height, cfg.width))
@@ -318,7 +321,9 @@ def _forward_batch(
 ):
     """Shared batched forward pass for every variant.
 
-    Returns (logits Tensor (B, C), attention Tensor or None, maps).
+    Returns (logits Tensor (B, C), attention Tensor (B, T), maps). The
+    attention is the RNN's output, or the fixed ones (cnn_only_binary) or
+    order ramp (order_encoded_cnn) of the baselines, padded with zeros.
     """
     cfg_r = config.raster
     if config.variant == "random_stroke_order_r2cnn" and mode == "train":
@@ -331,17 +336,12 @@ def _forward_batch(
     if config.uses_rnn:
         inputs, lengths = _batch_inputs(sketches, cfg_r.width)
         attn = rnn_attention_batch(tape, inputs, lengths, state.params, config.rnn, mode, dropout_rng)
-        images, maps = _nlr_batch(tape, attn, sketches, cfg_r)
     else:
-        attn = None
-        maps = []
-        images_np = np.zeros((len(sketches), 1, cfg_r.height, cfg_r.width))
+        fixed = np.zeros((len(sketches), max(sk.n for sk in sketches)))
         for b, sk in enumerate(sketches):
-            a = np.ones(sk.n) if config.variant == "cnn_only_binary" else order_ramp(sk.n)
-            amap = rasterize_forward(sk, a, cfg_r)
-            maps.append(amap)
-            images_np[b, 0] = amap.intensities
-        images = ad.constant(images_np)
+            fixed[b, : sk.n] = 1.0 if config.variant == "cnn_only_binary" else order_ramp(sk.n)
+        attn = ad.constant(fixed)
+    images, maps = _rasterize_batch(tape, attn, sketches, cfg_r)
     logits = cnn_forward_batch(tape, images, state.params, config.cnn)
     return logits, attn, maps
 
@@ -367,11 +367,7 @@ def forward_classify(
         state, config, [sk], mode, tape,
         dropout_rng=rng, order_rng=rng,
     )
-    attention = None
-    if attn is not None:
-        attention = attn.data[0, : sk.n].copy()
-    elif config.variant == "order_encoded_cnn":
-        attention = order_ramp(sk.n)
+    attention = None if config.variant == "cnn_only_binary" else attn.data[0, : sk.n].copy()
     return logits.data[0].copy(), attention, maps[0]
 
 

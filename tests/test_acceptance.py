@@ -15,13 +15,10 @@ from sketchattn.geometry import validate_and_normalize
 from sketchattn.ingest import random_sketch, synth_dataset
 from sketchattn.net.gradcheck import grad_check
 from sketchattn.pipeline import desk_config, evaluate, init_model_state, train
-from sketchattn.raster import (
-    RasterConfig,
-    oracle_rasterize,
-    rasterize_backward,
-    rasterize_forward,
-)
+from sketchattn.raster import RasterConfig, rasterize_backward, rasterize_forward
 from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
+
+from raster_oracle import oracle_rasterize
 
 CFG64 = RasterConfig(width=64, height=64, epsilon=1.0)
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -165,7 +162,7 @@ def test_criterion_06_end_to_end_gradient_flow():
     from sketchattn.pipeline import _forward_batch, prepare_sketch
     from sketchattn.ingest import synth_generate
 
-    fn, params = _full_profile(0, None, None)
+    fn, params = _full_profile(0)
     rep = grad_check(
         fn, params, step=1e-5, tolerance=1e-4,
         max_entries_per_param=8, rng=np.random.default_rng(600),

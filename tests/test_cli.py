@@ -248,3 +248,57 @@ class TestTrainEvalPredict:
         info = json.loads(stdout.strip().splitlines()[-1])
         assert info["category"] in ("square_cw", "square_ccw")
         assert map_file.read_bytes().startswith(b"P5\n")
+
+
+class TestCheckpointBoundaries:
+    def test_eval_rejects_reordered_categories(self, trained, tmp_path, capsys):
+        # same items, category list reversed and labels remapped: the
+        # checkpoint's label i no longer means the dataset's label i
+        from sketchattn.ingest import Dataset, LabeledSketch, save_internal
+
+        _, out_dir, valid_file = trained
+        ds = load_internal(valid_file)
+        cats = list(reversed(ds.categories))
+        items = [LabeledSketch(it.sketch, cats.index(it.category_name), it.category_name) for it in ds.items]
+        reordered = tmp_path / "reordered.json"
+        save_internal(Dataset(cats, items, ds.split), reordered)
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(out_dir / "best.ckpt.json"), "--data", str(reordered)
+        )
+        assert code == 1
+        info = json.loads(err.strip().splitlines()[-1])
+        assert info["error"] == "CategoryMismatchError"
+        assert str(cats) in info["detail"] and str(ds.categories) in info["detail"]
+
+    @staticmethod
+    def _edited_checkpoint(out_dir, tmp_path, edit):
+        payload = json.loads((out_dir / "best.ckpt.json").read_text())
+        edit(payload["params"])
+        path = tmp_path / "edited.ckpt.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_missing_parameter_named(self, trained, tmp_path, sketch_file, capsys, command):
+        _, out_dir, valid_file = trained
+        ckpt = self._edited_checkpoint(out_dir, tmp_path, lambda params: params.pop("cnn.fc.b"))
+        data = ["--data", str(valid_file)] if command == "eval" else ["--input", str(sketch_file)]
+        code, _, err = run(capsys, command, "--checkpoint", str(ckpt), *data)
+        assert code == 1
+        info = json.loads(err.strip().splitlines()[-1])
+        assert info["error"] == "ShapeMismatchError"
+        assert "cnn.fc.b" in info["detail"]
+
+    def test_reshaped_parameter_named(self, trained, tmp_path, capsys):
+        # (2,) stored as (1, 2) would broadcast through the bias add unnoticed
+        _, out_dir, valid_file = trained
+
+        def reshape(params):
+            params["cnn.fc.b"]["shape"] = [1, 2]
+
+        ckpt = self._edited_checkpoint(out_dir, tmp_path, reshape)
+        code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(valid_file))
+        assert code == 1
+        info = json.loads(err.strip().splitlines()[-1])
+        assert info["error"] == "ShapeMismatchError"
+        assert "cnn.fc.b" in info["detail"] and "(1, 2)" in info["detail"]

@@ -5,15 +5,14 @@ from hypothesis import given, strategies as st
 from sketchattn.errors import EmptySketchError, InvalidCanvasError, NonFiniteCoordinateError
 from sketchattn.geometry import (
     OffsetSketch,
-    Point,
     from_offsets,
     normalize_to_canvas,
     scale_offsets,
-    segments,
     stroke_slices,
     to_offsets,
     validate_and_normalize,
 )
+from sketchattn.raster import segment_table
 
 
 def make(points):
@@ -52,8 +51,11 @@ class TestValidateAndNormalize:
         assert sk.s.tolist() == [0, 1, 1]
 
     def test_accepts_point_objects(self):
-        sk = make([Point(1, 2, 0), Point(3, 4, 1)])
+        # any indexable (x, y, s) row works: lists and numpy rows alike
+        sk = make([[1, 2, 0], [3, 4, 1]])
         assert sk.n == 2
+        rows = make(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0]]))
+        assert rows.xy.tolist() == sk.xy.tolist() and rows.s.tolist() == sk.s.tolist()
 
     def test_bad_state_rejected(self):
         with pytest.raises(ValueError):
@@ -164,16 +166,22 @@ class TestNormalizeToCanvas:
 
 
 class TestSegments:
+    # the rasterizer's segment table is the one segment extraction; without
+    # point discs it holds exactly the (i, i + 1) pairs with s[i] == 0
+
+    @staticmethod
+    def pairs(sk):
+        t = segment_table(sk, include_point_discs=False)
+        return list(zip(t.start.tolist(), t.end.tolist()))
+
     def test_states_0101(self):
-        segs = segments(make([(0, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 1)]))
-        assert [(s.start_index, s.end_index) for s in segs] == [(0, 1), (2, 3)]
+        assert self.pairs(make([(0, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 1)])) == [(0, 1), (2, 3)]
 
     def test_two_isolated_points(self):
-        assert segments(make([(0, 0, 1), (1, 1, 1)])) == []
+        assert self.pairs(make([(0, 0, 1), (1, 1, 1)])) == []
 
     def test_single_stroke_three_points(self):
-        segs = segments(make([(0, 0, 0), (1, 0, 0), (2, 0, 1)]))
-        assert [(s.start_index, s.end_index) for s in segs] == [(0, 1), (1, 2)]
+        assert self.pairs(make([(0, 0, 0), (1, 0, 0), (2, 0, 1)])) == [(0, 1), (1, 2)]
 
     def test_cardinality_matches_zero_states(self):
         rng = np.random.default_rng(5)
@@ -182,12 +190,13 @@ class TestSegments:
             pts = [(float(x), float(y), int(st)) for (x, y), st in
                    zip(rng.uniform(0, 100, size=(n, 2)), rng.random(n) < 0.3)]
             sk = make(pts)
-            assert len(segments(sk)) == int(np.sum(sk.s == 0))
+            assert len(self.pairs(sk)) == int(np.sum(sk.s == 0))
 
     def test_endpoint_coordinates(self):
-        segs = segments(make([(1, 2, 0), (3, 4, 1)]))
-        assert segs[0].p0 == (1.0, 2.0)
-        assert segs[0].p1 == (3.0, 4.0)
+        sk = make([(1, 2, 0), (3, 4, 1)])
+        (i, j), = self.pairs(sk)
+        assert tuple(sk.xy[i]) == (1.0, 2.0)
+        assert tuple(sk.xy[j]) == (3.0, 4.0)
 
     def test_stroke_slices(self):
         sk = make([(0, 0, 0), (1, 0, 1), (2, 0, 1), (3, 0, 0), (4, 0, 1)])

@@ -12,7 +12,7 @@ from sketchattn.errors import (
     RaggedStrokeError,
     VersionMismatchError,
 )
-from sketchattn.geometry import normalize_to_canvas, segments, stroke_slices
+from sketchattn.geometry import normalize_to_canvas, stroke_slices
 from sketchattn.ingest import (
     SYNTH_CATEGORIES,
     Dataset,
@@ -28,7 +28,7 @@ from sketchattn.ingest import (
     synth_dataset,
     synth_generate,
 )
-from sketchattn.raster import RasterConfig, binary_rasterize, rasterize_forward
+from sketchattn.raster import RasterConfig, rasterize_forward, segment_table
 
 
 class TestParseQuickdraw:
@@ -70,7 +70,7 @@ class TestParseQuickdraw:
         )
         sk = item.sketch
         assert sk.s.tolist() == [0, 0, 0, 1, 0, 1]
-        assert len(segments(sk)) == 4
+        assert len(segment_table(sk, include_point_discs=False)) == 4
 
 
 class TestLoadDataset:
@@ -144,8 +144,9 @@ class TestSynthetic:
             cw = synth_generate("square_cw", seed, matched_jitter=True)
             ccw = synth_generate("square_ccw", seed, matched_jitter=True)
             np.testing.assert_array_equal(cw.sketch.xy, ccw.sketch.xy[::-1])
-            img_cw = binary_rasterize(normalize_to_canvas(cw.sketch, 64, 64, 4), cfg)
-            img_ccw = binary_rasterize(normalize_to_canvas(ccw.sketch, 64, 64, 4), cfg)
+            ones = np.ones(cw.sketch.n)
+            img_cw = rasterize_forward(normalize_to_canvas(cw.sketch, 64, 64, 4), ones, cfg).intensities
+            img_ccw = rasterize_forward(normalize_to_canvas(ccw.sketch, 64, 64, 4), ones, cfg).intensities
             assert np.array_equal(img_cw, img_ccw)
 
     def test_unmatched_pair_differs_only_by_jitter(self):

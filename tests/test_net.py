@@ -15,10 +15,7 @@ from sketchattn.net.gradcheck import grad_check
 from sketchattn.net.model import (
     CnnConfig,
     RnnConfig,
-    cnn_forward,
     cnn_forward_batch,
-    cross_entropy,
-    cross_entropy_grad,
     init_cnn_params,
     init_rnn_params,
     rnn_attention_batch,
@@ -35,6 +32,20 @@ def small_rnn(seed=0, hidden=8):
 
 def offsets_for(sketch, width=64.0):
     return scale_offsets(to_offsets(sketch), 1.0 / width)
+
+
+def cnn_logits(image, cfg, params):
+    """(H, W) image -> (num_classes,) logits through the B=1 batch path."""
+    return cnn_forward_batch(Tape(), ad.constant(image[None, None]), params, cfg).data[0]
+
+
+def ce_loss_and_grad(logits, label):
+    """cross_entropy_logits on one (C,) row: (loss, gradient w.r.t. the row)."""
+    t = Tensor(np.asarray(logits, dtype=np.float64)[None], requires_grad=True)
+    tape = Tape()
+    loss = cross_entropy_logits(tape, t, np.array([label]))
+    backward(tape, loss)
+    return float(loss.data), t.grad[0]
 
 
 class TestAutodiffCore:
@@ -269,8 +280,8 @@ class TestCnn:
         rng = np.random.default_rng(9)
         cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=3)
         params = init_cnn_params(rng, cfg)
-        logits = cnn_forward(np.zeros((16, 16)), cfg, params)
-        assert np.allclose(logits.data, logits.data[0])
+        logits = cnn_logits(np.zeros((16, 16)), cfg, params)
+        assert np.allclose(logits, logits[0])
 
     def test_all_parameters_match_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -294,8 +305,8 @@ class TestCnn:
         cfg = CnnConfig(stages=((3, 4, 2),), num_classes=2)
         params = init_cnn_params(rng, cfg)
         img = rng.uniform(0.1, 1.0, size=(8, 8))
-        base = cnn_forward(img, cfg, params).data
-        nudged = cnn_forward(img * 1.0001, cfg, params).data
+        base = cnn_logits(img, cfg, params)
+        nudged = cnn_logits(img * 1.0001, cfg, params)
         assert np.abs(nudged - base).max() < 1e-2
 
     def test_works_on_any_canvas(self):
@@ -303,8 +314,8 @@ class TestCnn:
         cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=4)
         params = init_cnn_params(rng, cfg)
         for size in (16, 24, 64):
-            logits = cnn_forward(rng.normal(size=(size, size)), cfg, params)
-            assert logits.data.shape == (4,)
+            logits = cnn_logits(rng.normal(size=(size, size)), cfg, params)
+            assert logits.shape == (4,)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -315,39 +326,44 @@ class TestCnn:
 
 class TestCrossEntropy:
     def test_uniform_logits_ln_c(self):
-        assert cross_entropy(np.zeros(4), 2) == pytest.approx(np.log(4.0), abs=1e-12)
-        assert cross_entropy(np.full(6, 3.7), 0) == pytest.approx(np.log(6.0), abs=1e-12)
+        assert ce_loss_and_grad(np.zeros(4), 2)[0] == pytest.approx(np.log(4.0), abs=1e-12)
+        assert ce_loss_and_grad(np.full(6, 3.7), 0)[0] == pytest.approx(np.log(6.0), abs=1e-12)
 
     def test_confident_correct_logit_loss_zero(self):
         logits = np.zeros(5)
         logits[3] = 1e6
-        assert cross_entropy(logits, 3) == pytest.approx(0.0, abs=1e-12)
+        assert ce_loss_and_grad(logits, 3)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            g = cross_entropy_grad(rng.normal(size=7), int(rng.integers(7)))
+            _, g = ce_loss_and_grad(rng.normal(size=7), int(rng.integers(7)))
             assert abs(g.sum()) < 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRangeError):
-            cross_entropy(np.zeros(3), 3)
+            cross_entropy_logits(Tape(), ad.constant(np.zeros((1, 3))), np.array([3]))
         with pytest.raises(LabelOutOfRangeError):
             cross_entropy_logits(Tape(), ad.constant(np.zeros((1, 3))), np.array([5]))
 
     def test_batched_op_matches_plain(self):
+        # a plain numpy reference: -log softmax(z)[y], gradient softmax - one_hot
         rng = np.random.default_rng(14)
         logits = rng.normal(size=(4, 5))
         labels = np.array([0, 3, 2, 4])
+        z = logits - logits.max(axis=1, keepdims=True)
+        log_norm = np.log(np.exp(z).sum(axis=1))
+        expected_rows = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        expected_rows[np.arange(4), labels] -= 1.0
         t = Tensor(logits, requires_grad=True)
         tape = Tape()
         loss = cross_entropy_logits(tape, t, labels)
-        expected = np.mean([cross_entropy(logits[i], labels[i]) for i in range(4)])
+        expected = np.mean(log_norm - z[np.arange(4), labels])
         assert float(loss.data) == pytest.approx(expected, abs=1e-12)
         backward(tape, loss)
         rows = t.grad * 4.0  # mean reduction
         for i in range(4):
-            np.testing.assert_allclose(rows[i], cross_entropy_grad(logits[i], labels[i]), atol=1e-12)
+            np.testing.assert_allclose(rows[i], expected_rows[i], atol=1e-12)
             assert abs(t.grad[i].sum()) < 1e-12
 
 

@@ -22,7 +22,7 @@ from sketchattn.pipeline import (
     randomize_stroke_order,
     train,
 )
-from sketchattn.raster import RasterConfig, binary_rasterize
+from sketchattn.raster import RasterConfig, rasterize_forward
 
 TINY = dict(
     rnn=RnnConfig(hidden_size=8, num_layers=2, bidirectional=True, dropout_prob=0.0),
@@ -49,7 +49,7 @@ class TestForwardClassify:
         state.params["head.b"].data[:] = 0.0
         sk = prepare_sketch(synth_generate("circle", 3).sketch, cfg)
         logits, attention, amap = forward_classify(state, cfg, sk)
-        binary = binary_rasterize(sk, cfg.raster)
+        binary = rasterize_forward(sk, np.ones(sk.n), cfg.raster).intensities
         np.testing.assert_array_equal(amap.intensities, 0.5 * binary)
         np.testing.assert_array_equal(attention, np.full(sk.n, 0.5))
         assert logits.shape == (2,)
@@ -90,6 +90,35 @@ class TestForwardClassify:
         backward(tape, loss)
         rnn_grads = [p.grad for n, p in state.params.items() if n.startswith(("rnn.", "head."))]
         assert any(g is not None and np.abs(g).max() > 0 for g in rnn_grads)
+
+
+class TestRasterizeBatch:
+    def test_one_bridge_tapes_only_learned_attention(self):
+        from sketchattn.net.autodiff import backward
+        from sketchattn.pipeline import _rasterize_batch
+
+        sketches = [multi_stroke_sketch(), validate_and_normalize([(1, 1, 0), (9, 9, 1)])]
+        cfg = RasterConfig(48, 48, 1.0)
+        rows = np.random.default_rng(0).uniform(0.1, 0.9, size=(2, 6))
+        rows[1, 2:] = 0.0
+
+        tape = Tape()
+        images, maps = _rasterize_batch(tape, ad.constant(rows), sketches, cfg)
+        assert len(tape) == 0
+        assert images.data.shape == (2, 1, 48, 48)
+        for b, sk in enumerate(sketches):
+            expect = rasterize_forward(sk, rows[b, : sk.n], cfg)
+            np.testing.assert_array_equal(images.data[b, 0], expect.intensities)
+            np.testing.assert_array_equal(maps[b].owner, expect.owner)
+
+        tape = Tape()
+        attn = ad.parameter(rows)
+        images, maps = _rasterize_batch(tape, attn, sketches, cfg)
+        assert len(tape) == 1
+        backward(tape, ad.sum_all(tape, images))
+        assert np.all(attn.grad[1, 2:] == 0.0)
+        for b, sk in enumerate(sketches):
+            assert attn.grad[b, : sk.n].sum() == pytest.approx(maps[b].owned_pixel_count, abs=1e-9)
 
 
 class TestAugment:
@@ -150,10 +179,11 @@ class TestRandomizeStrokeOrder:
     def test_binary_raster_preserved(self):
         cfg = RasterConfig(32, 32, 1.0)
         sk = multi_stroke_sketch()
-        base = binary_rasterize(sk, cfg)
+        ones = np.ones(sk.n)
+        base = rasterize_forward(sk, ones, cfg).intensities
         for seed in range(10):
             out = randomize_stroke_order(sk, np.random.default_rng(seed))
-            np.testing.assert_array_equal(binary_rasterize(out, cfg), base)
+            np.testing.assert_array_equal(rasterize_forward(out, ones, cfg).intensities, base)
 
     def test_point_multiset_unchanged(self):
         sk = multi_stroke_sketch()

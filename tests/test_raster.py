@@ -12,11 +12,10 @@ from sketchattn.errors import (
 )
 from sketchattn.geometry import validate_and_normalize
 from sketchattn.ingest import random_sketch
+from sketchattn.net.model import CnnConfig
+from sketchattn.pipeline import desk_config, forward_classify, init_model_state
 from sketchattn.raster import (
     RasterConfig,
-    binary_rasterize,
-    oracle_rasterize,
-    order_encode_rasterize,
     order_ramp,
     rasterize_backward,
     rasterize_forward,
@@ -26,11 +25,20 @@ from sketchattn.raster import (
     write_provenance_json,
 )
 
+from raster_oracle import oracle_rasterize
+
 CFG64 = RasterConfig(width=64, height=64, epsilon=1.0)
 
 
 def make(points):
     return validate_and_normalize(points)
+
+
+def baseline_map(variant, sk, raster=CFG64):
+    """The attention map a baseline variant's forward_classify rasterizes."""
+    cfg = desk_config(2, variant=variant, raster=raster, cnn=CnnConfig(stages=((3, 4, 2),), num_classes=2))
+    _, attention, amap = forward_classify(init_model_state(cfg), cfg, sk)
+    return attention, amap
 
 
 class TestForward:
@@ -132,11 +140,9 @@ class TestForward:
     def test_provenance_at(self):
         sk = make([(5.5, 5.5, 0), (12.5, 5.5, 1)])
         amap = rasterize_forward(sk, [1.0, 0.0], RasterConfig(32, 32, 1.0))
-        p = amap.provenance_at(5, 8)
-        assert p.owner_segment == 0
-        assert 0.0 <= p.alpha <= 1.0
-        q = amap.provenance_at(31, 31)
-        assert q.owner_segment is None and q.alpha is None
+        assert amap.owner[5, 8] == 0
+        assert 0.0 <= amap.alpha[5, 8] <= 1.0
+        assert amap.owner[31, 31] == -1
 
 
 class TestOracleEquivalence:
@@ -265,17 +271,20 @@ class TestEncodings:
     def test_order_ramp_middle_point(self):
         assert order_ramp(3)[1] == 0.5
 
+    # the baselines are the NLR path with fixed attention: their maps come
+    # from forward_classify, the surviving path of the old wrappers
+
     def test_order_encode_matches_explicit_ramp(self):
         rng = np.random.default_rng(6)
         sk = random_sketch(rng, 14, 64, 64)
-        enc = order_encode_rasterize(sk, CFG64)
-        ramp = 1.0 - np.arange(sk.n) / (sk.n - 1)
-        ref = rasterize_forward(sk, ramp, CFG64).intensities
-        assert np.array_equal(enc, ref)
+        attention, amap = baseline_map("order_encoded_cnn", sk)
+        assert np.array_equal(attention, 1.0 - np.arange(sk.n) / (sk.n - 1))
+        assert np.array_equal(amap.intensities, rasterize_forward(sk, order_ramp(sk.n), CFG64).intensities)
 
     def test_order_encode_two_point_sketch(self):
         sk = make([(8.5, 16.5, 0), (56.5, 16.5, 1)])
-        enc = order_encode_rasterize(sk, CFG64)
+        _, amap = baseline_map("order_encoded_cnn", sk)
+        enc = amap.intensities
         assert enc[16, 8] == 1.0
         assert enc[16, 56] == 0.0
         assert enc[16, 32] == pytest.approx(0.5, abs=0.03)
@@ -284,23 +293,23 @@ class TestEncodings:
         rng = np.random.default_rng(7)
         for _ in range(20):
             sk = random_sketch(rng, int(rng.integers(2, 30)), 64, 64)
-            img = binary_rasterize(sk, CFG64)
-            assert set(np.unique(img)) <= {0.0, 1.0}
+            attention, amap = baseline_map("cnn_only_binary", sk)
+            assert attention is None
+            assert set(np.unique(amap.intensities)) <= {0.0, 1.0}
 
     def test_binary_matches_forward_with_ones(self):
         rng = np.random.default_rng(8)
         sk = random_sketch(rng, 17, 64, 64)
-        assert np.array_equal(
-            binary_rasterize(sk, CFG64), rasterize_forward(sk, np.ones(sk.n), CFG64).intensities
-        )
+        _, amap = baseline_map("cnn_only_binary", sk)
+        assert np.array_equal(amap.intensities, rasterize_forward(sk, np.ones(sk.n), CFG64).intensities)
 
     def test_binary_pixel_count_matches_oracle(self):
         rng = np.random.default_rng(9)
         sk = random_sketch(rng, 13, 32, 32)
         cfg = RasterConfig(32, 32, 1.0)
-        img = binary_rasterize(sk, cfg)
+        _, amap = baseline_map("cnn_only_binary", sk, cfg)
         ref = oracle_rasterize(sk, np.ones(sk.n), cfg)
-        assert int(img.sum()) == int((ref.owner >= 0).sum())
+        assert int(amap.intensities.sum()) == int((ref.owner >= 0).sum()) == amap.owned_pixel_count
 
 
 class TestDeterminismAndExports:
