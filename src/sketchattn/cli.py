@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import CategoryMismatchError, ShapeMismatchError, SketchError
+from .errors import CategoryMismatchError, SketchError
 from .geometry import VectorSketch, normalize_to_canvas, scale_offsets, to_offsets
 from .ingest import (
     SYNTH_CATEGORIES,
@@ -30,8 +30,7 @@ from .ingest import (
 from .net import autodiff as ad
 from .net.autodiff import Tape, Tensor, cross_entropy_logits
 from .net.gradcheck import grad_check
-from .net.model import CnnConfig, RnnConfig, cnn_forward_batch, init_cnn_params, init_rnn_params, rnn_attention_forward
-from .net.optim import ModelState, load_checkpoint
+from .net.model import CnnConfig, RnnConfig, cnn_forward_batch, init_cnn_params, init_rnn_params, rnn_attention_batch
 from .pipeline import (
     ExperimentConfig,
     _forward_batch,
@@ -40,6 +39,7 @@ from .pipeline import (
     evaluate,
     forward_classify,
     init_model_state,
+    load_model,
     prepare_sketch,
     train,
 )
@@ -155,23 +155,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path) -> tuple[ModelState, ExperimentConfig]:
-    """Load a checkpoint whose parameter names and shapes match its config."""
-    state = load_checkpoint(path)
-    cfg = ExperimentConfig.from_json_dict(state.config)
-    expected = {name: p.data.shape for name, p in init_model_state(cfg).params.items()}
-    found = {name: p.data.shape for name, p in state.params.items()}
-    for name in sorted(expected.keys() | found.keys()):
-        if expected.get(name) != found.get(name):
-            raise ShapeMismatchError(
-                f"{path}: parameter {name} has shape {found.get(name, 'none')}, "
-                f"its config expects {expected.get(name, 'none')}"
-            )
-    return state, cfg
-
-
 def cmd_eval(args) -> int:
-    state, cfg = _load_model(args.checkpoint)
+    state, cfg = load_model(args.checkpoint)
     ds = load_dataset(args.data, "test")
     trained_on = state.config.get("categories")
     if trained_on is not None and list(ds.categories) != list(trained_on):
@@ -184,7 +169,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    state, cfg = _load_model(args.checkpoint)
+    state, cfg = load_model(args.checkpoint)
     categories = state.config.get("categories")
     sketch = prepare_sketch(_load_input_sketch(args.input), cfg)
     logits, _attention, amap = forward_classify(state, cfg, sketch, mode="eval")
@@ -222,11 +207,11 @@ def _rnn_profile(seed: int):
     cfg = RnnConfig(hidden_size=8, num_layers=2, bidirectional=True, dropout_prob=0.0)
     params = init_rnn_params(rng, cfg)
     sketch = random_sketch(rng, 5, 64.0, 64.0)
-    offsets = scale_offsets(to_offsets(sketch), 1.0 / 64.0)
-    w = rng.normal(size=sketch.n)
+    inputs = scale_offsets(to_offsets(sketch), 1.0 / 64.0).as_array()[None]
+    w = rng.normal(size=(1, sketch.n))
 
     def fn(tape: Tape) -> Tensor:
-        attn = rnn_attention_forward(offsets, cfg, params, "eval", tape)
+        attn = rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg, "eval")
         return ad.sum_all(tape, ad.mul_const(tape, attn, w))
 
     return fn, params

@@ -145,7 +145,7 @@ def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: floa
         xy = np.tile(center_canvas, (sketch.n, 1))
     else:
         scale = min(scales)
-        center_box = (lo + hi) / 2.0
+        center_box = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 overflows near the float limit
         xy = (sketch.xy - center_box) * scale + center_canvas
     return VectorSketch(xy, sketch.s.copy())
 

@@ -78,13 +78,23 @@ def parse_quickdraw_line(text: str, label: int = 0) -> LabeledSketch:
     for stroke in drawing:
         if not isinstance(stroke, (list, tuple)) or len(stroke) != 2:
             raise MalformedLineError("stroke is not an [xs, ys] pair")
-        xs, ys = stroke
+        xs, ys = (_coordinates(values) for values in stroke)
         if len(xs) != len(ys):
             raise RaggedStrokeError(f"stroke has {len(xs)} xs but {len(ys)} ys")
         k = len(xs)
         for i in range(k):
-            rows.append((float(xs[i]), float(ys[i]), 1 if i == k - 1 else 0))
+            rows.append((xs[i], ys[i], 1 if i == k - 1 else 0))
     return LabeledSketch(validate_and_normalize(rows), label, category)
+
+
+def _coordinates(values) -> list[float]:
+    """One stroke's xs or ys: a JSON list of numbers (a boolean is not one)."""
+    if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise MalformedLineError("stroke coordinates are not a list of numbers")
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise MalformedLineError(f"stroke coordinate out of range: {exc}") from exc
 
 
 def load_dataset(path, split: str = "train", max_items_per_category: int | None = None) -> Dataset:

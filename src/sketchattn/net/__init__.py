@@ -9,7 +9,6 @@ from .model import (
     init_cnn_params,
     init_rnn_params,
     rnn_attention_batch,
-    rnn_attention_forward,
 )
 from .optim import ModelState, adam_step, load_checkpoint, save_checkpoint
 
@@ -28,7 +27,6 @@ __all__ = [
     "init_cnn_params",
     "init_rnn_params",
     "rnn_attention_batch",
-    "rnn_attention_forward",
     "ModelState",
     "adam_step",
     "load_checkpoint",

@@ -1,13 +1,17 @@
 """Minimal reverse-mode autodiff: a flat tape of backward closures.
 
-Every operation computes its numpy result eagerly and, when any operand
-requires gradients, records one closure on the tape. backward() replays
-the closures in exact reverse recording order, which is a valid reverse
-topological order because tensors are created before they are consumed.
+Every operation computes its numpy result eagerly and states its backward
+as one vjp per operand. op() wraps the result and, when any operand
+requires gradients, records one closure that adds each vjp of the
+output's gradient into its operand. The fused LSTM layer records its own
+closure because its four gradients share one BPTT pass; it accumulates
+them the same way. backward() replays the closures in exact reverse
+recording order, which is a valid reverse topological order because
+tensors are created before they are consumed.
 
 The op set covers exactly what the sketch pipeline needs (a fused LSTM
-layer with a hand-written BPTT backward, a small CNN, softmax cross
-entropy); it is not a general-purpose autodiff.
+layer, a small CNN, softmax cross entropy); it is not a general-purpose
+autodiff.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -89,73 +90,58 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+def op(tape: Tape, data, *edges) -> Tensor:
+    """Wrap a forward result as a tensor and record its backward closure.
+
+    Each edge is an (operand, vjp) pair: vjp maps the output's gradient to
+    the operand's (any shape that broadcasts onto it). The one closure,
+    recorded only when some operand requires a gradient, skips an output
+    the loss never reached and runs only the vjps of operands that
+    require a gradient.
+    """
+    out = Tensor(data, any(t.requires_grad for t, _ in edges))
     if out.requires_grad:
 
         def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                a.ensure_grad()
-                a.grad += _unbroadcast(out.grad, a.data.shape)
-            if b.requires_grad:
-                b.ensure_grad()
-                b.grad += _unbroadcast(out.grad, b.data.shape)
+            if out.grad is not None:
+                _accumulate(edges, out.grad)
 
         tape.record(bwd)
     return out
+
+
+def _accumulate(edges, g: np.ndarray) -> None:
+    for t, vjp in edges:
+        if t.requires_grad:
+            t.ensure_grad()
+            t.grad += vjp(g)
+
+
+def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    return op(
+        tape,
+        a.data + b.data,
+        (a, lambda g: _unbroadcast(g, a.data.shape)),
+        (b, lambda g: _unbroadcast(g, b.data.shape)),
+    )
 
 
 def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                a.ensure_grad()
-                a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
-            if b.requires_grad:
-                b.ensure_grad()
-                b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
-
-        tape.record(bwd)
-    return out
+    return op(
+        tape,
+        a.data * b.data,
+        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    )
 
 
 def mul_const(tape: Tape, a: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.data * c, a.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            a.grad += _unbroadcast(out.grad * c, a.data.shape)
-
-        tape.record(bwd)
-    return out
+    return op(tape, a.data * c, (a, lambda g: _unbroadcast(g * c, a.data.shape)))
 
 
 def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                a.ensure_grad()
-                a.grad += out.grad @ b.data.T
-            if b.requires_grad:
-                b.ensure_grad()
-                b.grad += a.data.T @ out.grad
-
-        tape.record(bwd)
-    return out
+    return op(tape, a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -168,98 +154,42 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(tape: Tape, a: Tensor) -> Tensor:
     s = _stable_sigmoid(a.data)
-    out = Tensor(s, a.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            a.grad += out.grad * s * (1.0 - s)
-
-        tape.record(bwd)
-    return out
+    return op(tape, s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def tanh(tape: Tape, a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    out = Tensor(t, a.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            a.grad += out.grad * (1.0 - t * t)
-
-        tape.record(bwd)
-    return out
+    return op(tape, t, (a, lambda g: g * (1.0 - t * t)))
 
 
 def relu(tape: Tape, a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), a.requires_grad)
-    if out.requires_grad:
-        mask = a.data > 0
-
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            a.grad += out.grad * mask
-
-        tape.record(bwd)
-    return out
+    return op(tape, np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
 
 
 def concat(tape: Tape, tensors: list[Tensor], axis: int) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), any(t.requires_grad for t in tensors))
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-
-        def bwd():
-            if out.grad is None:
-                return
-            offset = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    t.ensure_grad()
-                    sl = [slice(None)] * out.data.ndim
-                    sl[axis] = slice(offset, offset + size)
-                    t.grad += out.grad[tuple(sl)]
-                offset += size
-
-        tape.record(bwd)
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    edges, lo = [], 0
+    for t in tensors:
+        hi = lo + t.data.shape[axis]
+        edges.append((t, lambda g, part=lead + (slice(lo, hi),): g[part]))
+        lo = hi
+    return op(tape, data, *edges)
 
 
 def reshape(tape: Tape, a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            a.grad += out.grad.reshape(a.data.shape)
-
-        tape.record(bwd)
-    return out
+    return op(tape, a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def take_time(tape: Tape, a: Tensor, idx: np.ndarray) -> Tensor:
     """Reorder (B, T, D) along time with a per-item index map (B, T)."""
-    out = Tensor(np.take_along_axis(a.data, idx[:, :, None], axis=1), a.requires_grad)
-    if out.requires_grad:
-        bidx = np.arange(a.data.shape[0])[:, None]
 
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            np.add.at(a.grad, (bidx, idx), out.grad)
+    def vjp(g):
+        d = np.zeros_like(a.data)
+        np.add.at(d, (np.arange(a.data.shape[0])[:, None], idx), g)
+        return d
 
-        tape.record(bwd)
-    return out
+    return op(tape, np.take_along_axis(a.data, idx[:, :, None], axis=1), (a, vjp))
 
 
 def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -313,19 +243,16 @@ def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
                 dh_next = dz_t.reshape(B, 4 * H) @ wh.data.T
                 dc_next = dc * f[t]
             dz = dz.reshape(B * T, 4 * H)
-            if x.requires_grad:
-                x.ensure_grad()
-                x.grad += (dz @ wx.data.T).reshape(B, T, D)
-            if wx.requires_grad:
-                wx.ensure_grad()
-                wx.grad += x.data.reshape(B * T, D).T @ dz
-            if wh.requires_grad:
-                h_prev = np.concatenate([np.zeros((B, 1, H)), out.data[:, :-1]], axis=1)
-                wh.ensure_grad()
-                wh.grad += h_prev.reshape(B * T, H).T @ dz
-            if b.requires_grad:
-                b.ensure_grad()
-                b.grad += dz.sum(axis=0)
+            h_prev = np.concatenate([np.zeros((B, 1, H)), out.data[:, :-1]], axis=1).reshape(B * T, H)
+            _accumulate(
+                (
+                    (x, lambda d: (d @ wx.data.T).reshape(B, T, D)),
+                    (wx, lambda d: x.data.reshape(B * T, D).T @ d),
+                    (wh, lambda d: h_prev.T @ d),
+                    (b, lambda d: d.sum(axis=0)),
+                ),
+                dz,
+            )
 
         tape.record(bwd)
     return out
@@ -353,31 +280,25 @@ def conv2d(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * H * W, C * k * k)
     w_mat = w.data.reshape(O, C * k * k).T
     out_data = (cols @ w_mat).reshape(B, H, W, O).transpose(0, 3, 1, 2) + b.data[None, :, None, None]
-    out = Tensor(out_data, x.requires_grad or w.requires_grad or b.requires_grad)
-    if out.requires_grad:
 
-        def bwd():
-            if out.grad is None:
-                return
-            g = out.grad
-            if b.requires_grad:
-                b.ensure_grad()
-                b.grad += g.sum(axis=(0, 2, 3))
-            g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * H * W, O)
-            if w.requires_grad:
-                w.ensure_grad()
-                w.grad += (cols.T @ g_mat).T.reshape(O, C, k, k)
-            if x.requires_grad:
-                x.ensure_grad()
-                dcols = (g_mat @ w_mat.T).reshape(B, H, W, C, k, k)
-                dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
-                for u in range(k):
-                    for v in range(k):
-                        dxp[:, :, u : u + H, v : v + W] += dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-                x.grad += dxp[:, :, pad : pad + H, pad : pad + W]
+    def g_mat(g):
+        return np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * H * W, O)
 
-        tape.record(bwd)
-    return out
+    def dx(g):
+        dcols = (g_mat(g) @ w_mat.T).reshape(B, H, W, C, k, k)
+        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        for u in range(k):
+            for v in range(k):
+                dxp[:, :, u : u + H, v : v + W] += dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+        return dxp[:, :, pad : pad + H, pad : pad + W]
+
+    return op(
+        tape,
+        out_data,
+        (b, lambda g: g.sum(axis=(0, 2, 3))),
+        (w, lambda g: (cols.T @ g_mat(g)).T.reshape(O, C, k, k)),
+        (x, dx),
+    )
 
 
 def maxpool2d(tape: Tape, x: Tensor, factor: int) -> Tensor:
@@ -393,52 +314,24 @@ def maxpool2d(tape: Tape, x: Tensor, factor: int) -> Tensor:
     )
     idx = win.argmax(axis=-1)
     out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    out = Tensor(out_data, x.requires_grad)
-    if out.requires_grad:
 
-        def bwd():
-            if out.grad is None:
-                return
-            x.ensure_grad()
-            dwin = np.zeros_like(win)
-            np.put_along_axis(dwin, idx[..., None], out.grad[..., None], axis=-1)
-            dxc = dwin.reshape(B, C, Hc // f, Wc // f, f, f).transpose(0, 1, 2, 4, 3, 5).reshape(
-                B, C, Hc, Wc
-            )
-            x.grad[:, :, :Hc, :Wc] += dxc
+    def vjp(g):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        dxc = dwin.reshape(B, C, Hc // f, Wc // f, f, f).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, Hc, Wc)
+        return dxc if (Hc, Wc) == (H, W) else np.pad(dxc, ((0, 0), (0, 0), (0, H - Hc), (0, W - Wc)))
 
-        tape.record(bwd)
-    return out
+    return op(tape, out_data, (x, vjp))
 
 
 def global_avg_pool(tape: Tape, x: Tensor) -> Tensor:
     """(B, C, H, W) -> (B, C) spatial mean."""
     B, C, H, W = x.data.shape
-    out = Tensor(x.data.mean(axis=(2, 3)), x.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            x.ensure_grad()
-            x.grad += out.grad[:, :, None, None] / (H * W)
-
-        tape.record(bwd)
-    return out
+    return op(tape, x.data.mean(axis=(2, 3)), (x, lambda g: g[:, :, None, None] / (H * W)))
 
 
 def sum_all(tape: Tape, a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), a.requires_grad)
-    if out.requires_grad:
-
-        def bwd():
-            if out.grad is None:
-                return
-            a.ensure_grad()
-            a.grad += out.grad
-
-        tape.record(bwd)
-    return out
+    return op(tape, a.data.sum(), (a, lambda g: g))
 
 
 def cross_entropy_logits(tape: Tape, logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -453,16 +346,9 @@ def cross_entropy_logits(tape: Tape, logits: Tensor, labels: np.ndarray) -> Tens
     sez = ez.sum(axis=1, keepdims=True)
     softmax = ez / sez
     nll = np.log(sez)[:, 0] - z[np.arange(B), labels]
-    out = Tensor(nll.mean(), logits.requires_grad)
-    if out.requires_grad:
+    def vjp(g):
+        d = softmax.copy()
+        d[np.arange(B), labels] -= 1.0
+        return d * (float(g) / B)
 
-        def bwd():
-            if out.grad is None:
-                return
-            logits.ensure_grad()
-            d = softmax.copy()
-            d[np.arange(B), labels] -= 1.0
-            logits.grad += d * (float(out.grad) / B)
-
-        tape.record(bwd)
-    return out
+    return op(tape, nll.mean(), (logits, vjp))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidConfigError, ShapeMismatchError
-from ..geometry import OffsetSketch
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 
@@ -47,6 +46,8 @@ class CnnConfig:
     num_classes: int = 6
 
     def __post_init__(self):
+        # JSON documents carry the stages as nested lists
+        object.__setattr__(self, "stages", tuple(tuple(stage) for stage in self.stages))
         for k, ch, pool in self.stages:
             if k % 2 != 1 or k < 1:
                 raise InvalidConfigError("conv kernels must be odd")
@@ -151,23 +152,6 @@ def rnn_attention_batch(
     z = ad.add(tape, ad.matmul(tape, flat, params["head.w"]), params["head.b"])
     attn = ad.reshape(tape, ad.sigmoid(tape, z), (B, T))
     return ad.mul_const(tape, attn, mask)
-
-
-def rnn_attention_forward(
-    offsets: OffsetSketch,
-    cfg: RnnConfig,
-    params: dict[str, Tensor],
-    mode: str = "eval",
-    tape: Tape | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Per-point attention for one sketch; offsets must already be scaled
-    to the RNN's input range (dx, dy divided by the canvas width)."""
-    tape = tape if tape is not None else Tape()
-    inputs = offsets.as_array()[None, :, :]
-    lengths = np.array([len(offsets)])
-    attn = rnn_attention_batch(tape, inputs, lengths, params, cfg, mode, rng)
-    return ad.reshape(tape, attn, (len(offsets),))
 
 
 def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg: CnnConfig) -> Tensor:

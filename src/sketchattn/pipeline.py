@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, NonFiniteLossError
+from .errors import InvalidConfigError, LabelOutOfRangeError, NonFiniteLossError, ShapeMismatchError
 from .geometry import (
     VectorSketch,
     normalize_to_canvas,
@@ -43,7 +43,7 @@ from .net.model import (
     init_rnn_params,
     rnn_attention_batch,
 )
-from .net.optim import ModelState, adam_step, save_checkpoint
+from .net.optim import ModelState, adam_step, load_checkpoint, save_checkpoint
 from .raster import AttentionMap, RasterConfig, order_ramp, rasterize_backward, rasterize_forward
 from .simplify import SimplifyConfig, simplify_sketch
 
@@ -70,6 +70,29 @@ class AugmentConfig:
     @property
     def any_enabled(self) -> bool:
         return self.reflect or self.stroke_removal or self.jitter
+
+
+_SECTIONS = {
+    "rnn": RnnConfig,
+    "cnn": CnnConfig,
+    "raster": RasterConfig,
+    "simplify": SimplifyConfig,
+    "augment": AugmentConfig,
+}
+
+
+def _config_section(name: str, cls, value):
+    """One nested config section from its JSON object; absent keys take
+    their defaults, unknown keys and ill-typed values are rejected."""
+    if not isinstance(value, dict):
+        raise InvalidConfigError(f"config section {name!r} is not an object")
+    unknown = sorted(value.keys() - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidConfigError(f"config section {name!r} has unknown key {unknown[0]!r}")
+    try:
+        return cls(**value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"config section {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -111,18 +134,17 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
-        if d.get("format", CONFIG_FORMAT) != CONFIG_FORMAT:
+        if not isinstance(d, dict) or d.get("format", CONFIG_FORMAT) != CONFIG_FORMAT:
             raise InvalidConfigError("not an experiment config document")
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         kw = {k: v for k, v in d.items() if k in known}
-        kw["rnn"] = RnnConfig(**kw["rnn"])
-        cnn = dict(kw["cnn"])
-        cnn["stages"] = tuple(tuple(s) for s in cnn["stages"])
-        kw["cnn"] = CnnConfig(**cnn)
-        kw["raster"] = RasterConfig(**kw["raster"])
-        kw["simplify"] = SimplifyConfig(**kw["simplify"]) if kw.get("simplify") else None
-        kw["augment"] = AugmentConfig(**kw["augment"])
-        return ExperimentConfig(**kw)
+        for name, cls in _SECTIONS.items():
+            if name in kw and not (name == "simplify" and kw[name] is None):
+                kw[name] = _config_section(name, cls, kw[name])
+        try:
+            return ExperimentConfig(**kw)
+        except TypeError as exc:
+            raise InvalidConfigError(f"config: {exc}") from exc
 
 
 def desk_config(
@@ -276,10 +298,10 @@ def randomize_stroke_order(sketch: VectorSketch, rng: np.random.Generator) -> Ve
 def _rasterize_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg: RasterConfig):
     """The one bridge from per-point attention (B, T) to images (B, 1, H, W).
 
-    Every variant and the nlr gradcheck pass through here. Backward hands
+    Every variant and the nlr gradcheck pass through here. The vjp hands
     each item's incoming pixel gradients to rasterize_backward and scatters
-    the result into the attention rows; it is recorded only when attn
-    requires a gradient, so fixed attention adds no tape op.
+    the result into the attention rows; fixed attention, which requires no
+    gradient, adds no tape op.
     """
     maps: list[AttentionMap] = []
     images = np.zeros((len(sketches), 1, cfg.height, cfg.width))
@@ -287,18 +309,14 @@ def _rasterize_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg
         amap = rasterize_forward(sk, attn.data[b, : sk.n], cfg)
         maps.append(amap)
         images[b, 0] = amap.intensities
-    out = Tensor(images, attn.requires_grad)
-    if out.requires_grad:
 
-        def bwd():
-            if out.grad is None:
-                return
-            attn.ensure_grad()
-            for b, sk in enumerate(sketches):
-                attn.grad[b, : sk.n] += rasterize_backward(maps[b], out.grad[b, 0], sk.n)
+    def vjp(g):
+        d = np.zeros_like(attn.data)
+        for b, sk in enumerate(sketches):
+            d[b, : sk.n] = rasterize_backward(maps[b], g[b, 0], sk.n)
+        return d
 
-        tape.record(bwd)
-    return out, maps
+    return ad.op(tape, images, (attn, vjp)), maps
 
 
 def _batch_inputs(sketches: list[VectorSketch], canvas_width: int):
@@ -371,20 +389,15 @@ def forward_classify(
     return logits.data[0].copy(), attention, maps[0]
 
 
-def _accuracy_and_loss(state, config, prepared, labels, batch_size):
-    """Eval-mode top-1 accuracy (and mean loss) over prepared sketches."""
+def _accuracy(state, config, prepared, labels) -> float:
+    """Eval-mode top-1 accuracy over prepared sketches."""
+    if labels.max() >= config.cnn.num_classes:
+        raise LabelOutOfRangeError(f"labels must lie in [0, {config.cnn.num_classes})")
     correct = 0
-    total_loss = 0.0
-    n = len(prepared)
-    for lo in range(0, n, batch_size):
-        chunk = prepared[lo : lo + batch_size]
-        y = labels[lo : lo + batch_size]
-        tape = Tape()
-        logits, _, _ = _forward_batch(state, config, chunk, "eval", tape)
-        loss = cross_entropy_logits(tape, logits, y)
-        total_loss += float(loss.data) * len(chunk)
-        correct += int((logits.data.argmax(axis=1) == y).sum())
-    return correct / n, total_loss / n
+    for lo in range(0, len(prepared), config.batch_size):
+        logits, _, _ = _forward_batch(state, config, prepared[lo : lo + config.batch_size], "eval", Tape())
+        correct += int((logits.data.argmax(axis=1) == labels[lo : lo + config.batch_size]).sum())
+    return correct / len(prepared)
 
 
 def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prepared: list[VectorSketch] | None = None) -> float:
@@ -392,8 +405,22 @@ def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prep
     if prepared is None:
         prepared = [prepare_sketch(it.sketch, config) for it in dataset.items]
     labels = np.array([it.label for it in dataset.items], dtype=np.int64)
-    acc, _ = _accuracy_and_loss(state, config, prepared, labels, config.batch_size)
-    return acc
+    return _accuracy(state, config, prepared, labels)
+
+
+def load_model(path) -> tuple[ModelState, ExperimentConfig]:
+    """Load a checkpoint whose parameter names and shapes match its config."""
+    state = load_checkpoint(path)
+    config = ExperimentConfig.from_json_dict(state.config)
+    expected = {name: p.data.shape for name, p in init_model_state(config).params.items()}
+    found = {name: p.data.shape for name, p in state.params.items()}
+    for name in sorted(expected.keys() | found.keys()):
+        if expected.get(name) != found.get(name):
+            raise ShapeMismatchError(
+                f"{path}: parameter {name} has shape {found.get(name, 'none')}, "
+                f"its config expects {expected.get(name, 'none')}"
+            )
+    return state, config
 
 
 def train(
@@ -471,10 +498,10 @@ def train(
         train_loss = loss_sum / len(prepared_train)
         valid_acc = None
         if prepared_valid is not None:
-            valid_acc, _ = _accuracy_and_loss(state, config, prepared_valid, labels_valid, config.batch_size)
+            valid_acc = _accuracy(state, config, prepared_valid, labels_valid)
         test_acc = None
         if prepared_test is not None and config.eval_test_each_epoch:
-            test_acc, _ = _accuracy_and_loss(state, config, prepared_test, labels_test, config.batch_size)
+            test_acc = _accuracy(state, config, prepared_test, labels_test)
         wall = time.perf_counter() - t0
         rec = EpochRecord(epoch, train_loss, train_acc, valid_acc, test_acc, wall)
         metrics.records.append(rec)

@@ -302,3 +302,18 @@ class TestCheckpointBoundaries:
         info = json.loads(err.strip().splitlines()[-1])
         assert info["error"] == "ShapeMismatchError"
         assert "cnn.fc.b" in info["detail"] and "(1, 2)" in info["detail"]
+
+    def test_unknown_nested_config_key_named(self, trained, tmp_path, capsys):
+        # a nested section with an extra key used to escape as a TypeError traceback
+        _, out_dir, valid_file = trained
+        payload = json.loads((out_dir / "best.ckpt.json").read_text())
+        payload["config"]["rnn"]["extra_field"] = 1
+        ckpt = tmp_path / "extra.ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(valid_file))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        info = json.loads(lines[0])
+        assert info["error"] == "InvalidConfigError"
+        assert "rnn" in info["detail"] and "extra_field" in info["detail"]

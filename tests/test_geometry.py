@@ -132,6 +132,12 @@ class TestNormalizeToCanvas:
         out = normalize_to_canvas(make([(42, 17, 1)]), 224, 224, pad=4)
         np.testing.assert_allclose(out.xy, [[111.5, 111.5]])
 
+    def test_coordinates_near_float_limit_stay_finite(self):
+        # the box center used to overflow to inf and turn every point into NaN
+        out = normalize_to_canvas(make([(1e308, 0, 0), (1.7e308, 1, 0), (1.5e308, 0, 1)]), 64, 64, pad=4)
+        assert np.isfinite(out.xy).all()
+        assert out.xy[:, 0].min() == pytest.approx(4.0) and out.xy[:, 0].max() == pytest.approx(59.0)
+
     def test_fixed_point(self):
         sk = make([(4, 4, 0), (219, 219, 1)])
         out = normalize_to_canvas(sk, 224, 224, pad=4)

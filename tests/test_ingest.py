@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sketchattn.errors import (
     EmptyDatasetError,
@@ -10,6 +11,7 @@ from sketchattn.errors import (
     MalformedLineError,
     NonFiniteCoordinateError,
     RaggedStrokeError,
+    SketchError,
     VersionMismatchError,
 )
 from sketchattn.geometry import normalize_to_canvas, stroke_slices
@@ -28,6 +30,7 @@ from sketchattn.ingest import (
     synth_dataset,
     synth_generate,
 )
+from sketchattn.pipeline import desk_config, forward_classify, init_model_state, prepare_sketch
 from sketchattn.raster import RasterConfig, rasterize_forward, segment_table
 
 
@@ -63,6 +66,19 @@ class TestParseQuickdraw:
         with pytest.raises(EmptySketchError):
             parse_quickdraw_line('{"word": "cat", "drawing": []}')
 
+    @pytest.mark.parametrize(
+        "drawing",
+        [
+            "[[1, 2]]",  # a stroke of two numbers, not two lists
+            '[[["x"], [1]]]',  # a string coordinate
+            "[[[1, null], [1, 2]]]",  # a null coordinate
+        ],
+        ids=["numbers_for_lists", "string_coordinate", "null_coordinate"],
+    )
+    def test_non_numeric_stroke_rejected(self, drawing):
+        with pytest.raises(MalformedLineError):
+            parse_quickdraw_line('{"word": "cat", "drawing": %s}' % drawing)
+
     def test_stroke_state_structure(self):
         # k-point stroke yields k-1 intra-stroke segments, states [0]*(k-1)+[1]
         item = parse_quickdraw_line(
@@ -71,6 +87,50 @@ class TestParseQuickdraw:
         sk = item.sketch
         assert sk.s.tolist() == [0, 0, 0, 1, 0, 1]
         assert len(segment_table(sk, include_point_discs=False)) == 4
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+# each well-formed stroke draws all its coordinates from one regime
+_coordinate_regimes = st.sampled_from(
+    [
+        st.integers(0, 255),
+        st.floats(-1e3, 1e3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(),
+    ]
+)
+_strokes = _coordinate_regimes.flatmap(
+    lambda number: st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(number, min_size=n, max_size=n), min_size=2, max_size=2)
+    )
+)
+# [xs, ys] pairs whose entries may be anything
+_junk_strokes = st.lists(
+    _json_values | st.lists(st.integers(0, 255) | _json_values, max_size=4), min_size=2, max_size=2
+)
+_lines = st.one_of(
+    st.fixed_dictionaries({"word": st.text(max_size=4), "drawing": st.lists(_strokes, min_size=1, max_size=4)}),
+    st.fixed_dictionaries({"word": st.text(max_size=4), "drawing": st.lists(_strokes | _junk_strokes, max_size=3)}),
+    _json_values,
+).map(json.dumps) | st.text(max_size=30)
+_FUZZ_CONFIG = desk_config(2)
+_FUZZ_STATE = init_model_state(_FUZZ_CONFIG)
+
+
+class TestQuickdrawFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(line=_lines)
+    def test_only_sketch_errors_escape(self, line):
+        # parse -> prepare -> classify either succeeds or raises a typed error
+        try:
+            item = parse_quickdraw_line(line)
+            forward_classify(_FUZZ_STATE, _FUZZ_CONFIG, prepare_sketch(item.sketch, _FUZZ_CONFIG))
+        except SketchError:
+            pass
 
 
 class TestLoadDataset:

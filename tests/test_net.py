@@ -19,7 +19,6 @@ from sketchattn.net.model import (
     init_cnn_params,
     init_rnn_params,
     rnn_attention_batch,
-    rnn_attention_forward,
 )
 from sketchattn.net.optim import ModelState, adam_step, load_checkpoint, save_checkpoint
 
@@ -32,6 +31,13 @@ def small_rnn(seed=0, hidden=8):
 
 def offsets_for(sketch, width=64.0):
     return scale_offsets(to_offsets(sketch), 1.0 / width)
+
+
+def attention_for(sketch, cfg, params, mode="eval", tape=None, rng=None):
+    """(1, n) attention of one sketch through the batch path with B=1."""
+    inputs = offsets_for(sketch).as_array()[None]
+    tape = tape if tape is not None else Tape()
+    return rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg, mode, rng)
 
 
 def cnn_logits(image, cfg, params):
@@ -113,36 +119,140 @@ class TestAutodiffCore:
         assert np.all(out.data < 1.0)
 
 
+def _away_from_zero(rng, shape):
+    # relu and max-pool probes stay off their kinks and ties
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.2, 1.0, size=shape)
+
+
+# every op routed through ad.op: (operand arrays, forward on those tensors)
+OP_CASES = {
+    "add_broadcast_row": (lambda r: [r.normal(size=(3, 4)), r.normal(size=4)], lambda t, a, b: ad.add(t, a, b)),
+    "add_broadcast_both": (lambda r: [r.normal(size=(3, 1)), r.normal(size=(1, 4))], lambda t, a, b: ad.add(t, a, b)),
+    "mul_broadcast": (lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(3, 1))], lambda t, a, b: ad.mul(t, a, b)),
+    "mul_const": (lambda r: [r.normal(size=(2, 3))], lambda t, a: ad.mul_const(t, a, np.array([0.5, -2.0, 3.0]))),
+    "matmul": (lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2))], lambda t, a, b: ad.matmul(t, a, b)),
+    "sigmoid": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ad.sigmoid(t, a)),
+    "tanh": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ad.tanh(t, a)),
+    "relu": (lambda r: [_away_from_zero(r, (3, 4))], lambda t, a: ad.relu(t, a)),
+    "concat_axis1": (
+        lambda r: [r.normal(size=(2, k, 3)) for k in (1, 2, 3)],
+        lambda t, *xs: ad.concat(t, list(xs), axis=1),
+    ),
+    "concat_last_axis": (
+        lambda r: [r.normal(size=(2, 3, 2)), r.normal(size=(2, 3, 4))],
+        lambda t, *xs: ad.concat(t, list(xs), axis=-1),
+    ),
+    "reshape": (lambda r: [r.normal(size=(2, 6))], lambda t, a: ad.reshape(t, a, (3, 4))),
+    "take_time_repeated": (
+        lambda r: [r.normal(size=(2, 3, 2))],
+        lambda t, a: ad.take_time(t, a, np.array([[0, 0, 2], [1, 1, 1]])),
+    ),
+    "conv2d": (
+        lambda r: [r.normal(size=(2, 2, 5, 4)), r.normal(size=(3, 2, 3, 3)), r.normal(size=3)],
+        lambda t, x, w, b: ad.conv2d(t, x, w, b),
+    ),
+    "maxpool2d_cropped": (lambda r: [_away_from_zero(r, (2, 2, 5, 7))], lambda t, a: ad.maxpool2d(t, a, 2)),
+    "maxpool2d_factor3": (lambda r: [_away_from_zero(r, (1, 2, 7, 6))], lambda t, a: ad.maxpool2d(t, a, 3)),
+    "global_avg_pool": (lambda r: [r.normal(size=(2, 3, 4, 5))], lambda t, a: ad.global_avg_pool(t, a)),
+    "sum_all": (lambda r: [r.normal(size=(3, 4))], lambda t, a: ad.sum_all(t, a)),
+    "cross_entropy_logits": (
+        lambda r: [r.normal(size=(4, 3))],
+        lambda t, a: cross_entropy_logits(t, a, np.array([0, 2, 1, 2])),
+    ),
+}
+
+
+class TestOpHelper:
+    @pytest.mark.parametrize("name", sorted(OP_CASES))
+    def test_op_matches_finite_differences(self, name):
+        make_inputs, forward = OP_CASES[name]
+        rng = np.random.default_rng(sorted(OP_CASES).index(name))
+        params = {f"x{i}": ad.parameter(a) for i, a in enumerate(make_inputs(rng))}
+        tensors = list(params.values())
+        tape = Tape()
+        upstream = rng.normal(size=forward(tape, *tensors).shape)
+        assert len(tape) == 1  # one closure per op
+        const_tape = Tape()
+        forward(const_tape, *[ad.constant(p.data) for p in tensors])
+        assert len(const_tape) == 0  # nothing requires a gradient, nothing recorded
+
+        def fn(tape):
+            return ad.sum_all(tape, ad.mul_const(tape, forward(tape, *tensors), upstream))
+
+        rep = grad_check(fn, params, step=1e-5, tolerance=1e-6)
+        assert rep.passed, rep.format()
+
+    def test_maxpool_cropped_tail_gets_zero_gradient(self):
+        x = ad.parameter(_away_from_zero(np.random.default_rng(0), (1, 1, 5, 7)))
+        tape = Tape()
+        backward(tape, ad.sum_all(tape, ad.maxpool2d(tape, x, 2)))
+        assert x.grad.shape == (1, 1, 5, 7)
+        assert np.all(x.grad[:, :, 4, :] == 0.0) and np.all(x.grad[:, :, :, 6] == 0.0)
+        assert x.grad[:, :, :4, :6].sum() == 6.0
+
+    def test_unreached_and_constant_operands_keep_no_gradient(self):
+        x = ad.parameter(np.array([0.3, -0.7]))
+        y = ad.parameter(np.array([1.5, 2.0]))
+        c = ad.constant(np.array([2.0, 3.0]))
+        tape = Tape()
+        ad.tanh(tape, x)  # recorded, but the loss never reaches it
+        loss = ad.sum_all(tape, ad.mul(tape, y, c))
+        backward(tape, loss)
+        assert x.grad is None
+        assert c.grad is None
+        np.testing.assert_array_equal(y.grad, c.data)
+
+    def test_every_closure_goes_through_tape_record(self, monkeypatch):
+        # the benchmark's tracer counts ops by patching Tape.record
+        from sketchattn.ingest import synth_dataset
+        from sketchattn.pipeline import _forward_batch, desk_config, init_model_state, prepare_sketch
+
+        calls = []
+        original = Tape.record
+
+        def counting_record(tape, fn):
+            calls.append(fn)
+            original(tape, fn)
+
+        monkeypatch.setattr(Tape, "record", counting_record)
+        ds = synth_dataset(1, 0)
+        cfg = desk_config(len(ds.categories))
+        sketches = [prepare_sketch(it.sketch, cfg) for it in ds.items]
+        tape = Tape()
+        logits, _, _ = _forward_batch(init_model_state(cfg), cfg, sketches, "train", tape, np.random.default_rng(0))
+        cross_entropy_logits(tape, logits, np.array([it.label for it in ds.items]))
+        assert len(calls) == len(tape) > 0
+
+
 class TestRnnAttention:
     def test_zero_head_gives_half(self):
         cfg, params = small_rnn()
         params["head.w"] = ad.parameter(np.zeros_like(params["head.w"].data))
         params["head.b"] = ad.parameter(np.zeros(1))
         sk = random_sketch(np.random.default_rng(1), 7, 64, 64)
-        attn = rnn_attention_forward(offsets_for(sk), cfg, params, "eval", Tape())
-        np.testing.assert_array_equal(attn.data, np.full(sk.n, 0.5))
+        attn = attention_for(sk, cfg, params)
+        np.testing.assert_array_equal(attn.data, np.full((1, sk.n), 0.5))
 
     def test_eval_deterministic(self):
         cfg, params = small_rnn()
         sk = random_sketch(np.random.default_rng(2), 9, 64, 64)
-        a1 = rnn_attention_forward(offsets_for(sk), cfg, params, "eval", Tape())
-        a2 = rnn_attention_forward(offsets_for(sk), cfg, params, "eval", Tape())
+        a1 = attention_for(sk, cfg, params)
+        a2 = attention_for(sk, cfg, params)
         np.testing.assert_array_equal(a1.data, a2.data)
 
     def test_outputs_in_open_unit_interval(self):
         cfg, params = small_rnn(3)
         sk = random_sketch(np.random.default_rng(3), 20, 64, 64)
-        attn = rnn_attention_forward(offsets_for(sk), cfg, params, "eval", Tape())
+        attn = attention_for(sk, cfg, params)
         assert np.all(attn.data > 0) and np.all(attn.data < 1)
 
     def test_every_parameter_matches_finite_differences(self):
         cfg, params = small_rnn(4)
         sk = random_sketch(np.random.default_rng(4), 5, 64, 64)
-        off = offsets_for(sk)
-        w = np.random.default_rng(5).normal(size=sk.n)
+        w = np.random.default_rng(5).normal(size=(1, sk.n))
 
         def fn(tape):
-            attn = rnn_attention_forward(off, cfg, params, "eval", tape)
+            attn = attention_for(sk, cfg, params, tape=tape)
             return ad.sum_all(tape, ad.mul_const(tape, attn, w))
 
         rep = grad_check(fn, params, step=1e-4, tolerance=1e-5)
@@ -154,8 +264,8 @@ class TestRnnAttention:
         rng = np.random.default_rng(6)
         sk_short = random_sketch(rng, 5, 64, 64)
         sk_long = random_sketch(rng, 17, 64, 64)
-        a_short = rnn_attention_forward(offsets_for(sk_short), cfg, params, "eval", Tape())
-        a_long = rnn_attention_forward(offsets_for(sk_long), cfg, params, "eval", Tape())
+        a_short = attention_for(sk_short, cfg, params).data[0]
+        a_long = attention_for(sk_long, cfg, params).data[0]
 
         T = sk_long.n
         inputs = np.zeros((2, T, 3))
@@ -164,8 +274,8 @@ class TestRnnAttention:
         batch = rnn_attention_batch(
             Tape(), inputs, np.array([sk_short.n, sk_long.n]), params, cfg, "eval"
         )
-        np.testing.assert_allclose(batch.data[0, : sk_short.n], a_short.data, atol=1e-12)
-        np.testing.assert_allclose(batch.data[1], a_long.data, atol=1e-12)
+        np.testing.assert_allclose(batch.data[0, : sk_short.n], a_short, atol=1e-12)
+        np.testing.assert_allclose(batch.data[1], a_long, atol=1e-12)
         assert np.all(batch.data[0, sk_short.n :] == 0.0)
 
     def test_train_mode_requires_rng_for_dropout(self):
@@ -174,17 +284,17 @@ class TestRnnAttention:
         params = init_rnn_params(rng, cfg)
         sk = random_sketch(rng, 4, 64, 64)
         with pytest.raises(ValueError):
-            rnn_attention_forward(offsets_for(sk), cfg, params, "train", Tape())
-        out = rnn_attention_forward(offsets_for(sk), cfg, params, "train", Tape(), rng)
-        assert out.data.shape == (sk.n,)
+            attention_for(sk, cfg, params, "train")
+        out = attention_for(sk, cfg, params, "train", rng=rng)
+        assert out.data.shape == (1, sk.n)
 
     def test_unidirectional_supported(self):
         rng = np.random.default_rng(8)
         cfg = RnnConfig(hidden_size=6, num_layers=1, bidirectional=False, dropout_prob=0.0)
         params = init_rnn_params(rng, cfg)
         sk = random_sketch(rng, 6, 64, 64)
-        attn = rnn_attention_forward(offsets_for(sk), cfg, params, "eval", Tape())
-        assert attn.data.shape == (sk.n,)
+        attn = attention_for(sk, cfg, params)
+        assert attn.data.shape == (1, sk.n)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):

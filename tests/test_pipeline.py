@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from sketchattn.errors import InvalidConfigError
+from sketchattn.errors import InvalidConfigError, LabelOutOfRangeError, ShapeMismatchError
 from sketchattn.geometry import validate_and_normalize
 from sketchattn.ingest import LabeledSketch, synth_dataset, synth_generate
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape
 from sketchattn.net.model import CnnConfig, RnnConfig
+from sketchattn.net.optim import save_checkpoint
 from sketchattn.pipeline import (
     AugmentConfig,
     ExperimentConfig,
@@ -18,6 +19,7 @@ from sketchattn.pipeline import (
     evaluate,
     forward_classify,
     init_model_state,
+    load_model,
     prepare_sketch,
     randomize_stroke_order,
     train,
@@ -255,6 +257,12 @@ class TestTrainEvaluate:
         acc2 = evaluate(state, cfg, shuffled)
         assert acc1 == pytest.approx(acc2, abs=1e-12)
 
+    def test_labels_beyond_model_classes_rejected(self):
+        cfg = tiny_config()
+        ds = synth_dataset(1, 0, "test", ("line", "circle", "zigzag"))
+        with pytest.raises(LabelOutOfRangeError):
+            evaluate(init_model_state(cfg), cfg, ds)
+
     def test_checkpoints_and_metrics_written(self, tmp_path):
         cfg = tiny_config(epochs=2)
         ds = synth_dataset(3, seed=5, split="train", categories=("square_cw", "square_ccw"))
@@ -300,6 +308,34 @@ class TestTrainEvaluate:
         assert (tmp_path / "nonfinite_dump.json").exists()
 
 
+class TestLoadModel:
+    @staticmethod
+    def _checkpoint(tmp_path, edit=None):
+        state = init_model_state(tiny_config())
+        if edit is not None:
+            edit(state.params)
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(state, path)
+        return path
+
+    def test_round_trip(self, tmp_path):
+        state, cfg = load_model(self._checkpoint(tmp_path))
+        assert cfg == tiny_config()
+        assert state.params.keys() == init_model_state(cfg).params.keys()
+
+    def test_missing_parameter_named(self, tmp_path):
+        path = self._checkpoint(tmp_path, lambda params: params.pop("cnn.fc.b"))
+        with pytest.raises(ShapeMismatchError, match=r"cnn\.fc\.b"):
+            load_model(path)
+
+    def test_reshaped_parameter_named(self, tmp_path):
+        def reshape(params):
+            params["cnn.fc.b"] = ad.parameter(params["cnn.fc.b"].data.reshape(1, 2))
+
+        with pytest.raises(ShapeMismatchError, match=r"cnn\.fc\.b.*\(1, 2\)"):
+            load_model(self._checkpoint(tmp_path, reshape))
+
+
 class TestExperimentConfig:
     def test_json_round_trip(self):
         cfg = desk_config(6, seed=11, epochs=7)
@@ -311,6 +347,39 @@ class TestExperimentConfig:
         cfg = desk_config(2, simplify=None)
         back = ExperimentConfig.from_json_dict(cfg.to_json_dict())
         assert back.simplify is None
+
+    @pytest.mark.parametrize("section", ["rnn", "cnn", "raster", "simplify", "augment"])
+    def test_unknown_nested_key_named(self, section):
+        d = desk_config(2).to_json_dict()
+        d[section]["extra_field"] = 1
+        with pytest.raises(InvalidConfigError, match=f"'{section}'.*'extra_field'"):
+            ExperimentConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("section", ["rnn", "cnn", "raster", "simplify", "augment"])
+    def test_nested_section_must_be_an_object(self, section):
+        d = desk_config(2).to_json_dict()
+        d[section] = [1, 2]
+        with pytest.raises(InvalidConfigError, match=f"'{section}'"):
+            ExperimentConfig.from_json_dict(d)
+
+    def test_ill_typed_values_rejected(self):
+        for section, key, value in [("rnn", "hidden_size", "wide"), ("cnn", "stages", 5)]:
+            d = desk_config(2).to_json_dict()
+            d[section][key] = value
+            with pytest.raises(InvalidConfigError, match=f"'{section}'"):
+                ExperimentConfig.from_json_dict(d)
+        d = desk_config(2).to_json_dict()
+        d["batch_size"] = "many"
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig.from_json_dict(d)
+
+    def test_missing_nested_keys_take_defaults(self):
+        d = desk_config(2).to_json_dict()
+        del d["rnn"]["dropout_prob"], d["cnn"]["stages"]
+        back = ExperimentConfig.from_json_dict(d)
+        assert back.rnn.dropout_prob == RnnConfig().dropout_prob
+        assert back.cnn.stages == CnnConfig().stages
+        assert back.rnn.hidden_size == 32
 
     def test_bad_variant_rejected(self):
         with pytest.raises(InvalidConfigError):
