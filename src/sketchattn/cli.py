@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import CategoryMismatchError, SketchError
-from .geometry import VectorSketch, normalize_to_canvas, scale_offsets, to_offsets
+from .geometry import VectorSketch, normalize_to_canvas
 from .ingest import (
     SYNTH_CATEGORIES,
     load_dataset,
@@ -33,6 +33,7 @@ from .net.gradcheck import grad_check
 from .net.model import CnnConfig, RnnConfig, cnn_forward_batch, init_cnn_params, init_rnn_params, rnn_attention_batch
 from .pipeline import (
     ExperimentConfig,
+    _batch_inputs,
     _forward_batch,
     _rasterize_batch,
     desk_config,
@@ -207,7 +208,7 @@ def _rnn_profile(seed: int):
     cfg = RnnConfig(hidden_size=8, num_layers=2, bidirectional=True, dropout_prob=0.0)
     params = init_rnn_params(rng, cfg)
     sketch = random_sketch(rng, 5, 64.0, 64.0)
-    inputs = scale_offsets(to_offsets(sketch), 1.0 / 64.0).as_array()[None]
+    inputs, _ = _batch_inputs([sketch], 64)
     w = rng.normal(size=(1, sketch.n))
 
     def fn(tape: Tape) -> Tensor:

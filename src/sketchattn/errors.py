@@ -13,12 +13,24 @@ class NonFiniteCoordinateError(SketchError):
     """An input coordinate is NaN or infinite."""
 
 
+class MalformedPointsError(SketchError):
+    """Sketch points are not an (n, 3) array of numbers."""
+
+
+class InvalidStrokeStateError(SketchError):
+    """A stroke state is neither 0 nor 1."""
+
+
 class InvalidCanvasError(SketchError):
     """Canvas dimensions are too small for the requested padding."""
 
 
 class MalformedLineError(SketchError):
     """A QuickDraw JSON line is not parseable or misses required fields."""
+
+
+class MalformedDocumentError(SketchError):
+    """A dataset or sketch document misses a field or holds one of the wrong type."""
 
 
 class RaggedStrokeError(SketchError):
@@ -54,7 +66,7 @@ class CategoryMismatchError(SketchError):
 
 
 class LabelOutOfRangeError(SketchError):
-    """A class label does not index a valid logit."""
+    """A class label does not index a category or a valid logit."""
 
 
 class TapeConsumedError(SketchError):

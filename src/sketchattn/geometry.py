@@ -1,20 +1,25 @@
-"""Vector sketch domain types and the coordinate transforms built on them.
+"""The vector sketch type, its one validating constructor, and the canvas
+transform.
 
 A sketch is an ordered sequence of points (x, y, s). The binary state s
 marks stroke structure: s=0 means a line segment connects the point to its
-successor, s=1 means the point ends its stroke. All types here are
-immutable after construction and every operation is a pure function.
+successor, s=1 means the point ends its stroke. Every producer builds its
+sketch through :func:`validate_and_normalize` from an (n, 3) array; a
+sketch is immutable after construction and every operation is a pure
+function.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-from .errors import EmptySketchError, InvalidCanvasError, NonFiniteCoordinateError
-
-RawPoint = tuple[float, float, int]
+from .errors import (
+    EmptySketchError,
+    InvalidCanvasError,
+    InvalidStrokeStateError,
+    MalformedPointsError,
+    NonFiniteCoordinateError,
+)
 
 
 class VectorSketch:
@@ -50,97 +55,63 @@ class VectorSketch:
         return f"VectorSketch(n={self.n}, strokes={len(stroke_slices(self))})"
 
 
-class OffsetSketch:
-    """Per-point (dx, dy) relative to the previous point, plus stroke states."""
-
-    __slots__ = ("d", "s")
-
-    def __init__(self, d: np.ndarray, s: np.ndarray):
-        d = np.ascontiguousarray(d, dtype=np.float64)
-        s = np.ascontiguousarray(s, dtype=np.int8)
-        if d.ndim != 2 or d.shape[1] != 2 or s.shape != (d.shape[0],):
-            raise ValueError("OffsetSketch needs d of shape (n, 2) and s of shape (n,)")
-        d.flags.writeable = False
-        s.flags.writeable = False
-        self.d = d
-        self.s = s
-
-    def __len__(self) -> int:
-        return self.d.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        """(n, 3) float array [dx, dy, s], the RNN input encoding."""
-        return np.column_stack([self.d, self.s.astype(np.float64)])
-
-
-def validate_and_normalize(raw_points: Iterable[RawPoint | Sequence[float]]) -> VectorSketch:
-    """Build a VectorSketch from raw (x, y, s) triples.
-
-    Drops consecutive duplicate points within a stroke (keeping the later
-    stroke state, so a duplicate that ends a stroke still ends it) and
-    forces the final point's state to 1.
-    """
-    rows = [(p[0], p[1], p[2]) for p in raw_points]
-    if not rows:
+def _point_array(points) -> np.ndarray:
+    """An (n, 3) array of numbers as float64; anything else is a typed error."""
+    try:
+        arr = np.asarray(points)
+        if arr.dtype == object and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(np.float64)  # JSON integers beyond int64 arrive as Python ints
+    except (ValueError, OverflowError) as exc:  # ragged rows, or an integer beyond the float range
+        raise MalformedPointsError(f"points are not an (n, 3) array of numbers: {exc}") from exc
+    if arr.ndim >= 1 and arr.shape[0] == 0:
         raise EmptySketchError("no points provided")
-    arr = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(arr[:, :2])):
-        raise NonFiniteCoordinateError("sketch contains NaN or infinite coordinates")
-    s_raw = arr[:, 2]
-    if not np.all((s_raw == 0) | (s_raw == 1)):
-        raise ValueError("stroke states must be 0 or 1")
-
-    kept_xy: list[tuple[float, float]] = []
-    kept_s: list[int] = []
-    for (x, y), st in zip(arr[:, :2], s_raw.astype(np.int8)):
-        if kept_xy and kept_s[-1] == 0 and kept_xy[-1] == (x, y):
-            kept_s[-1] = int(st)  # duplicate within a stroke: merge, keep later state
-            continue
-        kept_xy.append((x, y))
-        kept_s.append(int(st))
-    kept_s[-1] = 1
-    return VectorSketch(np.asarray(kept_xy, dtype=np.float64), np.asarray(kept_s, dtype=np.int8))
+    if arr.ndim != 2 or arr.shape[1] != 3 or arr.dtype.kind not in "iuf":
+        raise MalformedPointsError(f"points must be an (n, 3) array of numbers, got {arr.dtype} {arr.shape}")
+    return arr.astype(np.float64, copy=False)
 
 
-def to_offsets(sketch: VectorSketch) -> OffsetSketch:
-    """Absolute coordinates to per-point offsets; the first offset is (0, 0)."""
-    d = np.zeros_like(sketch.xy)
-    d[1:] = sketch.xy[1:] - sketch.xy[:-1]
-    return OffsetSketch(d, sketch.s.copy())
+def validate_and_normalize(points) -> VectorSketch:
+    """Build a VectorSketch from an (n, 3) array-like of (x, y, s) rows.
 
-
-def from_offsets(offsets: OffsetSketch, origin: tuple[float, float]) -> VectorSketch:
-    """Inverse of :func:`to_offsets` given the absolute first point."""
-    xy = np.cumsum(offsets.d, axis=0)
-    xy += np.asarray(origin, dtype=np.float64)
-    s = offsets.s.copy()
-    s[-1] = 1
-    return VectorSketch(xy, s)
-
-
-def scale_offsets(offsets: OffsetSketch, factor: float) -> OffsetSketch:
-    """Scale dx, dy by a constant; stroke states are untouched.
-
-    Used to normalize offsets by the canvas width before they enter the RNN.
+    JSON rows and ndarrays alike. A point that repeats its predecessor's
+    (x, y) within a stroke (predecessor state 0) is merged into it, and
+    the kept point takes the state of the last point of its run, so a
+    duplicate that ends a stroke still ends it. The final state is forced
+    to 1.
     """
-    return OffsetSketch(offsets.d * factor, offsets.s.copy())
+    arr = _point_array(points)
+    xy, s = arr[:, :2], arr[:, 2]
+    if not np.all(np.isfinite(xy)):
+        raise NonFiniteCoordinateError("sketch contains NaN or infinite coordinates")
+    if not np.all((s == 0) | (s == 1)):
+        raise InvalidStrokeStateError("stroke states must be 0 or 1")
+    keep = np.ones(len(arr), dtype=bool)
+    keep[1:] = (s[:-1] != 0) | np.any(xy[1:] != xy[:-1], axis=1)
+    ends_run = np.append(keep[1:], True)
+    kept_s = s[ends_run].astype(np.int8)
+    kept_s[-1] = 1
+    return VectorSketch(xy[keep], kept_s)
 
 
 def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: float = 4.0) -> VectorSketch:
     """Uniformly scale and center a sketch into [pad, dim-1-pad] per axis.
 
-    Aspect ratio is preserved. A degenerate bounding box (no extent on
-    either axis) maps every point to the canvas center. Idempotent.
+    Aspect ratio is preserved. An axis whose extent is zero, or under
+    2^-1000 of its target (the scale would overflow), sets no scale; when
+    neither axis sets one, every point maps to the canvas center.
+    Idempotent.
     """
     if width <= 2 * pad or height <= 2 * pad:
         raise InvalidCanvasError(f"canvas {width}x{height} too small for pad {pad}")
     lo = sketch.xy.min(axis=0)
     hi = sketch.xy.max(axis=0)
-    extent = hi - lo
+    half_extent = hi / 2.0 - lo / 2.0  # hi - lo overflows near the float limit
     center_canvas = np.array([(width - 1) / 2.0, (height - 1) / 2.0])
-    target = np.array([(width - 1) - 2.0 * pad, (height - 1) - 2.0 * pad])
+    half_target = np.array([(width - 1) - 2.0 * pad, (height - 1) - 2.0 * pad]) / 2.0
 
-    scales = [target[k] / extent[k] for k in range(2) if extent[k] > 0.0]
+    scales = [
+        half_target[k] / half_extent[k] for k in range(2) if half_extent[k] > half_target[k] * 2.0**-1000
+    ]
     if not scales:
         xy = np.tile(center_canvas, (sketch.n, 1))
     else:
@@ -152,10 +123,6 @@ def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: floa
 
 def stroke_slices(sketch: VectorSketch) -> list[tuple[int, int]]:
     """Half-open [start, end) point index ranges, one per stroke."""
-    ends = np.flatnonzero(sketch.s == 1)
-    out = []
-    start = 0
-    for e in ends:
-        out.append((start, int(e) + 1))
-        start = int(e) + 1
-    return out
+    ends = np.flatnonzero(sketch.s == 1) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    return list(zip(starts.tolist(), ends.tolist()))

@@ -18,8 +18,11 @@ import numpy as np
 
 from .errors import (
     EmptyDatasetError,
+    LabelOutOfRangeError,
+    MalformedDocumentError,
     MalformedLineError,
     RaggedStrokeError,
+    SketchError,
     VersionMismatchError,
 )
 from .geometry import VectorSketch, validate_and_normalize
@@ -49,7 +52,7 @@ class Dataset:
     def __post_init__(self):
         for it in self.items:
             if not (0 <= it.label < len(self.categories)):
-                raise ValueError(f"label {it.label} outside category list")
+                raise LabelOutOfRangeError(f"label {it.label} outside category list of {len(self.categories)}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -74,17 +77,17 @@ def parse_quickdraw_line(text: str, label: int = 0) -> LabeledSketch:
     if not isinstance(drawing, list):
         raise MalformedLineError("drawing field is not a list of strokes")
 
-    rows = []
+    strokes = [np.empty((0, 3))]
     for stroke in drawing:
         if not isinstance(stroke, (list, tuple)) or len(stroke) != 2:
             raise MalformedLineError("stroke is not an [xs, ys] pair")
         xs, ys = (_coordinates(values) for values in stroke)
         if len(xs) != len(ys):
             raise RaggedStrokeError(f"stroke has {len(xs)} xs but {len(ys)} ys")
-        k = len(xs)
-        for i in range(k):
-            rows.append((xs[i], ys[i], 1 if i == k - 1 else 0))
-    return LabeledSketch(validate_and_normalize(rows), label, category)
+        rows = np.column_stack([xs, ys, np.zeros(len(xs))])
+        rows[-1:, 2] = 1.0  # the last point ends the stroke; an empty stroke adds no rows
+        strokes.append(rows)
+    return LabeledSketch(validate_and_normalize(np.concatenate(strokes)), label, category)
 
 
 def _coordinates(values) -> list[float]:
@@ -211,10 +214,10 @@ def synth_generate(category: str, seed, matched_jitter: bool = False) -> Labeled
     center = np.array([_CANVAS_CENTER, _CANVAS_CENTER])
     pts = (pts - center) @ (scale * rot).T + center + shift
 
-    rows = [(float(x), float(y), 0) for x, y in pts]
-    rows[-1] = (rows[-1][0], rows[-1][1], 1)
+    s = np.zeros(len(pts))
+    s[-1] = 1.0
     label = SYNTH_CATEGORIES.index(category)
-    return LabeledSketch(validate_and_normalize(rows), label, category)
+    return LabeledSketch(validate_and_normalize(np.column_stack([pts, s])), label, category)
 
 
 _SHAPE_FAMILY = {c: c for c in SYNTH_CATEGORIES}
@@ -261,10 +264,9 @@ def random_sketch(
     for i in range(1, n_points):
         step = rng.normal(0.0, max(width, height) / 12.0, size=2)
         xy[i] = np.clip(xy[i - 1] + step, 0.0, [width - 1.0, height - 1.0])
-    s = (rng.random(n_points) < stroke_break_prob).astype(np.int8)
-    s[-1] = 1
-    rows = [(float(x), float(y), int(st)) for (x, y), st in zip(xy, s)]
-    return validate_and_normalize(rows)
+    s = (rng.random(n_points) < stroke_break_prob).astype(np.float64)
+    s[-1] = 1.0
+    return validate_and_normalize(np.column_stack([xy, s]))
 
 
 # --- internal persistence -------------------------------------------------
@@ -290,18 +292,43 @@ def save_internal(dataset: Dataset, path) -> None:
         json.dump(payload, f)
 
 
-def load_internal(path) -> Dataset:
+def _read_document(path, fmt: str) -> dict:
+    """A versioned JSON document of the given format."""
     with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
-        raise VersionMismatchError(f"{path} is not a {DATASET_FORMAT} file")
+        try:
+            payload = json.load(f)
+        except ValueError as exc:
+            raise MalformedDocumentError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise VersionMismatchError(f"{path} is not a {fmt} file")
     if payload.get("version") != FORMAT_VERSION:
-        raise VersionMismatchError(f"unsupported dataset version {payload.get('version')}")
-    categories = list(payload["categories"])
-    items = [
-        LabeledSketch(validate_and_normalize(rec["points"]), int(rec["label"]), str(rec["category"]))
-        for rec in payload["items"]
-    ]
+        raise VersionMismatchError(f"unsupported {fmt} version {payload.get('version')}")
+    return payload
+
+
+def _field(record, key: str, kind: type, where: str):
+    """record[key], which must be an instance of kind (a boolean is not an int)."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedDocumentError(f"{where}: {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def load_internal(path) -> Dataset:
+    payload = _read_document(path, DATASET_FORMAT)
+    categories = _field(payload, "categories", list, str(path))
+    if not all(isinstance(c, str) for c in categories):
+        raise MalformedDocumentError(f"{path}: 'categories' is not a list of strings")
+    items = []
+    for k, rec in enumerate(_field(payload, "items", list, str(path))):
+        where = f"{path}: item {k}"
+        label = _field(rec, "label", int, where)
+        category = _field(rec, "category", str, where)
+        try:
+            sketch = validate_and_normalize(_field(rec, "points", list, where))
+        except SketchError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+        items.append(LabeledSketch(sketch, label, category))
     return Dataset(categories, items, str(payload.get("split", "train")))
 
 
@@ -313,11 +340,5 @@ def save_sketch(sketch: VectorSketch, path) -> None:
 
 
 def load_sketch(path) -> VectorSketch:
-    with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict) or payload.get("format") != SKETCH_FORMAT:
-        raise VersionMismatchError(f"{path} is not a {SKETCH_FORMAT} file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise VersionMismatchError(f"unsupported sketch version {payload.get('version')}")
-    rows = [(p[0], p[1], int(p[2])) for p in payload["points"]]
-    return validate_and_normalize(rows)
+    payload = _read_document(path, SKETCH_FORMAT)
+    return validate_and_normalize(_field(payload, "points", list, str(path)))

@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, LabelOutOfRangeError, NonFiniteLossError, ShapeMismatchError
-from .geometry import (
-    VectorSketch,
-    normalize_to_canvas,
-    scale_offsets,
-    stroke_slices,
-    to_offsets,
-    validate_and_normalize,
-)
+from .geometry import VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
 from .ingest import Dataset, LabeledSketch
 from .net import autodiff as ad
 from .net.autodiff import Tape, Tensor, backward, cross_entropy_logits
@@ -280,8 +273,7 @@ def augment(
             xy, s = xy[keep], s[keep]
     if switches.jitter:
         xy = xy + rng.normal(0.0, switches.jitter_sigma, size=xy.shape)
-    rows = [(float(x), float(y), int(st)) for (x, y), st in zip(xy, s)]
-    return validate_and_normalize(rows)
+    return validate_and_normalize(np.column_stack([xy, s]))
 
 
 def randomize_stroke_order(sketch: VectorSketch, rng: np.random.Generator) -> VectorSketch:
@@ -320,11 +312,18 @@ def _rasterize_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg
 
 
 def _batch_inputs(sketches: list[VectorSketch], canvas_width: int):
+    """The RNN input: per point [dx/w, dy/w, s], zero-padded to (B, T, 3).
+
+    (dx, dy) is the offset from the previous point, (0, 0) for the first;
+    dividing by the canvas width w keeps raw pixel offsets from saturating
+    the LSTM gates.
+    """
     lengths = np.array([sk.n for sk in sketches], dtype=np.int64)
     T = int(lengths.max())
     inputs = np.zeros((len(sketches), T, 3))
     for b, sk in enumerate(sketches):
-        inputs[b, : sk.n, :] = scale_offsets(to_offsets(sk), 1.0 / canvas_width).as_array()
+        inputs[b, 1 : sk.n, :2] = (sk.xy[1:] - sk.xy[:-1]) * (1.0 / canvas_width)
+        inputs[b, : sk.n, 2] = sk.s
     return inputs, lengths
 
 

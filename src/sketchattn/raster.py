@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, LengthMismatchError, NonFiniteAttentionError, ShapeMismatchError
-from .geometry import VectorSketch, stroke_slices
+from .geometry import VectorSketch
 
 
 @dataclass(frozen=True)
@@ -70,20 +70,18 @@ class AttentionMap:
 
 
 def segment_table(sketch: VectorSketch, include_point_discs: bool = True) -> SegmentTable:
-    """Build the rasterization entity list in drawing order."""
-    starts: list[int] = []
-    ends: list[int] = []
-    single = set()
+    """Build the rasterization entity list in drawing order.
+
+    Point i starts the segment (i, i + 1) when s[i] == 0; with point discs,
+    a point that both starts and ends its stroke adds the degenerate entry
+    (i, i).
+    """
+    joined = sketch.s == 0
+    entity = joined
     if include_point_discs:
-        single = {a for a, b in stroke_slices(sketch) if b - a == 1}
-    for i in range(sketch.n):
-        if sketch.s[i] == 0:
-            starts.append(i)
-            ends.append(i + 1)
-        elif i in single:
-            starts.append(i)
-            ends.append(i)
-    return SegmentTable(np.asarray(starts, dtype=np.int32), np.asarray(ends, dtype=np.int32))
+        entity = joined | np.concatenate(([True], sketch.s[:-1] == 1))  # joined or a stroke's first point
+    start = np.flatnonzero(entity).astype(np.int32)
+    return SegmentTable(start, start + joined[start].astype(np.int32))
 
 
 def _check_inputs(sketch: VectorSketch, attention: np.ndarray, config: RasterConfig) -> np.ndarray:

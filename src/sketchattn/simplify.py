@@ -10,6 +10,7 @@ stroke, identical anchors) degrades to point distance to the anchor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,10 @@ from .errors import InvalidConfigError
 from .geometry import VectorSketch, stroke_slices, validate_and_normalize
 
 MAX_ESCALATIONS = 10
+# chord arithmetic squares coordinate differences, which overflows once
+# coordinates pass ~1e154; strokes beyond this bound are measured after an
+# exact power-of-two rescale
+_RESCALE_ABOVE = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,12 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
     if n <= 2:
         return pts.copy()
 
-    eps_sq = float(epsilon) * float(epsilon)
+    work, eps = pts, float(epsilon)
+    peak = float(np.abs(pts).max())
+    if peak > _RESCALE_ABOVE:
+        shift = -math.frexp(peak)[1]
+        work, eps = np.ldexp(pts, shift), math.ldexp(eps, shift)
+    eps_sq = eps * eps
     keep = np.zeros(n, dtype=bool)
     keep[0] = keep[-1] = True
     stack = [(0, n - 1)]
@@ -73,8 +83,8 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
         first, last = stack.pop()
         if last - first < 2:
             continue
-        interior = pts[first + 1 : last]
-        d2 = _chord_dist_sq(interior, pts[first], pts[last])
+        interior = work[first + 1 : last]
+        d2 = _chord_dist_sq(interior, work[first], work[last])
         k = int(np.argmax(d2))  # argmax returns the first maximum
         if d2[k] > eps_sq:
             split = first + 1 + k
@@ -82,18 +92,6 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
             stack.append((first, split))
             stack.append((split, last))
     return pts[keep].copy()
-
-
-def _simplify_strokes(strokes: list[np.ndarray], epsilon: float) -> list[np.ndarray]:
-    return [rdp_stroke(st, epsilon) for st in strokes]
-
-
-def _assemble(strokes: list[np.ndarray]) -> VectorSketch:
-    rows = []
-    for st in strokes:
-        for i, (x, y) in enumerate(st):
-            rows.append((float(x), float(y), 1 if i == len(st) - 1 else 0))
-    return validate_and_normalize(rows)
 
 
 def simplify_sketch(sketch: VectorSketch, config: SimplifyConfig) -> VectorSketch:
@@ -106,19 +104,14 @@ def simplify_sketch(sketch: VectorSketch, config: SimplifyConfig) -> VectorSketc
     """
     strokes = [sketch.xy[a:b] for a, b in stroke_slices(sketch)]
     eps = config.epsilon
-    simplified = _simplify_strokes(strokes, eps)
+    simplified = [rdp_stroke(st, eps) for st in strokes]
     rounds = 0
     while sum(len(st) for st in simplified) > config.max_points and rounds < MAX_ESCALATIONS:
         eps *= config.escalation_factor
-        simplified = _simplify_strokes(strokes, eps)
+        simplified = [rdp_stroke(st, eps) for st in strokes]
         rounds += 1
 
-    total = sum(len(st) for st in simplified)
-    if total > config.max_points:
-        rows = []
-        for st in simplified:
-            for i, (x, y) in enumerate(st):
-                rows.append((float(x), float(y), 1 if i == len(st) - 1 else 0))
-        rows = rows[: config.max_points]
-        return validate_and_normalize(rows)
-    return _assemble(simplified)
+    xy = np.concatenate(simplified)
+    s = np.zeros(len(xy))
+    s[np.cumsum([len(st) for st in simplified]) - 1] = 1.0
+    return validate_and_normalize(np.column_stack([xy, s])[: config.max_points])

@@ -139,6 +139,38 @@ class TestRasterizeCommand:
         assert "error" in info
 
 
+class TestMalformedDocuments:
+    # a malformed document ends the command with exit 1 and one JSON error
+    # line, never a traceback
+
+    @staticmethod
+    def _one_error_line(err):
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    def test_train_on_two_column_point_row(self, tmp_path, capsys):
+        # the row [1, 2] used to raise a bare IndexError out of main
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({
+            "format": "sketchattn-dataset", "version": 1, "split": "train", "categories": ["line"],
+            "items": [{"label": 0, "category": "line", "points": [[1, 2]]}],
+        }))
+        code, _, err = run(capsys, "train", "--train", str(path), "--out", str(tmp_path / "run"), "--epochs", "1")
+        assert code == 1
+        assert self._one_error_line(err) == "MalformedPointsError"
+
+    def test_simplify_fractional_state(self, tmp_path, capsys):
+        # a 0.7 state used to be truncated to 0 and the command succeeded
+        path = tmp_path / "sketch.json"
+        path.write_text(json.dumps({
+            "format": "sketchattn-sketch", "version": 1, "points": [[0, 0, 0], [5, 5, 0.7], [9, 0, 1]],
+        }))
+        code, _, err = run(capsys, "simplify", "--input", str(path), "--out", str(tmp_path / "out.json"))
+        assert code == 1
+        assert self._one_error_line(err) == "InvalidStrokeStateError"
+
+
 class TestGradcheckCommand:
     def test_nlr_profile_passes(self, capsys):
         code, stdout, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "0")

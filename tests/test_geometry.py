@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sketchattn.errors import EmptySketchError, InvalidCanvasError, NonFiniteCoordinateError
-from sketchattn.geometry import (
-    OffsetSketch,
-    from_offsets,
-    normalize_to_canvas,
-    scale_offsets,
-    stroke_slices,
-    to_offsets,
-    validate_and_normalize,
+from sketchattn.errors import (
+    EmptySketchError,
+    InvalidCanvasError,
+    InvalidStrokeStateError,
+    MalformedPointsError,
+    NonFiniteCoordinateError,
 )
+from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
+from sketchattn.pipeline import _batch_inputs
 from sketchattn.raster import segment_table
 
 
@@ -58,8 +57,40 @@ class TestValidateAndNormalize:
         assert rows.xy.tolist() == sk.xy.tolist() and rows.s.tolist() == sk.s.tolist()
 
     def test_bad_state_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidStrokeStateError):
             make([(0, 0, 2)])
+        with pytest.raises(InvalidStrokeStateError):
+            make([(0, 0, 0.7)])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1, 2]],  # a row without a state
+            [[1, 2, 0, 5]],  # a row with a fourth value
+            [[1, 2, 0], [1, 2]],  # ragged rows
+            "abc",
+            [["x", 1, 0]],  # a string coordinate
+            [[None, 1, 0]],
+            [[10**400, 1, 0]],  # an integer beyond the float range
+            [[True, False, True]],
+            5,
+        ],
+        ids=["two_columns", "four_columns", "ragged", "string", "string_coordinate", "null",
+             "huge_integer", "booleans", "scalar"],
+    )
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(MalformedPointsError):
+            make(points)
+
+    def test_integer_beyond_int64_accepted(self):
+        sk = make([[2**70, 0, 0], [0, 0, 1]])
+        assert sk.xy[0, 0] == float(2**70)
+
+    def test_caller_array_untouched(self):
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        before = pts.copy()
+        make(pts)
+        assert pts.flags.writeable and np.array_equal(pts, before)
 
     def test_immutable(self):
         sk = make([(0, 0, 0), (1, 0, 1)])
@@ -67,25 +98,35 @@ class TestValidateAndNormalize:
             sk.xy[0, 0] = 5.0
 
 
+def offsets(sketch, width=1.0):
+    """One sketch's RNN input rows [dx/w, dy/w, s]."""
+    inputs, lengths = _batch_inputs([sketch], width)
+    assert lengths.tolist() == [sketch.n]
+    return inputs[0]
+
+
+def from_offsets(rows, origin, width=1.0):
+    """Absolute coordinates back from RNN input rows and the first point."""
+    return np.cumsum(rows[:, :2] * width, axis=0) + np.asarray(origin, dtype=np.float64)
+
+
 class TestOffsets:
+    # the RNN input encoding lives in pipeline._batch_inputs; its inverse is
+    # a cumulative sum from the first point
+
     def test_single_point(self):
-        off = to_offsets(make([(5, 7, 1)]))
-        assert off.d.tolist() == [[0, 0]]
-        assert off.s.tolist() == [1]
+        assert offsets(make([(5, 7, 1)])).tolist() == [[0, 0, 1]]
 
     def test_origin_start(self):
-        off = to_offsets(make([(0, 0, 0), (3, 4, 1)]))
-        assert off.d.tolist() == [[0, 0], [3, 4]]
+        assert offsets(make([(0, 0, 0), (3, 4, 1)]))[:, :2].tolist() == [[0, 0], [3, 4]]
 
     def test_hand_computed(self):
-        off = to_offsets(make([(2, 2, 0), (5, 6, 0), (5, 1, 1)]))
-        assert off.d.tolist() == [[0, 0], [3, 4], [0, -5]]
-        back = from_offsets(off, (2.0, 2.0))
-        np.testing.assert_allclose(back.xy, [[2, 2], [5, 6], [5, 1]], atol=1e-9)
+        rows = offsets(make([(2, 2, 0), (5, 6, 0), (5, 1, 1)]))
+        assert rows.tolist() == [[0, 0, 0], [3, 4, 0], [0, -5, 1]]
+        np.testing.assert_allclose(from_offsets(rows, (2.0, 2.0)), [[2, 2], [5, 6], [5, 1]], atol=1e-9)
 
     def test_from_offsets_trivial(self):
-        sk = from_offsets(OffsetSketch(np.array([[0.0, 0.0]]), np.array([1])), (5.0, 7.0))
-        assert sk.xy.tolist() == [[5, 7]]
+        assert from_offsets(np.array([[0.0, 0.0, 1.0]]), (5.0, 7.0)).tolist() == [[5, 7]]
 
     def test_round_trip_1000_random_sketches(self):
         rng = np.random.default_rng(7)
@@ -93,10 +134,10 @@ class TestOffsets:
             n = int(rng.integers(1, 30))
             xy = rng.uniform(-100, 400, size=(n, 2))
             s = (rng.random(n) < 0.2).astype(int)
-            sk = make([(x, y, st) for (x, y), st in zip(xy, s)])
-            back = from_offsets(to_offsets(sk), (float(sk.xy[0, 0]), float(sk.xy[0, 1])))
-            np.testing.assert_allclose(back.xy, sk.xy, atol=1e-9)
-            assert back.s.tolist() == sk.s.tolist()
+            sk = make(np.column_stack([xy, s]))
+            rows = offsets(sk, 64.0)
+            np.testing.assert_allclose(from_offsets(rows, sk.xy[0], 64.0), sk.xy, atol=1e-9)
+            assert rows[:, 2].tolist() == sk.s.tolist()
 
     @given(
         st.lists(
@@ -111,14 +152,18 @@ class TestOffsets:
     )
     def test_round_trip_property(self, pts):
         sk = make(pts)
-        back = from_offsets(to_offsets(sk), (float(sk.xy[0, 0]), float(sk.xy[0, 1])))
-        np.testing.assert_allclose(back.xy, sk.xy, atol=1e-9)
+        np.testing.assert_allclose(from_offsets(offsets(sk), sk.xy[0]), sk.xy, atol=1e-9)
 
     def test_scale_offsets(self):
-        off = to_offsets(make([(0, 0, 0), (64, 32, 1)]))
-        scaled = scale_offsets(off, 1 / 64.0)
-        assert scaled.d.tolist() == [[0, 0], [1.0, 0.5]]
-        assert scaled.s.tolist() == off.s.tolist()
+        sk = make([(0, 0, 0), (64, 32, 1)])
+        assert offsets(sk, 64).tolist() == [[0, 0, 0], [1.0, 0.5, 1]]
+
+    def test_batch_rows_zero_padded(self):
+        short, long = make([(0, 0, 0), (2, 0, 1)]), make([(0, 0, 0), (1, 1, 0), (3, 1, 1)])
+        inputs, lengths = _batch_inputs([short, long], 2)
+        assert lengths.tolist() == [2, 3]
+        assert inputs[0].tolist() == [[0, 0, 0], [1, 0, 1], [0, 0, 0]]
+        assert inputs[1].tolist() == offsets(long, 2).tolist()
 
 
 class TestNormalizeToCanvas:
@@ -137,6 +182,19 @@ class TestNormalizeToCanvas:
         out = normalize_to_canvas(make([(1e308, 0, 0), (1.7e308, 1, 0), (1.5e308, 0, 1)]), 64, 64, pad=4)
         assert np.isfinite(out.xy).all()
         assert out.xy[:, 0].min() == pytest.approx(4.0) and out.xy[:, 0].max() == pytest.approx(59.0)
+
+    def test_extent_beyond_float_limit(self):
+        # hi - lo overflowed to inf, which collapsed every point to the center
+        out = normalize_to_canvas(make([(-1.7e308, 0, 0), (1.7e308, 1, 1)]), 64, 64, pad=4)
+        assert out.xy[:, 0].tolist() == [4.0, 59.0]
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+    def test_subnormal_extent_is_degenerate(self, tiny):
+        # target / extent overflowed to inf; such an axis cannot set the scale
+        out = normalize_to_canvas(make([(0, 0, 0), (tiny, tiny, 1)]), 64, 64, pad=4)
+        assert out.xy.tolist() == [[31.5, 31.5], [31.5, 31.5]]
+        out = normalize_to_canvas(make([(0, 0, 0), (1, tiny, 1)]), 64, 64, pad=4)
+        assert out.xy[:, 0].tolist() == [4.0, 59.0]
 
     def test_fixed_point(self):
         sk = make([(4, 4, 0), (219, 219, 1)])

@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 from sketchattn.errors import (
     EmptyDatasetError,
     EmptySketchError,
+    InvalidStrokeStateError,
+    LabelOutOfRangeError,
+    MalformedDocumentError,
     MalformedLineError,
+    MalformedPointsError,
     NonFiniteCoordinateError,
     RaggedStrokeError,
     SketchError,
@@ -338,5 +342,140 @@ class TestInternalFormat:
 class TestDatasetInvariants:
     def test_label_outside_categories_rejected(self):
         sk = synth_generate("line", 0).sketch
-        with pytest.raises(ValueError):
+        with pytest.raises(LabelOutOfRangeError):
             Dataset(["only"], [LabeledSketch(sk, 3, "only")], "train")
+
+
+def _dataset_document(**item_fields):
+    item = {"label": 0, "category": "line", "points": [[0, 0, 0], [5, 5, 1]], **item_fields}
+    return {"format": "sketchattn-dataset", "version": 1, "categories": ["line"], "items": [item]}
+
+
+class TestDocumentErrors:
+    # every malformed document fails with a typed error, never a bare
+    # KeyError, IndexError, TypeError or ValueError
+
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            ({"format": "sketchattn-dataset", "version": 1, "categories": ["line"], "items": [{"label": 0, "category": "line"}]},
+             MalformedDocumentError),
+            (_dataset_document(points=[[1, 2]]), MalformedPointsError),
+            (_dataset_document(points=[[0, 0, 2]]), InvalidStrokeStateError),
+            (_dataset_document(points=[[0, 0, 0.7]]), InvalidStrokeStateError),
+            (_dataset_document(label=5), LabelOutOfRangeError),
+            (_dataset_document(label=-1), LabelOutOfRangeError),
+            (_dataset_document(label="x"), MalformedDocumentError),
+            (_dataset_document(label=True), MalformedDocumentError),
+            (_dataset_document(category=7), MalformedDocumentError),
+            (_dataset_document(points="abc"), MalformedDocumentError),
+            (_dataset_document(points=[["abc", 0, 1]]), MalformedPointsError),
+            (_dataset_document(points=[]), EmptySketchError),
+            ({**_dataset_document(), "items": None}, MalformedDocumentError),
+            ({**_dataset_document(), "items": [3]}, MalformedDocumentError),
+            ({**_dataset_document(), "categories": "line"}, MalformedDocumentError),
+            ({**_dataset_document(), "categories": [1]}, MalformedDocumentError),
+        ],
+        ids=["missing_points", "two_column_row", "state_2", "state_0.7", "label_5", "label_negative",
+             "label_string", "label_boolean", "category_number", "points_string", "string_coordinate",
+             "no_points", "items_null", "item_not_object", "categories_string", "category_not_string"],
+    )
+    def test_dataset_document(self, tmp_path, document, error):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(error):
+            load_internal(path)
+
+    def test_error_names_the_item(self, tmp_path):
+        doc = _dataset_document()
+        doc["items"].append({"label": 0, "category": "line", "points": [[0, 0, 3]]})
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidStrokeStateError, match="item 1"):
+            load_internal(path)
+
+    def test_truncated_json(self, tmp_path):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(_dataset_document())[:-3])
+        with pytest.raises(MalformedDocumentError):
+            load_internal(path)
+
+    @pytest.mark.parametrize(
+        "points, error",
+        [(None, MalformedDocumentError), ([[0, 0, 0.7]], InvalidStrokeStateError), ([[0, "y", 1]], MalformedPointsError)],
+        ids=["missing", "state_0.7", "string_coordinate"],
+    )
+    def test_sketch_document(self, tmp_path, points, error):
+        # a fractional state used to be truncated to 0 without a word
+        doc = {"format": "sketchattn-sketch", "version": 1}
+        if points is not None:
+            doc["points"] = points
+        path = tmp_path / "sk.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            load_sketch(path)
+
+
+# well-formed point rows draw every coordinate from one regime of
+# _coordinate_regimes; junk rows and values stand in for everything else
+_point_rows = _coordinate_regimes.flatmap(
+    lambda number: st.lists(st.tuples(number, number, st.sampled_from([0, 1])).map(list), min_size=1, max_size=8)
+)
+_points = st.one_of(
+    _point_rows,
+    _point_rows,
+    st.lists(st.lists(st.integers(0, 3) | st.floats(0, 1) | _json_values, max_size=4), max_size=4),
+    _json_values,
+)
+_item_records = st.fixed_dictionaries(
+    {"label": st.integers(0, 1), "category": st.text(max_size=3), "points": _points}
+)
+_junk_records = st.fixed_dictionaries(
+    {"label": st.integers(-1, 3) | _json_values, "category": st.text(max_size=3) | _json_values, "points": _points}
+) | _json_values
+_datasets = st.fixed_dictionaries(
+    {
+        "format": st.just("sketchattn-dataset"),
+        "version": st.just(1),
+        "categories": st.just(["a", "b"]),
+        "items": st.lists(_item_records, min_size=1, max_size=3),
+    }
+) | st.fixed_dictionaries(
+    {
+        "format": st.just("sketchattn-dataset"),
+        "version": st.just(1),
+        "categories": st.lists(st.text(max_size=3), max_size=3) | _json_values,
+        "items": st.lists(_item_records | _junk_records, max_size=3) | _json_values,
+    }
+)
+_sketch_documents = st.fixed_dictionaries(
+    {"format": st.just("sketchattn-sketch"), "version": st.just(1), "points": _points}
+)
+
+
+class TestDocumentFuzz:
+    @staticmethod
+    def _load_and_classify(tmp, document, load):
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as f:
+            json.dump(document, f)
+        loaded = load(path)
+        sketches = [it.sketch for it in loaded.items] if isinstance(loaded, Dataset) else [loaded]
+        for sk in sketches:
+            forward_classify(_FUZZ_STATE, _FUZZ_CONFIG, prepare_sketch(sk, _FUZZ_CONFIG))
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=_datasets)
+    def test_dataset_documents_only_sketch_errors_escape(self, tmp_path_factory, document):
+        try:
+            self._load_and_classify(tmp_path_factory.getbasetemp(), document, load_internal)
+        except SketchError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=_sketch_documents)
+    def test_sketch_documents_only_sketch_errors_escape(self, tmp_path_factory, document):
+        try:
+            self._load_and_classify(tmp_path_factory.getbasetemp(), document, load_sketch)
+        except SketchError:
+            pass

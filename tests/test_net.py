@@ -7,7 +7,6 @@ from sketchattn.errors import (
     ShapeMismatchError,
     TapeConsumedError,
 )
-from sketchattn.geometry import scale_offsets, to_offsets
 from sketchattn.ingest import random_sketch
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape, Tensor, backward, cross_entropy_logits
@@ -21,6 +20,7 @@ from sketchattn.net.model import (
     rnn_attention_batch,
 )
 from sketchattn.net.optim import ModelState, adam_step, load_checkpoint, save_checkpoint
+from sketchattn.pipeline import _batch_inputs
 
 
 def small_rnn(seed=0, hidden=8):
@@ -30,12 +30,13 @@ def small_rnn(seed=0, hidden=8):
 
 
 def offsets_for(sketch, width=64.0):
-    return scale_offsets(to_offsets(sketch), 1.0 / width)
+    """(n, 3) RNN input rows [dx/w, dy/w, s] of one sketch."""
+    return _batch_inputs([sketch], width)[0][0]
 
 
 def attention_for(sketch, cfg, params, mode="eval", tape=None, rng=None):
     """(1, n) attention of one sketch through the batch path with B=1."""
-    inputs = offsets_for(sketch).as_array()[None]
+    inputs = offsets_for(sketch)[None]
     tape = tape if tape is not None else Tape()
     return rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg, mode, rng)
 
@@ -269,8 +270,8 @@ class TestRnnAttention:
 
         T = sk_long.n
         inputs = np.zeros((2, T, 3))
-        inputs[0, : sk_short.n] = offsets_for(sk_short).as_array()
-        inputs[1, : sk_long.n] = offsets_for(sk_long).as_array()
+        inputs[0, : sk_short.n] = offsets_for(sk_short)
+        inputs[1, : sk_long.n] = offsets_for(sk_long)
         batch = rnn_attention_batch(
             Tape(), inputs, np.array([sk_short.n, sk_long.n]), params, cfg, "eval"
         )

@@ -82,6 +82,18 @@ class TestRdpStroke:
             twice = rdp_stroke(once, 2.0)
             assert once.tolist() == twice.tolist()
 
+    @pytest.mark.parametrize("scale", [1e160, 1.5e307, -1e200])
+    def test_huge_coordinates_keep_their_corners(self, scale):
+        # chord arithmetic used to overflow past ~1e154: every distance came
+        # out NaN and the zigzag collapsed to its two endpoints
+        zigzag = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 0.0]])
+        out = rdp_stroke(zigzag * scale, 2.0)
+        assert out.tolist() == (zigzag * scale).tolist()
+
+    def test_huge_collinear_interior_removed(self):
+        out = rdp_stroke(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]) * 1e160, 2.0)
+        assert out.tolist() == [[0.0, 0.0], [2e160, 0.0]]
+
     @given(st.integers(3, 60), st.floats(0.2, 8.0))
     def test_property_subsequence_bound(self, n, eps):
         rng = np.random.default_rng(n * 1000 + int(eps * 10))
