@@ -33,8 +33,8 @@ class VectorSketch:
     __slots__ = ("xy", "s")
 
     def __init__(self, xy: np.ndarray, s: np.ndarray):
-        xy = np.ascontiguousarray(xy, dtype=np.float64)
-        s = np.ascontiguousarray(s, dtype=np.int8)
+        xy = np.array(xy, dtype=np.float64, order="C")  # own copies, frozen below
+        s = np.array(s, dtype=np.int8, order="C")
         if xy.ndim != 2 or xy.shape[1] != 2 or s.shape != (xy.shape[0],):
             raise ValueError("VectorSketch needs xy of shape (n, 2) and s of shape (n,)")
         if xy.shape[0] == 0:
@@ -56,11 +56,16 @@ class VectorSketch:
 
 
 def _point_array(points) -> np.ndarray:
-    """An (n, 3) array of numbers as float64; anything else is a typed error."""
+    """An (n, 3) array of numbers as float64; anything else is a typed error.
+    Nested rows (JSON) are checked value by value: numpy reads a boolean
+    among numbers as 0 or 1."""
     try:
-        arr = np.asarray(points)
-        if arr.dtype == object and all(type(v) in (int, float) for v in arr.flat):
-            arr = arr.astype(np.float64)  # JSON integers beyond int64 arrive as Python ints
+        arr = points
+        if not isinstance(points, np.ndarray):
+            arr = np.array(points, dtype=object)
+            numbers = (int, float, np.integer, np.floating)
+            if all(isinstance(v, numbers) and not isinstance(v, bool) for v in arr.flat):
+                arr = arr.astype(np.float64)
     except (ValueError, OverflowError) as exc:  # ragged rows, or an integer beyond the float range
         raise MalformedPointsError(f"points are not an (n, 3) array of numbers: {exc}") from exc
     if arr.ndim >= 1 and arr.shape[0] == 0:
@@ -118,7 +123,7 @@ def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: floa
         scale = min(scales)
         center_box = lo / 2.0 + hi / 2.0  # (lo + hi) / 2 overflows near the float limit
         xy = (sketch.xy - center_box) * scale + center_canvas
-    return VectorSketch(xy, sketch.s.copy())
+    return VectorSketch(xy, sketch.s)
 
 
 def stroke_slices(sketch: VectorSketch) -> list[tuple[int, int]]:

@@ -292,8 +292,8 @@ def save_internal(dataset: Dataset, path) -> None:
         json.dump(payload, f)
 
 
-def _read_document(path, fmt: str) -> dict:
-    """A versioned JSON document of the given format."""
+def _read_document(path, fmt: str, version: int = FORMAT_VERSION) -> dict:
+    """A JSON document of the given format and version."""
     with open(path) as f:
         try:
             payload = json.load(f)
@@ -301,7 +301,7 @@ def _read_document(path, fmt: str) -> dict:
             raise MalformedDocumentError(f"{path}: not a JSON document: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise VersionMismatchError(f"{path} is not a {fmt} file")
-    if payload.get("version") != FORMAT_VERSION:
+    if payload.get("version") != version:
         raise VersionMismatchError(f"unsupported {fmt} version {payload.get('version')}")
     return payload
 

@@ -181,18 +181,7 @@ def reshape(tape: Tape, a: Tensor, shape) -> Tensor:
     return op(tape, a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
-def take_time(tape: Tape, a: Tensor, idx: np.ndarray) -> Tensor:
-    """Reorder (B, T, D) along time with a per-item index map (B, T)."""
-
-    def vjp(g):
-        d = np.zeros_like(a.data)
-        np.add.at(d, (np.arange(a.data.shape[0])[:, None], idx), g)
-        return d
-
-    return op(tape, np.take_along_axis(a.data, idx[:, :, None], axis=1), (a, vjp))
-
-
-def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None) -> Tensor:
     """One LSTM layer from zero state: x (B, T, D) -> hidden states (B, T, H).
 
     Gate order i, f, g, o; step t computes z = (x_t wx + h_{t-1} wh) + b.
@@ -200,10 +189,24 @@ def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     runs on plain arrays, so the layer records a single closure. Its
     backward is hand-written BPTT over the stored gates into dZ, then one
     GEMM per gradient over all B*T rows.
+
+    Given per-item lengths (B,), the layer runs backwards: it reads each
+    real prefix reversed, then the padding in place, and returns its states
+    in x's time order. That map is its own inverse, so one gather serves
+    x, the output, the output's gradient and dx.
     """
     B, T, D = x.data.shape
     H = wh.data.shape[0]
-    xw = (x.data.reshape(B * T, D) @ wx.data).reshape(B, T, 4 * H)
+    idx = None
+    if lengths is not None:
+        n, steps = np.asarray(lengths)[:, None], np.arange(T)
+        idx = np.where(steps < n, n - 1 - steps, steps)[:, :, None]
+
+    def run_order(a):
+        return a if idx is None else np.take_along_axis(a, idx, axis=1)
+
+    xs = run_order(x.data)
+    xw = (xs.reshape(B * T, D) @ wx.data).reshape(B, T, 4 * H)
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     acts, cs, tcs, hs = [], [], [], []
@@ -218,7 +221,8 @@ def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         cs.append(c)
         tcs.append(tc)
         hs.append(h)
-    out = Tensor(np.stack(hs, axis=1), any(t.requires_grad for t in (x, wx, wh, b)))
+    h_run = np.stack(hs, axis=1)  # in the order the recurrence ran
+    out = Tensor(run_order(h_run), any(t.requires_grad for t in (x, wx, wh, b)))
     if out.requires_grad:
 
         def bwd():
@@ -234,8 +238,9 @@ def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             dz = np.empty((B, T, 4, H))
             dh_next = np.zeros((B, H))
             dc_next = np.zeros((B, H))
+            dout = run_order(out.grad)
             for t in range(T - 1, -1, -1):
-                dh = out.grad[:, t] + dh_next
+                dh = dout[:, t] + dh_next
                 dc = dh * dc_dh[t] + dc_next
                 dz_t = dz[:, t]
                 dz_t[:, :3] = k[t, :, :3] * dc[:, None, :]
@@ -243,11 +248,11 @@ def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
                 dh_next = dz_t.reshape(B, 4 * H) @ wh.data.T
                 dc_next = dc * f[t]
             dz = dz.reshape(B * T, 4 * H)
-            h_prev = np.concatenate([np.zeros((B, 1, H)), out.data[:, :-1]], axis=1).reshape(B * T, H)
+            h_prev = np.concatenate([np.zeros((B, 1, H)), h_run[:, :-1]], axis=1).reshape(B * T, H)
             _accumulate(
                 (
-                    (x, lambda d: (d @ wx.data.T).reshape(B, T, D)),
-                    (wx, lambda d: x.data.reshape(B * T, D).T @ d),
+                    (x, lambda d: run_order((d @ wx.data.T).reshape(B, T, D))),
+                    (wx, lambda d: xs.reshape(B * T, D).T @ d),
                     (wh, lambda d: h_prev.T @ d),
                     (b, lambda d: d.sum(axis=0)),
                 ),

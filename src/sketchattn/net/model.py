@@ -99,16 +99,6 @@ def init_cnn_params(rng: np.random.Generator, cfg: CnnConfig, in_channels: int =
     return params
 
 
-def _reverse_index(lengths: np.ndarray, T: int) -> np.ndarray:
-    """Per-item time reversal map: index t -> n_b-1-t on the real prefix,
-    identity on padding, so padded steps never leak into real ones."""
-    B = lengths.shape[0]
-    idx = np.tile(np.arange(T), (B, 1))
-    for bi, n in enumerate(lengths):
-        idx[bi, :n] = np.arange(n - 1, -1, -1)
-    return idx
-
-
 def rnn_attention_batch(
     tape: Tape,
     inputs: np.ndarray,
@@ -130,7 +120,6 @@ def rnn_attention_batch(
     if D != cfg.input_size:
         raise ShapeMismatchError(f"input feature dim {D} != configured {cfg.input_size}")
     lengths = np.asarray(lengths, dtype=np.int64)
-    rev_idx = _reverse_index(lengths, T)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
 
     x = ad.constant(inputs)
@@ -138,9 +127,8 @@ def rnn_attention_batch(
         p = f"rnn.l{layer}"
         layer_out = ad.lstm(tape, x, params[f"{p}.fw.wx"], params[f"{p}.fw.wh"], params[f"{p}.fw.b"])
         if cfg.bidirectional:
-            x_rev = ad.take_time(tape, x, rev_idx)
-            h_rev = ad.lstm(tape, x_rev, params[f"{p}.bw.wx"], params[f"{p}.bw.wh"], params[f"{p}.bw.b"])
-            layer_out = ad.concat(tape, [layer_out, ad.take_time(tape, h_rev, rev_idx)], axis=2)
+            h_bw = ad.lstm(tape, x, params[f"{p}.bw.wx"], params[f"{p}.bw.wh"], params[f"{p}.bw.b"], lengths)
+            layer_out = ad.concat(tape, [layer_out, h_bw], axis=2)
         if layer < cfg.num_layers - 1 and mode == "train" and cfg.dropout_prob > 0.0:
             if rng is None:
                 raise ValueError("train mode needs an rng for dropout")

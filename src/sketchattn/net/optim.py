@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeMismatchError, VersionMismatchError
+from ..errors import MalformedDocumentError, ShapeMismatchError
+from ..ingest import _field, _read_document
 from .autodiff import Tensor
 
 CHECKPOINT_FORMAT = "sketchattn-checkpoint"
@@ -81,9 +82,12 @@ def _encode(arr: np.ndarray) -> dict:
     return {"shape": list(a.shape), "dtype": "<f8", "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode(rec: dict) -> np.ndarray:
-    raw = base64.b64decode(rec["data"])
-    return np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"]).astype(np.float64)
+def _decode(rec, where: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(rec["data"])
+        return np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"]).astype(np.float64)
+    except (KeyError, TypeError, ValueError) as exc:  # not an object, or data that does not fit its shape
+        raise MalformedDocumentError(f"{where} is not a tensor record of its shape: {exc}") from exc
 
 
 def save_checkpoint(state: ModelState, path) -> None:
@@ -102,13 +106,13 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise VersionMismatchError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"unsupported checkpoint version {payload.get('version')}")
-    params = {name: Tensor(_decode(rec), requires_grad=True) for name, rec in payload["params"].items()}
-    m = {name: _decode(rec) for name, rec in payload["adam_m"].items()}
-    v = {name: _decode(rec) for name, rec in payload["adam_v"].items()}
-    return ModelState(params=params, m=m, v=v, step=int(payload["step"]), seed=int(payload["seed"]), config=payload.get("config", {}))
+    """A checkpoint; a malformed field or tensor record raises a typed error naming it."""
+    payload = _read_document(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    where = str(path)
+    params, m, v = (
+        {name: _decode(rec, f"{where}: {key} {name!r}") for name, rec in _field(payload, key, dict, where).items()}
+        for key in ("params", "adam_m", "adam_v")
+    )
+    params = {name: Tensor(a, requires_grad=True) for name, a in params.items()}
+    step, seed = (_field(payload, key, int, where) for key in ("step", "seed"))
+    return ModelState(params=params, m=m, v=v, step=step, seed=seed, config=payload.get("config", {}))

@@ -516,9 +516,6 @@ def train(
             if ref_acc > best_valid:
                 best_valid = ref_acc
                 save_checkpoint(state, os.path.join(out_dir, "best.ckpt.json"))
-        else:
-            ref_acc = valid_acc if valid_acc is not None else train_acc
-            best_valid = max(best_valid, ref_acc)
 
         stop_train = config.early_stop_train_acc is not None and train_acc >= config.early_stop_train_acc
         stop_valid = (

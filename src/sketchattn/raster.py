@@ -62,7 +62,6 @@ class AttentionMap:
     owner: np.ndarray  # (H, W) int32, -1 where unowned
     alpha: np.ndarray  # (H, W) float64, meaningful only where owned
     table: SegmentTable
-    config: RasterConfig
 
     @property
     def owned_pixel_count(self) -> int:
@@ -84,7 +83,7 @@ def segment_table(sketch: VectorSketch, include_point_discs: bool = True) -> Seg
     return SegmentTable(start, start + joined[start].astype(np.int32))
 
 
-def _check_inputs(sketch: VectorSketch, attention: np.ndarray, config: RasterConfig) -> np.ndarray:
+def _check_inputs(sketch: VectorSketch, attention: np.ndarray) -> np.ndarray:
     a = np.asarray(attention, dtype=np.float64).reshape(-1)
     if a.shape[0] != sketch.n:
         raise LengthMismatchError(f"attention length {a.shape[0]} != sketch length {sketch.n}")
@@ -99,7 +98,7 @@ def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> 
     The attention values may be any finite reals; the sigmoid range [0, 1]
     is a property of the attention head, not of this kernel.
     """
-    a = _check_inputs(sketch, attention, config)
+    a = _check_inputs(sketch, attention)
     H, W = config.height, config.width
     eps_sq = config.epsilon * config.epsilon
 
@@ -151,7 +150,7 @@ def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> 
         ai = a[table.start[ow]]
         aj = a[table.end[ow]]
         intensities[mask] = (1.0 - alm) * ai + alm * aj
-    return AttentionMap(intensities, owner, alpha, table, config)
+    return AttentionMap(intensities, owner, alpha, table)
 
 
 def rasterize_backward(amap: AttentionMap, delta: np.ndarray, n_points: int) -> np.ndarray:

@@ -14,7 +14,7 @@ def oracle_rasterize(sketch: VectorSketch, attention, config: RasterConfig) -> A
     No spatial acceleration; per-pixel math matches rasterize_forward
     operation for operation so the two agree bitwise. Test-only.
     """
-    a = _check_inputs(sketch, attention, config)
+    a = _check_inputs(sketch, attention)
     H, W = config.height, config.width
     eps_sq = config.epsilon * config.epsilon
 
@@ -58,4 +58,4 @@ def oracle_rasterize(sketch: VectorSketch, attention, config: RasterConfig) -> A
                 owner[r, c] = own
                 alpha[r, c] = own_alpha
                 intensities[r, c] = (1.0 - own_alpha) * a_list[starts[own]] + own_alpha * a_list[ends[own]]
-    return AttentionMap(intensities, owner, alpha, table, config)
+    return AttentionMap(intensities, owner, alpha, table)

@@ -335,6 +335,35 @@ class TestCheckpointBoundaries:
         assert info["error"] == "ShapeMismatchError"
         assert "cnn.fc.b" in info["detail"] and "(1, 2)" in info["detail"]
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda p: p.update(params=[]), "'params'"),
+            (lambda p: p["params"].update({"cnn.fc.b": 5}), "'cnn.fc.b'"),
+            (lambda p: p["params"]["cnn.fc.b"].update(shape=[3]), "'cnn.fc.b'"),
+            (lambda p: p.update(step="one"), "'step'"),
+            (lambda p: p.update(step=1.5), "'step'"),
+            (lambda p: p.pop("adam_m"), "'adam_m'"),
+        ],
+        ids=["params_list", "record_not_object", "shape_vs_data", "step_string", "step_float",
+             "missing_adam_m"],
+    )
+    def test_malformed_checkpoint_named(self, trained, tmp_path, sketch_file, capsys, edit, named):
+        # these used to end in a traceback, a bare ValueError/KeyError, or a
+        # silently truncated step
+        _, out_dir, _ = trained
+        payload = json.loads((out_dir / "best.ckpt.json").read_text())
+        edit(payload)
+        ckpt = tmp_path / "malformed.ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--input", str(sketch_file))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        info = json.loads(lines[0])
+        assert info["error"] == "MalformedDocumentError"
+        assert named in info["detail"]
+
     def test_unknown_nested_config_key_named(self, trained, tmp_path, capsys):
         # a nested section with an extra key used to escape as a TypeError traceback
         _, out_dir, valid_file = trained

@@ -9,7 +9,7 @@ from sketchattn.errors import (
     MalformedPointsError,
     NonFiniteCoordinateError,
 )
-from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
+from sketchattn.geometry import VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
 from sketchattn.pipeline import _batch_inputs
 from sketchattn.raster import segment_table
 
@@ -82,6 +82,13 @@ class TestValidateAndNormalize:
         with pytest.raises(MalformedPointsError):
             make(points)
 
+    @pytest.mark.parametrize("points", [[[True, 0, 1]], [[0, 0, 0], [2.5, False, 1]]], ids=["int_row", "float_row"])
+    def test_boolean_among_numbers_rejected(self, points):
+        # numpy reads a boolean among numbers as 0 or 1; parse_quickdraw_line
+        # rejects a boolean coordinate, and so does the constructor
+        with pytest.raises(MalformedPointsError):
+            make(points)
+
     def test_integer_beyond_int64_accepted(self):
         sk = make([[2**70, 0, 0], [0, 0, 1]])
         assert sk.xy[0, 0] == float(2**70)
@@ -91,6 +98,16 @@ class TestValidateAndNormalize:
         before = pts.copy()
         make(pts)
         assert pts.flags.writeable and np.array_equal(pts, before)
+
+    def test_constructor_copies_contiguous_caller_arrays(self):
+        # contiguous float64/int8 arrays used to be frozen in place
+        xy = np.zeros((2, 2))
+        s = np.array([0, 1], dtype=np.int8)
+        sk = VectorSketch(xy, s)
+        assert xy.flags.writeable and s.flags.writeable
+        xy[0, 0] = 5.0
+        s[0] = 1
+        assert sk.xy[0, 0] == 0.0 and sk.s[0] == 0
 
     def test_immutable(self):
         sk = make([(0, 0, 0), (1, 0, 1)])

@@ -144,10 +144,6 @@ OP_CASES = {
         lambda t, *xs: ad.concat(t, list(xs), axis=-1),
     ),
     "reshape": (lambda r: [r.normal(size=(2, 6))], lambda t, a: ad.reshape(t, a, (3, 4))),
-    "take_time_repeated": (
-        lambda r: [r.normal(size=(2, 3, 2))],
-        lambda t, a: ad.take_time(t, a, np.array([[0, 0, 2], [1, 1, 1]])),
-    ),
     "conv2d": (
         lambda r: [r.normal(size=(2, 2, 5, 4)), r.normal(size=(3, 2, 3, 3)), r.normal(size=3)],
         lambda t, x, w, b: ad.conv2d(t, x, w, b),
@@ -357,6 +353,37 @@ class TestFusedLstm:
         backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
         for t, ref in zip(tensors, ref_grads):
+            np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12)
+
+    def test_reversed_prefixes_match_reference_per_item(self):
+        # with lengths, each item runs over its real prefix backwards, then
+        # its padding in place; states come back in the input's time order
+        rng = np.random.default_rng(12)
+        B, T, D, H = 3, 6, 4, 3
+        lengths = np.array([6, 2, 4])
+        x = rng.normal(size=(B, T, D))
+        wx = rng.normal(size=(D, 4 * H))
+        wh = rng.normal(size=(H, 4 * H))
+        b = rng.normal(size=4 * H)
+        upstream = rng.normal(size=(B, T, H))
+
+        tensors = [ad.parameter(a.copy()) for a in (x, wx, wh, b)]
+        tape = Tape()
+        out = ad.lstm(tape, *tensors, lengths=lengths)
+        assert len(tape) == 1
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
+
+        ref_weights = [np.zeros_like(a) for a in (wx, wh, b)]
+        for bi, n in enumerate(lengths):
+            order = np.concatenate([np.arange(n - 1, -1, -1), np.arange(n, T)])
+            item = np.s_[bi : bi + 1, order]
+            ref_out, ref_dx, *ref_dw = reference_lstm_grads(x[item], wx, wh, b, upstream[item])
+            back = np.argsort(order)
+            np.testing.assert_allclose(out.data[bi], ref_out[0, back], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tensors[0].grad[bi], ref_dx[0, back], rtol=0, atol=1e-12)
+            for acc, g in zip(ref_weights, ref_dw):
+                acc += g
+        for t, ref in zip(tensors[1:], ref_weights):
             np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12)
 
     def test_attention_tape_length_independent_of_sequence_length(self):

@@ -172,6 +172,33 @@ class TestOracleEquivalence:
         assert ref.intensities[0, 0] == 1.0
 
 
+class TestOracleDifferential:
+    # the walks above stay inside square 32x32 canvases; these sketches sit
+    # on non-square canvases of any size from 1 px, partly or wholly off
+    # the canvas (a shift beyond +-1 canvas moves every point off it)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+        shift=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        eps=st.floats(0.3, 3.0),
+        discs=st.booleans(),
+    )
+    def test_bitwise_equal_to_oracle(self, seed, size, shift, eps, discs):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 16))
+        xy = (rng.uniform(0.0, 1.0, size=(n, 2)) + shift) * size
+        sk = validate_and_normalize(np.column_stack([xy, rng.random(n) < 0.3]))
+        a = rng.uniform(-0.5, 1.5, sk.n)
+        cfg = RasterConfig(size[0], size[1], eps, render_point_discs=discs)
+        fast = rasterize_forward(sk, a, cfg)
+        ref = oracle_rasterize(sk, a, cfg)
+        assert np.array_equal(fast.owner, ref.owner)
+        assert np.array_equal(fast.alpha, ref.alpha)
+        assert np.array_equal(fast.intensities, ref.intensities)
+
+
 class TestBackward:
     def test_zero_delta_zero_gradient(self):
         rng = np.random.default_rng(2)
