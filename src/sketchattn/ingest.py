@@ -100,15 +100,13 @@ def _coordinates(values) -> list[float]:
         raise MalformedLineError(f"stroke coordinate out of range: {exc}") from exc
 
 
-def load_dataset(path, split: str = "train", max_items_per_category: int | None = None) -> Dataset:
+def load_dataset(path, split: str = "train") -> Dataset:
     """Load a dataset from an ndjson directory or an internal-format file.
 
     Directory mode treats every *.ndjson file as one category (file stem =
     category name); categories are sorted by name and items keep file line
     order, so repeated loads produce identical datasets.
     """
-    if max_items_per_category is not None and max_items_per_category <= 0:
-        raise EmptyDatasetError("per-category cap must be positive")
     if os.path.isdir(path):
         files = sorted(f for f in os.listdir(path) if f.endswith(".ndjson"))
         if not files:
@@ -116,35 +114,20 @@ def load_dataset(path, split: str = "train", max_items_per_category: int | None 
         categories = [os.path.splitext(f)[0] for f in files]
         items: list[LabeledSketch] = []
         for label, fname in enumerate(files):
-            count = 0
             with open(os.path.join(path, fname)) as f:
                 for line in f:
                     line = line.strip()
-                    if not line:
-                        continue
-                    if max_items_per_category is not None and count >= max_items_per_category:
-                        break
-                    parsed = parse_quickdraw_line(line, label)
-                    items.append(LabeledSketch(parsed.sketch, label, categories[label]))
-                    count += 1
+                    if line:
+                        parsed = parse_quickdraw_line(line, label)
+                        items.append(LabeledSketch(parsed.sketch, label, categories[label]))
         if not items:
             raise EmptyDatasetError(f"no sketches parsed under {path}")
         return Dataset(categories, items, split)
 
     ds = load_internal(path)
-    if max_items_per_category is not None:
-        kept = []
-        counts = [0] * len(ds.categories)
-        for it in ds.items:
-            if counts[it.label] < max_items_per_category:
-                kept.append(it)
-                counts[it.label] += 1
-        ds = Dataset(ds.categories, kept, split)
-    else:
-        ds = Dataset(ds.categories, ds.items, split)
     if not ds.items:
         raise EmptyDatasetError(f"no items in {path}")
-    return ds
+    return Dataset(ds.categories, ds.items, split)
 
 
 # --- synthetic shapes ----------------------------------------------------

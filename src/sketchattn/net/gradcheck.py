@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import InvalidConfigError
 from .autodiff import Tape, Tensor, backward
 
 REL_ERR_FLOOR = 1e-6
@@ -79,7 +80,7 @@ def grad_check(
         p.grad = None
     if corrupt is not None:
         if corrupt not in analytic:
-            raise KeyError(f"no parameter named {corrupt!r}")
+            raise InvalidConfigError(f"no parameter named {corrupt!r}; the parameters are {list(params)}")
         analytic[corrupt] = analytic[corrupt] + 1e-2
 
     entries = []

@@ -1,5 +1,5 @@
-"""Network building blocks: stacked bidirectional LSTM with a sigmoid
-attention head, and a small convolutional classifier.
+"""Network building blocks: a stacked LSTM that reads each layer in both
+directions, a sigmoid attention head, and a small convolutional classifier.
 
 Parameter naming scheme (used by the optimizer and checkpoints):
     rnn.l{layer}.{fw|bw}.wx   (in_dim, 4*hidden)   gate order i, f, g, o
@@ -20,13 +20,14 @@ from ..errors import InvalidConfigError, ShapeMismatchError
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 
+# per point (dx, dy, s): the offset encoding built in pipeline._batch_inputs
+INPUT_SIZE = 3
+
 
 @dataclass(frozen=True)
 class RnnConfig:
-    input_size: int = 3
     hidden_size: int = 512
     num_layers: int = 2
-    bidirectional: bool = True
     dropout_prob: float = 0.5
 
     def __post_init__(self):
@@ -37,7 +38,7 @@ class RnnConfig:
 
     @property
     def feature_size(self) -> int:
-        return self.hidden_size * (2 if self.bidirectional else 1)
+        return 2 * self.hidden_size
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,10 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 def init_rnn_params(rng: np.random.Generator, cfg: RnnConfig) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     H = cfg.hidden_size
-    directions = ("fw", "bw") if cfg.bidirectional else ("fw",)
     for layer in range(cfg.num_layers):
-        in_dim = cfg.input_size if layer == 0 else cfg.feature_size
+        in_dim = INPUT_SIZE if layer == 0 else cfg.feature_size
         bound = 1.0 / np.sqrt(in_dim)
-        for d in directions:
+        for d in ("fw", "bw"):
             wx = rng.uniform(-bound, bound, size=(in_dim, 4 * H))
             wh = np.concatenate([_orthogonal(rng, H) for _ in range(4)], axis=1)
             b = np.zeros(4 * H)
@@ -108,7 +108,7 @@ def rnn_attention_batch(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Batched attention head over padded (B, T, input_size) sequences.
+    """Batched attention head over padded (B, T, INPUT_SIZE) sequences.
 
     Returns a (B, T) tensor of attentions in (0, 1); entries past each
     item's length are forced to zero. In train mode dropout runs between
@@ -117,18 +117,17 @@ def rnn_attention_batch(
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
     B, T, D = inputs.shape
-    if D != cfg.input_size:
-        raise ShapeMismatchError(f"input feature dim {D} != configured {cfg.input_size}")
+    if D != INPUT_SIZE:
+        raise ShapeMismatchError(f"input feature dim {D} != {INPUT_SIZE}")
     lengths = np.asarray(lengths, dtype=np.int64)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
 
     x = ad.constant(inputs)
     for layer in range(cfg.num_layers):
         p = f"rnn.l{layer}"
-        layer_out = ad.lstm(tape, x, params[f"{p}.fw.wx"], params[f"{p}.fw.wh"], params[f"{p}.fw.b"])
-        if cfg.bidirectional:
-            h_bw = ad.lstm(tape, x, params[f"{p}.bw.wx"], params[f"{p}.bw.wh"], params[f"{p}.bw.b"], lengths)
-            layer_out = ad.concat(tape, [layer_out, h_bw], axis=2)
+        h_fw = ad.lstm(tape, x, params[f"{p}.fw.wx"], params[f"{p}.fw.wh"], params[f"{p}.fw.b"])
+        h_bw = ad.lstm(tape, x, params[f"{p}.bw.wx"], params[f"{p}.bw.wh"], params[f"{p}.bw.b"], lengths)
+        layer_out = ad.concat(tape, [h_fw, h_bw], axis=2)
         if layer < cfg.num_layers - 1 and mode == "train" and cfg.dropout_prob > 0.0:
             if rng is None:
                 raise ValueError("train mode needs an rng for dropout")

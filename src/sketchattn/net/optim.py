@@ -20,6 +20,11 @@ from .autodiff import Tensor
 CHECKPOINT_FORMAT = "sketchattn-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# the Adam constants of Kingma and Ba; only the learning rate is configured
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class ModelState:
@@ -54,25 +59,18 @@ class ModelState:
         }
 
 
-def adam_step(
-    state: ModelState,
-    gradients: dict[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps_opt: float = 1e-8,
-) -> ModelState:
+def adam_step(state: ModelState, gradients: dict[str, np.ndarray], lr: float) -> ModelState:
     """Standard bias-corrected Adam update; increments the step counter."""
     t = state.step + 1
     for name, p in state.params.items():
         g = np.asarray(gradients[name], dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeMismatchError(f"gradient shape {g.shape} != parameter {name} shape {p.data.shape}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps_opt)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - BETA1**t)
+        v_hat = state.v[name] / (1.0 - BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     state.step = t
     return state
 
@@ -106,7 +104,8 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    """A checkpoint; a malformed field or tensor record raises a typed error naming it."""
+    """A checkpoint; a malformed field or tensor record raises a typed error naming it.
+    The Adam moments stay as read (no zero fill) for pipeline.load_model to check."""
     payload = _read_document(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     where = str(path)
     params, m, v = (
@@ -115,4 +114,6 @@ def load_checkpoint(path) -> ModelState:
     )
     params = {name: Tensor(a, requires_grad=True) for name, a in params.items()}
     step, seed = (_field(payload, key, int, where) for key in ("step", "seed"))
-    return ModelState(params=params, m=m, v=v, step=step, seed=seed, config=payload.get("config", {}))
+    state = ModelState(params=params, step=step, seed=seed, config=payload.get("config", {}))
+    state.m, state.v = m, v
+    return state

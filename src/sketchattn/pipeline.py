@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, LabelOutOfRangeError, NonFiniteLossError, ShapeMismatchError
+from .errors import InvalidConfigError, LabelOutOfRangeError, NonFiniteLossError, ShapeMismatchError, VersionMismatchError
 from .geometry import VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
 from .ingest import Dataset, LabeledSketch
 from .net import autodiff as ad
@@ -47,8 +47,9 @@ PAPER_LR = 1e-4
 PAPER_LR_FINETUNE = 5e-5
 
 METRICS_FORMAT = "sketchattn-metrics"
+METRICS_VERSION = 1
 CONFIG_FORMAT = "sketchattn-config"
-FORMAT_VERSION = 1
+CONFIG_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -94,19 +95,14 @@ class ExperimentConfig:
     rnn: RnnConfig = field(default_factory=RnnConfig)
     cnn: CnnConfig = field(default_factory=CnnConfig)
     raster: RasterConfig = field(default_factory=RasterConfig)
-    simplify: SimplifyConfig | None = field(default_factory=SimplifyConfig)
+    simplify: SimplifyConfig = field(default_factory=SimplifyConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    canvas_pad: float = 4.0
     batch_size: int = 48
     epochs: int = 10
     lr: float = PAPER_LR
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
     seed: int = 0
     early_stop_train_acc: float | None = None
     early_stop_valid_acc: float | None = None
-    eval_test_each_epoch: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -121,7 +117,7 @@ class ExperimentConfig:
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["format"] = CONFIG_FORMAT
-        d["version"] = FORMAT_VERSION
+        d["version"] = CONFIG_VERSION
         d["cnn"]["stages"] = [list(s) for s in self.cnn.stages]
         return d
 
@@ -129,10 +125,16 @@ class ExperimentConfig:
     def from_json_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict) or d.get("format", CONFIG_FORMAT) != CONFIG_FORMAT:
             raise InvalidConfigError("not an experiment config document")
+        if d.get("version") != CONFIG_VERSION:
+            raise VersionMismatchError(f"unsupported {CONFIG_FORMAT} version {d.get('version')}")
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        # training adds the category list to the config it stores in checkpoints
+        unknown = sorted(d.keys() - known - {"format", "version", "categories"})
+        if unknown:
+            raise InvalidConfigError(f"config has unknown key {unknown[0]!r}")
         kw = {k: v for k, v in d.items() if k in known}
         for name, cls in _SECTIONS.items():
-            if name in kw and not (name == "simplify" and kw[name] is None):
+            if name in kw:
                 kw[name] = _config_section(name, cls, kw[name])
         try:
             return ExperimentConfig(**kw)
@@ -156,7 +158,7 @@ def desk_config(
     """
     kw = dict(
         variant=variant,
-        rnn=RnnConfig(hidden_size=32, num_layers=2, bidirectional=True, dropout_prob=0.2),
+        rnn=RnnConfig(hidden_size=32, num_layers=2, dropout_prob=0.2),
         cnn=CnnConfig(stages=((3, 8, 2), (3, 16, 2), (3, 32, 2)), num_classes=num_classes),
         raster=RasterConfig(width=64, height=64, epsilon=1.0),
         simplify=SimplifyConfig(epsilon=2.0, max_points=448, escalation_factor=1.5),
@@ -181,7 +183,7 @@ def paper_scale_config(
     (5e-5 with finetune=True)."""
     kw = dict(
         variant=variant,
-        rnn=RnnConfig(hidden_size=512, num_layers=2, bidirectional=True, dropout_prob=0.5),
+        rnn=RnnConfig(hidden_size=512, num_layers=2, dropout_prob=0.5),
         cnn=CnnConfig(stages=((3, 16, 2), (3, 32, 2), (3, 64, 2)), num_classes=num_classes),
         raster=RasterConfig(width=224, height=224, epsilon=1.0),
         simplify=SimplifyConfig(epsilon=2.0, max_points=448, escalation_factor=1.5),
@@ -227,7 +229,7 @@ class Metrics:
 
     def write(self, path) -> None:
         with open(path, "w") as f:
-            f.write(json.dumps({"format": METRICS_FORMAT, "version": FORMAT_VERSION}, sort_keys=True) + "\n")
+            f.write(json.dumps({"format": METRICS_FORMAT, "version": METRICS_VERSION}, sort_keys=True) + "\n")
             for r in self.records:
                 f.write(r.to_json_line() + "\n")
 
@@ -242,9 +244,9 @@ def init_model_state(config: ExperimentConfig) -> ModelState:
 
 
 def prepare_sketch(sketch: VectorSketch, config: ExperimentConfig) -> VectorSketch:
-    """Simplify (optional) and normalize into the raster canvas."""
-    sk = simplify_sketch(sketch, config.simplify) if config.simplify is not None else sketch
-    return normalize_to_canvas(sk, config.raster.width, config.raster.height, config.canvas_pad)
+    """Simplify and normalize into the raster canvas."""
+    sk = simplify_sketch(sketch, config.simplify)
+    return normalize_to_canvas(sk, config.raster.width, config.raster.height)
 
 
 def augment(
@@ -408,17 +410,20 @@ def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prep
 
 
 def load_model(path) -> tuple[ModelState, ExperimentConfig]:
-    """Load a checkpoint whose parameter names and shapes match its config."""
+    """Load a checkpoint whose parameters and Adam moments match its config
+    in names and shapes."""
     state = load_checkpoint(path)
     config = ExperimentConfig.from_json_dict(state.config)
     expected = {name: p.data.shape for name, p in init_model_state(config).params.items()}
-    found = {name: p.data.shape for name, p in state.params.items()}
-    for name in sorted(expected.keys() | found.keys()):
-        if expected.get(name) != found.get(name):
-            raise ShapeMismatchError(
-                f"{path}: parameter {name} has shape {found.get(name, 'none')}, "
-                f"its config expects {expected.get(name, 'none')}"
-            )
+    params = {name: p.data for name, p in state.params.items()}
+    for group, arrays in (("parameter", params), ("adam_m", state.m), ("adam_v", state.v)):
+        found = {name: a.shape for name, a in arrays.items()}
+        for name in sorted(expected.keys() | found.keys()):
+            if expected.get(name) != found.get(name):
+                raise ShapeMismatchError(
+                    f"{path}: {group} {name} has shape {found.get(name, 'none')}, "
+                    f"its config expects {expected.get(name, 'none')}"
+                )
     return state, config
 
 
@@ -487,7 +492,7 @@ def train(
                         json.dump(dump, f, indent=2)
                 raise NonFiniteLossError(json.dumps(dump))
             backward(tape, loss)
-            adam_step(state, state.grads(), config.lr, config.beta1, config.beta2, config.eps_opt)
+            adam_step(state, state.grads(), config.lr)
             state.zero_grads()
             loss_sum += float(loss.data) * len(sel)
             correct += int((logits.data.argmax(axis=1) == y).sum())
@@ -499,7 +504,7 @@ def train(
         if prepared_valid is not None:
             valid_acc = _accuracy(state, config, prepared_valid, labels_valid)
         test_acc = None
-        if prepared_test is not None and config.eval_test_each_epoch:
+        if prepared_test is not None:
             test_acc = _accuracy(state, config, prepared_test, labels_test)
         wall = time.perf_counter() - t0
         rec = EpochRecord(epoch, train_loss, train_acc, valid_acc, test_acc, wall)

@@ -30,7 +30,6 @@ class RasterConfig:
     width: int = 224
     height: int = 224
     epsilon: float = 1.0
-    render_point_discs: bool = True
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -68,17 +67,14 @@ class AttentionMap:
         return int(np.count_nonzero(self.owner >= 0))
 
 
-def segment_table(sketch: VectorSketch, include_point_discs: bool = True) -> SegmentTable:
+def segment_table(sketch: VectorSketch) -> SegmentTable:
     """Build the rasterization entity list in drawing order.
 
-    Point i starts the segment (i, i + 1) when s[i] == 0; with point discs,
-    a point that both starts and ends its stroke adds the degenerate entry
-    (i, i).
+    Point i starts the segment (i, i + 1) when s[i] == 0; a point that both
+    starts and ends its stroke adds the degenerate entry (i, i).
     """
     joined = sketch.s == 0
-    entity = joined
-    if include_point_discs:
-        entity = joined | np.concatenate(([True], sketch.s[:-1] == 1))  # joined or a stroke's first point
+    entity = joined | np.concatenate(([True], sketch.s[:-1] == 1))  # joined or a stroke's first point
     start = np.flatnonzero(entity).astype(np.int32)
     return SegmentTable(start, start + joined[start].astype(np.int32))
 
@@ -102,7 +98,7 @@ def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> 
     H, W = config.height, config.width
     eps_sq = config.epsilon * config.epsilon
 
-    table = segment_table(sketch, config.render_point_discs)
+    table = segment_table(sketch)
     owner = np.full((H, W), -1, dtype=np.int32)
     alpha = np.zeros((H, W), dtype=np.float64)
 

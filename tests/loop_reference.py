@@ -1,5 +1,6 @@
 """Per-point loop implementations of the sketch constructor and the
-segment table, kept verbatim from before both were vectorised.
+segment table, kept from before both were vectorised (the segment table
+has since lost its switch for point discs, which are always drawn).
 
 tests/test_loop_reference.py checks the numpy versions in the package
 against these loops. The raster oracle cannot catch a segment table change
@@ -46,12 +47,10 @@ def stroke_slices(sketch: VectorSketch) -> list[tuple[int, int]]:
     return out
 
 
-def segment_table(sketch: VectorSketch, include_point_discs: bool = True) -> SegmentTable:
+def segment_table(sketch: VectorSketch) -> SegmentTable:
     starts: list[int] = []
     ends: list[int] = []
-    single = set()
-    if include_point_discs:
-        single = {a for a, b in stroke_slices(sketch) if b - a == 1}
+    single = {a for a, b in stroke_slices(sketch) if b - a == 1}
     for i in range(sketch.n):
         if sketch.s[i] == 0:
             starts.append(i)

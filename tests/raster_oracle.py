@@ -18,7 +18,7 @@ def oracle_rasterize(sketch: VectorSketch, attention, config: RasterConfig) -> A
     H, W = config.height, config.width
     eps_sq = config.epsilon * config.epsilon
 
-    table = segment_table(sketch, config.render_point_discs)
+    table = segment_table(sketch)
     xy = sketch.xy
     E = len(table)
     x0s = [float(xy[int(table.start[e]), 0]) for e in range(E)]

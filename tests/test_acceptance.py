@@ -173,7 +173,7 @@ def test_criterion_06_end_to_end_gradient_flow():
 
     cfg = desk_config(
         2, seed=0, epochs=1,
-        rnn=RnnConfig(hidden_size=8, num_layers=2, bidirectional=True, dropout_prob=0.0),
+        rnn=RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0),
         raster=RasterConfig(width=16, height=16, epsilon=1.0),
     )
     state = init_model_state(cfg)
@@ -206,7 +206,6 @@ def _criterion7_config(seed=0):
         lr=3e-3,
         early_stop_train_acc=0.97,
         early_stop_valid_acc=0.92,
-        eval_test_each_epoch=False,
     )
 
 
@@ -252,13 +251,13 @@ def test_criterion_08_order_information_thesis(tmp_path):
 
     cfg_r2 = desk_config(
         2, variant="sketch_r2cnn", seed=0, epochs=30, lr=3e-3,
-        early_stop_train_acc=0.97, early_stop_valid_acc=0.92, eval_test_each_epoch=False,
+        early_stop_train_acc=0.97, early_stop_valid_acc=0.92,
     )
     state_r2, _ = train(cfg_r2, train_ds, valid_ds)
     acc_r2 = evaluate(state_r2, cfg_r2, test_ds)
 
     cfg_cnn = desk_config(
-        2, variant="cnn_only_binary", seed=0, epochs=10, lr=3e-3, eval_test_each_epoch=False,
+        2, variant="cnn_only_binary", seed=0, epochs=10, lr=3e-3,
     )
     state_cnn, _ = train(cfg_cnn, train_ds, valid_ds)
     acc_cnn = evaluate(state_cnn, cfg_cnn, test_ds)

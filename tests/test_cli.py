@@ -196,6 +196,16 @@ class TestGradcheckCommand:
         assert code == 1
         assert "attention" in stdout and "FAIL" in stdout
 
+    def test_corrupt_unknown_parameter_named(self, capsys):
+        # used to end in {"error": "KeyError", ...}
+        code, stdout, err = run(capsys, "gradcheck", "--profile", "cnn", "--seed", "0", "--corrupt", "nosuch")
+        assert code == 1 and stdout == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        info = json.loads(lines[0])
+        assert info["error"] == "InvalidConfigError"
+        assert "'nosuch'" in info["detail"] and "'cnn.conv0.w'" in info["detail"] and "'cnn.fc.b'" in info["detail"]
+
     def test_same_seed_same_report(self, capsys):
         code1, out1, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "3")
         code2, out2, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "3")
@@ -251,7 +261,7 @@ class TestTrainEvalPredict:
 
         cfg = desk_config(
             2, seed=3, epochs=1,
-            rnn=RnnConfig(hidden_size=8, num_layers=1, bidirectional=True, dropout_prob=0.0),
+            rnn=RnnConfig(hidden_size=8, num_layers=1, dropout_prob=0.0),
             cnn=CnnConfig(stages=((3, 4, 2),), num_classes=2),
             raster=RasterConfig(width=16, height=16, epsilon=1.0),
         )
@@ -266,6 +276,27 @@ class TestTrainEvalPredict:
         written = json.loads((out_dir / "config.json").read_text())
         assert written["seed"] == 3
         assert written["rnn"]["hidden_size"] == 8
+        assert written["version"] == 2
+
+    def test_config_file_with_removed_key_named(self, trained, tmp_path, capsys):
+        # a key the config no longer has used to be dropped without a word
+        base, _, _ = trained
+        from sketchattn.pipeline import desk_config
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({**desk_config(2).to_json_dict(), "beta1": 0.5}))
+        out_dir = tmp_path / "run3"
+        code, _, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--out", str(out_dir),
+            "--config", str(cfg_file),
+        )
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        info = json.loads(lines[0])
+        assert info["error"] == "InvalidConfigError"
+        assert "'beta1'" in info["detail"]
+        assert not out_dir.exists()
 
     def test_predict_emits_category_and_map(self, trained, tmp_path, capsys):
         base, out_dir, _ = trained
@@ -362,6 +393,46 @@ class TestCheckpointBoundaries:
         assert len(lines) == 1
         info = json.loads(lines[0])
         assert info["error"] == "MalformedDocumentError"
+        assert named in info["detail"]
+
+    def test_version_1_config_rejected(self, trained, tmp_path, sketch_file, capsys):
+        # checkpoints written before config documents reached version 2
+        _, out_dir, _ = trained
+        payload = json.loads((out_dir / "best.ckpt.json").read_text())
+        payload["config"]["version"] = 1
+        payload["config"].update(canvas_pad=4.0, beta1=0.9, beta2=0.999, eps_opt=1e-8, eval_test_each_epoch=True)
+        ckpt = tmp_path / "v1.ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--input", str(sketch_file))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        info = json.loads(lines[0])
+        assert info["error"] == "VersionMismatchError"
+        assert "version 1" in info["detail"]
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda p: p["adam_m"].pop("head.b"), "adam_m head.b has shape none"),
+            (lambda p: p["adam_v"]["cnn.fc.b"].update(shape=[1, 2]), "adam_v cnn.fc.b has shape (1, 2)"),
+        ],
+        ids=["missing_adam_m", "reshaped_adam_v"],
+    )
+    def test_adam_moments_match_parameters(self, trained, tmp_path, sketch_file, capsys, edit, named):
+        # both used to load: a missing moment as zeros, and a (1, 2) moment
+        # of a (2,) bias that adam_step would broadcast
+        _, out_dir, _ = trained
+        payload = json.loads((out_dir / "best.ckpt.json").read_text())
+        edit(payload)
+        ckpt = tmp_path / "moments.ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--input", str(sketch_file))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        info = json.loads(lines[0])
+        assert info["error"] == "ShapeMismatchError"
         assert named in info["detail"]
 
     def test_unknown_nested_config_key_named(self, trained, tmp_path, capsys):

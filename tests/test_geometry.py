@@ -247,13 +247,14 @@ class TestNormalizeToCanvas:
 
 
 class TestSegments:
-    # the rasterizer's segment table is the one segment extraction; without
-    # point discs it holds exactly the (i, i + 1) pairs with s[i] == 0
+    # the rasterizer's segment table is the one segment extraction; its
+    # real segments (end > start, so no point discs) are exactly the
+    # (i, i + 1) pairs with s[i] == 0
 
     @staticmethod
     def pairs(sk):
-        t = segment_table(sk, include_point_discs=False)
-        return list(zip(t.start.tolist(), t.end.tolist()))
+        t = segment_table(sk)
+        return [(i, j) for i, j in zip(t.start.tolist(), t.end.tolist()) if j > i]
 
     def test_states_0101(self):
         assert self.pairs(make([(0, 0, 0), (1, 0, 1), (2, 0, 0), (3, 0, 1)])) == [(0, 1), (2, 3)]

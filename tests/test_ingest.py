@@ -90,7 +90,7 @@ class TestParseQuickdraw:
         )
         sk = item.sketch
         assert sk.s.tolist() == [0, 0, 0, 1, 0, 1]
-        assert len(segment_table(sk, include_point_discs=False)) == 4
+        assert len(segment_table(sk)) == 4
 
 
 _json_values = st.recursive(
@@ -153,15 +153,6 @@ class TestLoadDataset:
         (tmp_path / "alpha.ndjson").write_text("\n".join(lines_a) + "\n")
         return tmp_path
 
-    def test_cap_honored(self, tmp_path):
-        ds = load_dataset(self._write_dir(tmp_path), "train", max_items_per_category=2)
-        assert len(ds) == 4
-        assert ds.categories == ["alpha", "beta"]
-
-    def test_cap_zero_raises(self, tmp_path):
-        with pytest.raises(EmptyDatasetError):
-            load_dataset(self._write_dir(tmp_path), "train", max_items_per_category=0)
-
     def test_deterministic_order(self, tmp_path):
         d = self._write_dir(tmp_path)
         ds1 = load_dataset(d, "train")
@@ -183,8 +174,11 @@ class TestLoadDataset:
         ds = synth_dataset(3, seed=1, split="train")
         path = tmp_path / "ds.json"
         save_internal(ds, path)
-        back = load_dataset(path, "train", max_items_per_category=2)
-        assert len(back) == 12
+        back = load_dataset(path, "valid")
+        assert back.split == "valid" and back.categories == ds.categories
+        assert [(it.label, it.sketch.xy.tolist()) for it in back.items] == [
+            (it.label, it.sketch.xy.tolist()) for it in ds.items
+        ]
 
 
 class TestSynthetic:

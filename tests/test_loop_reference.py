@@ -32,11 +32,11 @@ def test_constructor_matches_loop(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=_rows, discs=st.booleans())
-def test_segment_table_and_slices_match_loop(rows, discs):
+@given(rows=_rows)
+def test_segment_table_and_slices_match_loop(rows):
     sk = ref.validate_and_normalize(rows)
     assert stroke_slices(sk) == ref.stroke_slices(sk)
-    got, expected = segment_table(sk, discs), ref.segment_table(sk, discs)
+    got, expected = segment_table(sk), ref.segment_table(sk)
     assert got.start.dtype == expected.start.dtype == np.int32
     assert got.end.dtype == expected.end.dtype == np.int32
     assert got.start.tolist() == expected.start.tolist()

@@ -25,7 +25,7 @@ from sketchattn.pipeline import _batch_inputs
 
 def small_rnn(seed=0, hidden=8):
     rng = np.random.default_rng(seed)
-    cfg = RnnConfig(hidden_size=hidden, num_layers=2, bidirectional=True, dropout_prob=0.0)
+    cfg = RnnConfig(hidden_size=hidden, num_layers=2, dropout_prob=0.0)
     return cfg, init_rnn_params(rng, cfg)
 
 
@@ -277,7 +277,7 @@ class TestRnnAttention:
 
     def test_train_mode_requires_rng_for_dropout(self):
         rng = np.random.default_rng(7)
-        cfg = RnnConfig(hidden_size=4, num_layers=2, bidirectional=True, dropout_prob=0.5)
+        cfg = RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.5)
         params = init_rnn_params(rng, cfg)
         sk = random_sketch(rng, 4, 64, 64)
         with pytest.raises(ValueError):
@@ -285,13 +285,13 @@ class TestRnnAttention:
         out = attention_for(sk, cfg, params, "train", rng=rng)
         assert out.data.shape == (1, sk.n)
 
-    def test_unidirectional_supported(self):
-        rng = np.random.default_rng(8)
-        cfg = RnnConfig(hidden_size=6, num_layers=1, bidirectional=False, dropout_prob=0.0)
-        params = init_rnn_params(rng, cfg)
-        sk = random_sketch(rng, 6, 64, 64)
-        attn = attention_for(sk, cfg, params)
-        assert attn.data.shape == (1, sk.n)
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_input_width_is_the_offset_encoding(self, width):
+        cfg, params = small_rnn()
+        assert params["rnn.l0.fw.wx"].data.shape == (3, 4 * cfg.hidden_size)
+        assert params["head.w"].data.shape == (2 * cfg.hidden_size, 1)
+        with pytest.raises(ShapeMismatchError, match=f"dim {width} != 3"):
+            rnn_attention_batch(Tape(), np.zeros((1, 4, width)), np.array([4]), params, cfg)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -549,26 +549,28 @@ class TestAdam:
 
 class TestModelStateAndCheckpoints:
     def test_init_deterministic(self):
-        cfg = RnnConfig(hidden_size=8, num_layers=2, bidirectional=True)
+        cfg = RnnConfig(hidden_size=8, num_layers=2)
         p1 = init_rnn_params(np.random.default_rng(5), cfg)
         p2 = init_rnn_params(np.random.default_rng(5), cfg)
         for k in p1:
             np.testing.assert_array_equal(p1[k].data, p2[k].data)
 
     def test_forget_gate_bias_one(self):
-        cfg = RnnConfig(hidden_size=8, num_layers=1, bidirectional=False)
+        cfg = RnnConfig(hidden_size=8, num_layers=1)
         params = init_rnn_params(np.random.default_rng(0), cfg)
-        b = params["rnn.l0.fw.b"].data
-        np.testing.assert_array_equal(b[8:16], np.ones(8))
-        np.testing.assert_array_equal(b[:8], np.zeros(8))
+        for d in ("fw", "bw"):
+            b = params[f"rnn.l0.{d}.b"].data
+            np.testing.assert_array_equal(b[8:16], np.ones(8))
+            np.testing.assert_array_equal(b[:8], np.zeros(8))
 
     def test_recurrent_blocks_orthogonal(self):
-        cfg = RnnConfig(hidden_size=16, num_layers=1, bidirectional=False)
+        cfg = RnnConfig(hidden_size=16, num_layers=1)
         params = init_rnn_params(np.random.default_rng(1), cfg)
-        wh = params["rnn.l0.fw.wh"].data
-        for k in range(4):
-            blk = wh[:, 16 * k : 16 * (k + 1)]
-            np.testing.assert_allclose(blk.T @ blk, np.eye(16), atol=1e-10)
+        for d in ("fw", "bw"):
+            wh = params[f"rnn.l0.{d}.wh"].data
+            for k in range(4):
+                blk = wh[:, 16 * k : 16 * (k + 1)]
+                np.testing.assert_allclose(blk.T @ blk, np.eye(16), atol=1e-10)
 
     def test_num_params_reported(self):
         state = ModelState(params={"a": ad.parameter(np.zeros((3, 4))), "b": ad.parameter(np.zeros(5))})

@@ -1,20 +1,29 @@
 """The benchmark's tracer wraps package functions by name and reads their
 arguments and results; a rename or a signature drift must fail here, not
-only when the benchmark runs."""
+only when the benchmark runs. The benchmark's own correctness gate runs
+here too."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module's annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("tracer")
 
 
 def test_every_traced_name_exists():
@@ -35,7 +44,7 @@ def test_counters_match_direct_counts():
     ds = synth_dataset(1, 0)
     cfg = desk_config(
         len(ds.categories), epochs=1, batch_size=4,
-        rnn=RnnConfig(hidden_size=4, num_layers=2, bidirectional=True, dropout_prob=0.2),
+        rnn=RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.2),
         cnn=CnnConfig(stages=((3, 4, 2),), num_classes=len(ds.categories)),
         raster=RasterConfig(width=16, height=16, epsilon=1.0),
         augment=AugmentConfig(reflect=False, stroke_removal=False, jitter=False),
@@ -61,9 +70,21 @@ def test_counters_match_direct_counts():
 
     counts = tracer.counts
     assert counts["rnn.real_steps"] == sum(sk.n for sk in prepared)
-    discs = cfg.raster.render_point_discs
-    assert counts["raster.segments"] == sum(len(segment_table(sk, discs)) for sk in rastered)
+    assert counts["raster.segments"] == sum(len(segment_table(sk)) for sk in rastered)
     assert counts["raster.owned_pixels"] == sum(int(np.count_nonzero(o >= 0)) for o in owners)
     assert counts["tape.backwards"] == batches
     assert counts["tape.ops"] == batches * len(tape)
     assert tracer.per_layer()["tape.ops"] == (len(tape), "count")
+
+
+@pytest.mark.parametrize("workload", ["desk", "longseq"])
+def test_reference_check_passes(workload, tmp_path):
+    # the stored seed-0 loss (rtol 1e-7) and one checked operation of each
+    # phase, as every benchmark run does before it measures
+    wl = _load("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    with wl.Probes() as probes:
+        res = wl.reference_check(wl.WORKLOADS[workload], reference, probes, str(tmp_path))
+    assert res.errors == []
+    assert res.failed == 0 and res.attempted > 0
+    assert len(res.final_losses) == 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sketchattn.errors import InvalidConfigError, LabelOutOfRangeError, ShapeMismatchError
+from sketchattn.errors import InvalidConfigError, LabelOutOfRangeError, ShapeMismatchError, VersionMismatchError
 from sketchattn.geometry import validate_and_normalize
 from sketchattn.ingest import LabeledSketch, synth_dataset, synth_generate
 from sketchattn.net import autodiff as ad
@@ -20,6 +20,7 @@ from sketchattn.pipeline import (
     forward_classify,
     init_model_state,
     load_model,
+    paper_scale_config,
     prepare_sketch,
     randomize_stroke_order,
     train,
@@ -27,7 +28,7 @@ from sketchattn.pipeline import (
 from sketchattn.raster import RasterConfig, rasterize_forward
 
 TINY = dict(
-    rnn=RnnConfig(hidden_size=8, num_layers=2, bidirectional=True, dropout_prob=0.0),
+    rnn=RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0),
     cnn=CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2),
     raster=RasterConfig(width=16, height=16, epsilon=1.0),
 )
@@ -272,10 +273,20 @@ class TestTrainEvaluate:
         assert (tmp_path / "best.ckpt.json").exists()
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["format"] == "sketchattn-metrics"
+        assert header == {"format": "sketchattn-metrics", "version": 1}
         assert len(lines) == 3
         rec = json.loads(lines[1])
         assert set(rec) == {"epoch", "train_loss", "train_acc", "valid_acc", "test_acc"}
+
+    def test_test_accuracy_whenever_a_test_set_is_given(self):
+        cfg = tiny_config(epochs=1)
+        cats = ("square_cw", "square_ccw")
+        train_ds = synth_dataset(3, seed=5, split="train", categories=cats)
+        test_ds = synth_dataset(2, seed=5, split="test", categories=cats)
+        state, metrics = train(cfg, train_ds, test_ds=test_ds)
+        assert metrics.final.test_acc == evaluate(state, cfg, test_ds)
+        _, metrics = train(cfg, train_ds)
+        assert metrics.final.test_acc is None
 
     def test_early_stopping(self):
         cfg = tiny_config(epochs=50, early_stop_train_acc=0.0)
@@ -335,6 +346,25 @@ class TestLoadModel:
         with pytest.raises(ShapeMismatchError, match=r"cnn\.fc\.b.*\(1, 2\)"):
             load_model(self._checkpoint(tmp_path, reshape))
 
+    @pytest.mark.parametrize(
+        "group, edit, named",
+        [
+            ("adam_m", lambda m: m.pop("head.b"), "head.b has shape none"),
+            ("adam_v", lambda v: v.update({"cnn.fc.b": np.zeros((1, 2))}), r"cnn.fc.b has shape \(1, 2\)"),
+            ("adam_v", lambda v: v.update({"extra": np.zeros(1)}), "extra has shape"),
+        ],
+        ids=["missing", "reshaped", "unknown"],
+    )
+    def test_moments_match_parameters(self, tmp_path, group, edit, named):
+        # ModelState fills a missing moment with zeros and adam_step would
+        # broadcast a reshaped one, so the file's moments are checked as read
+        state = init_model_state(tiny_config())
+        edit(state.m if group == "adam_m" else state.v)
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(state, path)
+        with pytest.raises(ShapeMismatchError, match=f"{group} {named}"):
+            load_model(path)
+
 
 class TestExperimentConfig:
     def test_json_round_trip(self):
@@ -343,10 +373,28 @@ class TestExperimentConfig:
         back = ExperimentConfig.from_json_dict(d)
         assert back == cfg
 
-    def test_round_trip_without_simplify(self):
-        cfg = desk_config(2, simplify=None)
-        back = ExperimentConfig.from_json_dict(cfg.to_json_dict())
-        assert back.simplify is None
+    def test_paper_scale_round_trip(self):
+        cfg = paper_scale_config(6, seed=4, finetune=True)
+        d = json.loads(json.dumps(cfg.to_json_dict()))
+        assert d["version"] == 2
+        assert ExperimentConfig.from_json_dict(d) == cfg
+
+    @pytest.mark.parametrize("version", [1, 99, None])
+    def test_other_versions_rejected(self, version):
+        d = desk_config(2).to_json_dict()
+        if version is None:
+            del d["version"]
+        else:
+            d["version"] = version
+        with pytest.raises(VersionMismatchError, match=f"version {version}"):
+            ExperimentConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("key", ["beta_one", "beta1", "canvas_pad", "eval_test_each_epoch"])
+    def test_unknown_top_level_key_named(self, key):
+        d = desk_config(2).to_json_dict()
+        d[key] = 0.5
+        with pytest.raises(InvalidConfigError, match=f"'{key}'"):
+            ExperimentConfig.from_json_dict(d)
 
     @pytest.mark.parametrize("section", ["rnn", "cnn", "raster", "simplify", "augment"])
     def test_unknown_nested_key_named(self, section):
@@ -398,7 +446,7 @@ class TestExperimentConfig:
         assert cfg.lr == 1e-4
         assert cfg.rnn.hidden_size == 512
         assert cfg.rnn.num_layers == 2
-        assert cfg.rnn.bidirectional and cfg.rnn.dropout_prob == 0.5
+        assert cfg.rnn.feature_size == 1024 and cfg.rnn.dropout_prob == 0.5
         assert cfg.raster.width == cfg.raster.height == 224
         assert cfg.cnn.stages == ((3, 16, 2), (3, 32, 2), (3, 64, 2))
 

@@ -103,13 +103,6 @@ class TestForward:
         table = amap.table
         assert len(table) == 1 and table.start[0] == table.end[0] == 0
 
-    def test_point_discs_disabled(self):
-        sk = make([(16.5, 16.5, 1)])
-        cfg = RasterConfig(32, 32, 1.5, render_point_discs=False)
-        amap = rasterize_forward(sk, [0.8], cfg)
-        assert not (amap.owner >= 0).any()
-        assert np.all(amap.intensities == 0.0)
-
     def test_attention_outside_unit_interval_accepted(self):
         sk = make([(5, 5, 0), (20, 5, 1)])
         amap = rasterize_forward(sk, [-1.0, 3.0], CFG64)
@@ -158,13 +151,6 @@ class TestOracleEquivalence:
             assert np.array_equal(fast.alpha, ref.alpha)
             assert np.array_equal(fast.intensities, ref.intensities)
 
-    def test_all_end_states_no_discs_zero_image(self):
-        sk = make([(4, 4, 1), (20, 20, 1)])
-        cfg = RasterConfig(32, 32, 1.0, render_point_discs=False)
-        ref = oracle_rasterize(sk, [1.0, 1.0], cfg)
-        assert np.all(ref.intensities == 0.0)
-        assert not (ref.owner >= 0).any()
-
     def test_single_pixel_canvas(self):
         sk = make([(0.2, 0.5, 0), (0.9, 0.5, 1)])
         ref = oracle_rasterize(sk, [1.0, 1.0], RasterConfig(1, 1, 1.0))
@@ -183,15 +169,14 @@ class TestOracleDifferential:
         size=st.tuples(st.integers(1, 48), st.integers(1, 48)),
         shift=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
         eps=st.floats(0.3, 3.0),
-        discs=st.booleans(),
     )
-    def test_bitwise_equal_to_oracle(self, seed, size, shift, eps, discs):
+    def test_bitwise_equal_to_oracle(self, seed, size, shift, eps):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 16))
         xy = (rng.uniform(0.0, 1.0, size=(n, 2)) + shift) * size
         sk = validate_and_normalize(np.column_stack([xy, rng.random(n) < 0.3]))
         a = rng.uniform(-0.5, 1.5, sk.n)
-        cfg = RasterConfig(size[0], size[1], eps, render_point_discs=discs)
+        cfg = RasterConfig(size[0], size[1], eps)
         fast = rasterize_forward(sk, a, cfg)
         ref = oracle_rasterize(sk, a, cfg)
         assert np.array_equal(fast.owner, ref.owner)
@@ -405,9 +390,3 @@ class TestSegmentTable:
         t = segment_table(sk)
         assert t.start.tolist() == [0, 2, 3]
         assert t.end.tolist() == [1, 2, 4]
-
-    def test_without_discs(self):
-        sk = make([(0, 0, 0), (5, 0, 1), (9, 9, 1)])
-        t = segment_table(sk, include_point_discs=False)
-        assert t.start.tolist() == [0]
-        assert t.end.tolist() == [1]
