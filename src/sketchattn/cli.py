@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import CategoryMismatchError, SketchError
+from .errors import CategoryMismatchError, InvalidConfigError, MalformedDocumentError, SketchError
 from .geometry import VectorSketch, normalize_to_canvas
 from .ingest import (
     SYNTH_CATEGORIES,
@@ -72,6 +72,21 @@ def _load_input_sketch(path: str) -> VectorSketch:
     return load_sketch(path)
 
 
+def _load_attention(path) -> np.ndarray:
+    """An attention file: a JSON list of numbers, one per sketch point."""
+    with open(path) as f:
+        try:
+            values = json.load(f)
+        except ValueError as exc:
+            raise MalformedDocumentError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise MalformedDocumentError(f"{path}: attention is not a flat list of numbers")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise MalformedDocumentError(f"{path}: attention value out of range: {exc}") from exc
+
+
 def cmd_rasterize(args) -> int:
     sketch = _load_input_sketch(args.input)
     config = RasterConfig(width=args.width, height=args.height, epsilon=args.eps)
@@ -81,9 +96,10 @@ def cmd_rasterize(args) -> int:
         attention = np.ones(sketch.n)
     elif args.attention == "ramp":
         attention = order_ramp(sketch.n)
+    elif args.attention_file is None:
+        raise InvalidConfigError("--attention file needs --attention-file")
     else:
-        with open(args.attention_file) as f:
-            attention = np.asarray(json.load(f), dtype=np.float64)
+        attention = _load_attention(args.attention_file)
     amap = rasterize_forward(sketch, attention, config)
     write_pgm(amap.intensities, args.out)
     if args.json_grid:
@@ -173,7 +189,7 @@ def cmd_predict(args) -> int:
     state, cfg = load_model(args.checkpoint)
     categories = state.config.get("categories")
     sketch = prepare_sketch(_load_input_sketch(args.input), cfg)
-    logits, _attention, amap = forward_classify(state, cfg, sketch, mode="eval")
+    logits, _attention, amap = forward_classify(state, cfg, sketch)
     label = int(np.argmax(logits))
     if args.out_map:
         write_pgm(amap.intensities, args.out_map)
@@ -212,7 +228,7 @@ def _rnn_profile(seed: int):
     w = rng.normal(size=(1, sketch.n))
 
     def fn(tape: Tape) -> Tensor:
-        attn = rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg, "eval")
+        attn = rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg)
         return ad.sum_all(tape, ad.mul_const(tape, attn, w))
 
     return fn, params
@@ -257,7 +273,7 @@ def _full_profile(seed: int):
     labels = np.array([0])
 
     def fn(tape: Tape) -> Tensor:
-        logits, _, _ = _forward_batch(state, cfg, [sketch], "eval", tape)
+        logits, _, _ = _forward_batch(state, cfg, [sketch], tape)
         return cross_entropy_logits(tape, logits, labels)
 
     return fn, state.params

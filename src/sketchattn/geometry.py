@@ -1,5 +1,5 @@
-"""The vector sketch type, its one validating constructor, and the canvas
-transform.
+"""The vector sketch type, its one validating constructor, the canvas
+transform, and point-to-segment distance.
 
 A sketch is an ordered sequence of points (x, y, s). The binary state s
 marks stroke structure: s=0 means a line segment connects the point to its
@@ -131,3 +131,20 @@ def stroke_slices(sketch: VectorSketch) -> list[tuple[int, int]]:
     ends = np.flatnonzero(sketch.s == 1) + 1
     starts = np.concatenate(([0], ends[:-1]))
     return list(zip(starts.tolist(), ends.tolist()))
+
+
+def segment_projection(relx, rely, vx, vy):
+    """Clamped projection of points onto closed segments: (t, d2).
+
+    relx, rely: point minus segment start; vx, vy: segment end minus start;
+    any broadcastable shapes. t in [0, 1] is the projection parameter of
+    the nearest segment point, d2 the squared distance to it. A degenerate
+    segment (vx² + vy² == 0) projects to t = 0, its start.
+    """
+    L2 = vx * vx + vy * vy
+    num = relx * vx + rely * vy
+    t = np.divide(num, L2, out=np.zeros_like(num), where=L2 > 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    dx = relx - t * vx
+    dy = rely - t * vy
+    return t, dx * dx + dy * dy

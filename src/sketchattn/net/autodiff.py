@@ -3,15 +3,15 @@
 Every operation computes its numpy result eagerly and states its backward
 as one vjp per operand. op() wraps the result and, when any operand
 requires gradients, records one closure that adds each vjp of the
-output's gradient into its operand. The fused LSTM layer records its own
-closure because its four gradients share one BPTT pass; it accumulates
-them the same way. backward() replays the closures in exact reverse
-recording order, which is a valid reverse topological order because
-tensors are created before they are consumed.
+output's gradient into its operand; it is the one place a closure is
+recorded, the fused LSTM layer included, whose four vjps share one BPTT
+pass. backward() replays the closures in exact reverse recording order,
+which is a valid reverse topological order because tensors are created
+before they are consumed.
 
-The op set covers exactly what the sketch pipeline needs (a fused LSTM
-layer, a small CNN, softmax cross entropy); it is not a general-purpose
-autodiff.
+The op set covers exactly what the sketch pipeline runs (a fused LSTM
+layer, a linear head, a small CNN, softmax cross entropy); it is not a
+general-purpose autodiff.
 """
 
 from __future__ import annotations
@@ -80,16 +80,6 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, dim in enumerate(shape):
-        if dim == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
 def op(tape: Tape, data, *edges) -> Tensor:
     """Wrap a forward result as a tensor and record its backward closure.
 
@@ -97,51 +87,38 @@ def op(tape: Tape, data, *edges) -> Tensor:
     the operand's (any shape that broadcasts onto it). The one closure,
     recorded only when some operand requires a gradient, skips an output
     the loss never reached and runs only the vjps of operands that
-    require a gradient.
+    require a gradient, in edge order.
     """
     out = Tensor(data, any(t.requires_grad for t, _ in edges))
     if out.requires_grad:
 
         def bwd():
-            if out.grad is not None:
-                _accumulate(edges, out.grad)
+            if out.grad is None:
+                return
+            for t, vjp in edges:
+                if t.requires_grad:
+                    t.ensure_grad()
+                    t.grad += vjp(out.grad)
 
         tape.record(bwd)
     return out
 
 
-def _accumulate(edges, g: np.ndarray) -> None:
-    for t, vjp in edges:
-        if t.requires_grad:
-            t.ensure_grad()
-            t.grad += vjp(g)
-
-
-def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return op(
-        tape,
-        a.data + b.data,
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
-    )
-
-
-def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return op(
-        tape,
-        a.data * b.data,
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-    )
-
-
 def mul_const(tape: Tape, a: Tensor, c) -> Tensor:
+    """a * c for a constant c that broadcasts to a's shape."""
     c = np.asarray(c, dtype=np.float64)
-    return op(tape, a.data * c, (a, lambda g: _unbroadcast(g * c, a.data.shape)))
+    return op(tape, a.data * c, (a, lambda g: g * c))
 
 
-def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return op(tape, a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x (N, D) @ w (D, K) + b (K,)."""
+    return op(
+        tape,
+        x.data @ w.data + b.data,
+        (x, lambda g: g @ w.data.T),
+        (w, lambda g: x.data.T @ g),
+        (b, lambda g: g.sum(axis=0)),
+    )
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -155,11 +132,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(tape: Tape, a: Tensor) -> Tensor:
     s = _stable_sigmoid(a.data)
     return op(tape, s, (a, lambda g: g * s * (1.0 - s)))
-
-
-def tanh(tape: Tape, a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    return op(tape, t, (a, lambda g: g * (1.0 - t * t)))
 
 
 def relu(tape: Tape, a: Tensor) -> Tensor:
@@ -186,9 +158,9 @@ def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None)
 
     Gate order i, f, g, o; step t computes z = (x_t wx + h_{t-1} wh) + b.
     The input projection of all T steps is one GEMM and the recurrence
-    runs on plain arrays, so the layer records a single closure. Its
-    backward is hand-written BPTT over the stored gates into dZ, then one
-    GEMM per gradient over all B*T rows.
+    runs on plain arrays, so the layer is a single tape op. Its four vjps
+    share one hand-written BPTT pass over the stored gates into dZ, run by
+    whichever vjp is called first; each is then one GEMM over all B*T rows.
 
     Given per-item lengths (B,), the layer runs backwards: it reads each
     real prefix reversed, then the padding in place, and returns its states
@@ -222,45 +194,46 @@ def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None)
         tcs.append(tc)
         hs.append(h)
     h_run = np.stack(hs, axis=1)  # in the order the recurrence ran
-    out = Tensor(run_order(h_run), any(t.requires_grad for t in (x, wx, wh, b)))
-    if out.requires_grad:
+    dz_run = []  # dZ (B*T, 4H), filled by whichever vjp runs first
 
-        def bwd():
-            if out.grad is None:
-                return
-            a4 = np.stack(acts).reshape(T, B, 4, H)
-            i, f, g, o = a4[:, :, 0], a4[:, :, 1], a4[:, :, 2], a4[:, :, 3]
-            tc = np.stack(tcs)
-            c_prev = np.stack([np.zeros((B, H))] + cs[:-1])
-            # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o)
-            k = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)], axis=2)
-            dc_dh = o * (1.0 - tc * tc)
-            dz = np.empty((B, T, 4, H))
-            dh_next = np.zeros((B, H))
-            dc_next = np.zeros((B, H))
-            dout = run_order(out.grad)
-            for t in range(T - 1, -1, -1):
-                dh = dout[:, t] + dh_next
-                dc = dh * dc_dh[t] + dc_next
-                dz_t = dz[:, t]
-                dz_t[:, :3] = k[t, :, :3] * dc[:, None, :]
-                dz_t[:, 3] = k[t, :, 3] * dh
-                dh_next = dz_t.reshape(B, 4 * H) @ wh.data.T
-                dc_next = dc * f[t]
-            dz = dz.reshape(B * T, 4 * H)
-            h_prev = np.concatenate([np.zeros((B, 1, H)), h_run[:, :-1]], axis=1).reshape(B * T, H)
-            _accumulate(
-                (
-                    (x, lambda d: run_order((d @ wx.data.T).reshape(B, T, D))),
-                    (wx, lambda d: xs.reshape(B * T, D).T @ d),
-                    (wh, lambda d: h_prev.T @ d),
-                    (b, lambda d: d.sum(axis=0)),
-                ),
-                dz,
-            )
+    def dz(grad):
+        if dz_run:
+            return dz_run[0]
+        a4 = np.stack(acts).reshape(T, B, 4, H)
+        i, f, g, o = a4[:, :, 0], a4[:, :, 1], a4[:, :, 2], a4[:, :, 3]
+        tc = np.stack(tcs)
+        c_prev = np.stack([np.zeros((B, H))] + cs[:-1])
+        # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o)
+        k = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)], axis=2)
+        dc_dh = o * (1.0 - tc * tc)
+        d = np.empty((B, T, 4, H))
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        dout = run_order(grad)
+        for t in range(T - 1, -1, -1):
+            dh = dout[:, t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            d_t = d[:, t]
+            d_t[:, :3] = k[t, :, :3] * dc[:, None, :]
+            d_t[:, 3] = k[t, :, 3] * dh
+            dh_next = d_t.reshape(B, 4 * H) @ wh.data.T
+            dc_next = dc * f[t]
+        dz_run.append(d.reshape(B * T, 4 * H))
+        del acts[:], cs[:], tcs[:]  # spent: dZ is all the vjps need of them
+        return dz_run[0]
 
-        tape.record(bwd)
-    return out
+    def dwh(grad):
+        h_prev = np.concatenate([np.zeros((B, 1, H)), h_run[:, :-1]], axis=1).reshape(B * T, H)
+        return h_prev.T @ dz(grad)
+
+    return op(
+        tape,
+        run_order(h_run),
+        (x, lambda g: run_order((dz(g) @ wx.data.T).reshape(B, T, D))),
+        (wx, lambda g: xs.reshape(B * T, D).T @ dz(g)),
+        (wh, dwh),
+        (b, lambda g: dz(g).sum(axis=0)),
+    )
 
 
 def dropout(tape: Tape, a: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -1,6 +1,6 @@
 """Central finite-difference checking of analytic gradients.
 
-The function under test must be deterministic (eval mode): it is called
+The function under test must be deterministic (no dropout rng): it is called
 once per probed entry with a parameter nudged by +/-step. Relative errors
 use max(|analytic|, |numeric|, 1e-6) as the denominator so vanishing
 gradients do not produce spurious failures from finite-difference noise.
@@ -72,6 +72,8 @@ def grad_check(
     comparison; it exists so harness self-tests can confirm that a broken
     gradient is actually flagged.
     """
+    if max_entries_per_param is not None and max_entries_per_param < 1:
+        raise InvalidConfigError(f"max_entries_per_param must be >= 1, got {max_entries_per_param}")
     tape = Tape()
     loss = fn(tape)
     backward(tape, loss)

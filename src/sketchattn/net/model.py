@@ -105,17 +105,14 @@ def rnn_attention_batch(
     lengths: np.ndarray,
     params: dict[str, Tensor],
     cfg: RnnConfig,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
+    dropout_rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Batched attention head over padded (B, T, INPUT_SIZE) sequences.
 
     Returns a (B, T) tensor of attentions in (0, 1); entries past each
-    item's length are forced to zero. In train mode dropout runs between
-    LSTM layers (rng required).
+    item's length are forced to zero. Given an rng (training), dropout
+    runs between LSTM layers.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError("mode must be 'train' or 'eval'")
     B, T, D = inputs.shape
     if D != INPUT_SIZE:
         raise ShapeMismatchError(f"input feature dim {D} != {INPUT_SIZE}")
@@ -127,16 +124,12 @@ def rnn_attention_batch(
         p = f"rnn.l{layer}"
         h_fw = ad.lstm(tape, x, params[f"{p}.fw.wx"], params[f"{p}.fw.wh"], params[f"{p}.fw.b"])
         h_bw = ad.lstm(tape, x, params[f"{p}.bw.wx"], params[f"{p}.bw.wh"], params[f"{p}.bw.b"], lengths)
-        layer_out = ad.concat(tape, [h_fw, h_bw], axis=2)
-        if layer < cfg.num_layers - 1 and mode == "train" and cfg.dropout_prob > 0.0:
-            if rng is None:
-                raise ValueError("train mode needs an rng for dropout")
-            layer_out = ad.dropout(tape, layer_out, cfg.dropout_prob, rng)
-        x = layer_out
+        x = ad.concat(tape, [h_fw, h_bw], axis=2)
+        if layer < cfg.num_layers - 1 and dropout_rng is not None and cfg.dropout_prob > 0.0:
+            x = ad.dropout(tape, x, cfg.dropout_prob, dropout_rng)
 
-    feat = cfg.feature_size
-    flat = ad.reshape(tape, layer_out, (B * T, feat))
-    z = ad.add(tape, ad.matmul(tape, flat, params["head.w"]), params["head.b"])
+    flat = ad.reshape(tape, x, (B * T, cfg.feature_size))
+    z = ad.linear(tape, flat, params["head.w"], params["head.b"])
     attn = ad.reshape(tape, ad.sigmoid(tape, z), (B, T))
     return ad.mul_const(tape, attn, mask)
 
@@ -148,4 +141,4 @@ def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg
         x = ad.relu(tape, ad.conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]))
         x = ad.maxpool2d(tape, x, pool)
     x = ad.global_avg_pool(tape, x)
-    return ad.add(tape, ad.matmul(tape, x, params["cnn.fc.w"]), params["cnn.fc.b"])
+    return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])

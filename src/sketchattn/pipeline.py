@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, LabelOutOfRangeError, NonFiniteLossError, ShapeMismatchError, VersionMismatchError
 from .geometry import VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
-from .ingest import Dataset, LabeledSketch
+from .ingest import Dataset
 from .net import autodiff as ad
 from .net.autodiff import Tape, Tensor, backward, cross_entropy_logits
 from .net.model import (
@@ -75,6 +75,31 @@ _SECTIONS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON value checks by declared field type: (test, what the value must be)
+_VALUE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float | None": (lambda v: v is None or _is_int(v) or isinstance(v, float), "null or a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[tuple[int, int, int], ...]": (
+        lambda v: isinstance(v, list) and all(isinstance(s, list) and len(s) == 3 and all(map(_is_int, s)) for s in v),
+        "a list of [kernel, channels, pool] integer triples",
+    ),
+}
+
+
+def _check_values(where: str, cls, values: dict) -> None:
+    """Reject a JSON value of the wrong type for its field of cls, by name."""
+    for f in dataclasses.fields(cls):
+        test, what = _VALUE_CHECKS.get(f.type, (None, None))
+        if test is not None and f.name in values and not test(values[f.name]):
+            raise InvalidConfigError(f"{where}: {f.name!r} must be {what}, got {values[f.name]!r}")
+
+
 def _config_section(name: str, cls, value):
     """One nested config section from its JSON object; absent keys take
     their defaults, unknown keys and ill-typed values are rejected."""
@@ -83,6 +108,7 @@ def _config_section(name: str, cls, value):
     unknown = sorted(value.keys() - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise InvalidConfigError(f"config section {name!r} has unknown key {unknown[0]!r}")
+    _check_values(f"config section {name!r}", cls, value)
     try:
         return cls(**value)
     except (TypeError, ValueError) as exc:
@@ -107,8 +133,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidConfigError(f"variant must be one of {VARIANTS}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise InvalidConfigError("batch_size must be >= 1 and epochs >= 0")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"config {name!r} must be >= 1, got {getattr(self, name)}")
 
     @property
     def uses_rnn(self) -> bool:
@@ -133,6 +160,7 @@ class ExperimentConfig:
         if unknown:
             raise InvalidConfigError(f"config has unknown key {unknown[0]!r}")
         kw = {k: v for k, v in d.items() if k in known}
+        _check_values("config", ExperimentConfig, kw)
         for name, cls in _SECTIONS.items():
             if name in kw:
                 kw[name] = _config_section(name, cls, kw[name])
@@ -333,7 +361,6 @@ def _forward_batch(
     state: ModelState,
     config: ExperimentConfig,
     sketches: list[VectorSketch],
-    mode: str,
     tape: Tape,
     dropout_rng: np.random.Generator | None = None,
     order_rng: np.random.Generator | None = None,
@@ -343,18 +370,16 @@ def _forward_batch(
     Returns (logits Tensor (B, C), attention Tensor (B, T), maps). The
     attention is the RNN's output, or the fixed ones (cnn_only_binary) or
     order ramp (order_encoded_cnn) of the baselines, padded with zeros.
+    Given rngs, it is a training step: dropout_rng drives the RNN's dropout
+    and order_rng the random_stroke_order_r2cnn stroke shuffle.
     """
     cfg_r = config.raster
-    if config.variant == "random_stroke_order_r2cnn" and mode == "train":
-        # order disruption is a training-time treatment; evaluation keeps
-        # the drawn order so it stays deterministic
-        if order_rng is None:
-            order_rng = np.random.default_rng(0)
+    if config.variant == "random_stroke_order_r2cnn" and order_rng is not None:
         sketches = [randomize_stroke_order(sk, order_rng) for sk in sketches]
 
     if config.uses_rnn:
         inputs, lengths = _batch_inputs(sketches, cfg_r.width)
-        attn = rnn_attention_batch(tape, inputs, lengths, state.params, config.rnn, mode, dropout_rng)
+        attn = rnn_attention_batch(tape, inputs, lengths, state.params, config.rnn, dropout_rng)
     else:
         fixed = np.zeros((len(sketches), max(sk.n for sk in sketches)))
         for b, sk in enumerate(sketches):
@@ -365,28 +390,17 @@ def _forward_batch(
     return logits, attn, maps
 
 
-def forward_classify(
-    state: ModelState,
-    config: ExperimentConfig,
-    item: LabeledSketch | VectorSketch,
-    mode: str = "eval",
-    tape: Tape | None = None,
-    rng: np.random.Generator | None = None,
-):
-    """Classify one canvas-space sketch.
+def forward_classify(state: ModelState, config: ExperimentConfig, sketch: VectorSketch):
+    """Classify one canvas-space sketch, deterministically (no dropout, drawn
+    stroke order).
 
     Returns (logits (C,), attention values or None, AttentionMap). The
     attention entry is the learned per-point sequence for RNN variants,
     the deterministic ramp for order_encoded_cnn, and None for
     cnn_only_binary.
     """
-    sk = item.sketch if isinstance(item, LabeledSketch) else item
-    tape = tape if tape is not None else Tape()
-    logits, attn, maps = _forward_batch(
-        state, config, [sk], mode, tape,
-        dropout_rng=rng, order_rng=rng,
-    )
-    attention = None if config.variant == "cnn_only_binary" else attn.data[0, : sk.n].copy()
+    logits, attn, maps = _forward_batch(state, config, [sketch], Tape())
+    attention = None if config.variant == "cnn_only_binary" else attn.data[0, : sketch.n].copy()
     return logits.data[0].copy(), attention, maps[0]
 
 
@@ -396,7 +410,7 @@ def _accuracy(state, config, prepared, labels) -> float:
         raise LabelOutOfRangeError(f"labels must lie in [0, {config.cnn.num_classes})")
     correct = 0
     for lo in range(0, len(prepared), config.batch_size):
-        logits, _, _ = _forward_batch(state, config, prepared[lo : lo + config.batch_size], "eval", Tape())
+        logits, _, _ = _forward_batch(state, config, prepared[lo : lo + config.batch_size], Tape())
         correct += int((logits.data.argmax(axis=1) == labels[lo : lo + config.batch_size]).sum())
     return correct / len(prepared)
 
@@ -478,7 +492,7 @@ def train(
             tape = Tape()
             dropout_rng = np.random.default_rng((config.seed, 3, epoch, step))
             order_rng = np.random.default_rng((config.seed, 4, epoch, step))
-            logits, _, _ = _forward_batch(state, config, sketches, "train", tape, dropout_rng, order_rng)
+            logits, _, _ = _forward_batch(state, config, sketches, tape, dropout_rng, order_rng)
             loss = cross_entropy_logits(tape, logits, y)
             if not np.isfinite(loss.data):
                 dump = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, LengthMismatchError, NonFiniteAttentionError, ShapeMismatchError
-from .geometry import VectorSketch
+from .geometry import VectorSketch, segment_projection
 
 
 @dataclass(frozen=True)
@@ -117,19 +117,7 @@ def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> 
             continue
         cx = np.arange(c0, c1 + 1, dtype=np.float64) + 0.5
         cy = np.arange(r0, r1 + 1, dtype=np.float64) + 0.5
-        vx = x1 - x0
-        vy = y1 - y0
-        L2 = vx * vx + vy * vy
-        relx = cx[None, :] - x0
-        rely = cy[:, None] - y0
-        if L2 > 0.0:
-            t = (relx * vx + rely * vy) / L2
-            al = np.minimum(np.maximum(t, 0.0), 1.0)
-        else:
-            al = np.zeros((r1 - r0 + 1, c1 - c0 + 1), dtype=np.float64)
-        dx = relx - al * vx
-        dy = rely - al * vy
-        d2 = dx * dx + dy * dy
+        al, d2 = segment_projection(cx[None, :] - x0, cy[:, None] - y0, x1 - x0, y1 - y0)
         hit = d2 < eps_sq
         if not hit.any():
             continue

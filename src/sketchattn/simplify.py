@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .geometry import VectorSketch, stroke_slices, validate_and_normalize
+from .geometry import VectorSketch, segment_projection, stroke_slices, validate_and_normalize
 
 MAX_ESCALATIONS = 10
 # chord arithmetic squares coordinate differences, which overflows once
@@ -38,22 +38,6 @@ class SimplifyConfig:
             raise InvalidConfigError("max_points must be >= 2")
         if self.escalation_factor <= 1:
             raise InvalidConfigError("escalation_factor must be > 1")
-
-
-def _chord_dist_sq(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance of each point to the closed segment a-b.
-
-    Degenerate chord (a == b): squared distance to a.
-    """
-    v = b - a
-    L2 = float(v[0] * v[0] + v[1] * v[1])
-    rel = pts - a
-    if L2 == 0.0:
-        return rel[:, 0] ** 2 + rel[:, 1] ** 2
-    t = np.clip((rel[:, 0] * v[0] + rel[:, 1] * v[1]) / L2, 0.0, 1.0)
-    dx = rel[:, 0] - t * v[0]
-    dy = rel[:, 1] - t * v[1]
-    return dx * dx + dy * dy
 
 
 def rdp_stroke(points, epsilon: float) -> np.ndarray:
@@ -83,8 +67,9 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
         first, last = stack.pop()
         if last - first < 2:
             continue
-        interior = work[first + 1 : last]
-        d2 = _chord_dist_sq(interior, work[first], work[last])
+        rel = work[first + 1 : last] - work[first]
+        v = work[last] - work[first]
+        _, d2 = segment_projection(rel[:, 0], rel[:, 1], v[0], v[1])
         k = int(np.argmax(d2))  # argmax returns the first maximum
         if d2[k] > eps_sq:
             split = first + 1 + k

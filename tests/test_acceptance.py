@@ -179,7 +179,7 @@ def test_criterion_06_end_to_end_gradient_flow():
     state = init_model_state(cfg)
     sk = prepare_sketch(synth_generate("square_cw", 3).sketch, cfg)
     tape = Tape()
-    logits, _, _ = _forward_batch(state, cfg, [sk], "train", tape, np.random.default_rng(0))
+    logits, _, _ = _forward_batch(state, cfg, [sk], tape, np.random.default_rng(0))
     loss = cross_entropy_logits(tape, logits, np.array([0]))
     backward(tape, loss)
     rnn_nonzero = any(

@@ -13,6 +13,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _one_error(err):
+    """The one JSON error line a failed command writes to stderr."""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 @pytest.fixture()
 def sketch_file(tmp_path):
     path = tmp_path / "sketch.json"
@@ -130,6 +137,54 @@ class TestRasterizeCommand:
         assert code == 0
         assert json.loads(stdout.strip().splitlines()[-1])["owned_pixels"] > 0
 
+    def test_attention_file_flag_required(self, sketch_file, tmp_path, capsys):
+        # used to end in a TypeError traceback from open(None)
+        code, stdout, err = run(
+            capsys, "rasterize", "--input", str(sketch_file), "--attention", "file", "--out", str(tmp_path / "x.pgm")
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "--attention-file" in info["detail"]
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"a": 1}', "not json", "NESTED", "BOOLS", '["0.5"]'],
+        ids=["object", "not_json", "nested_list", "booleans", "string"],
+    )
+    def test_malformed_attention_file_rejected(self, sketch_file, tmp_path, capsys, content):
+        # an object used to end in a TypeError traceback, non-JSON in an
+        # untyped JSONDecodeError, and a nested list or booleans of the
+        # sketch's length were read as attention
+        n = load_sketch(sketch_file).n
+        content = {"NESTED": json.dumps([[0.5] * n]), "BOOLS": json.dumps([True] * n)}.get(content, content)
+        att_file = tmp_path / "att.json"
+        att_file.write_text(content)
+        code, stdout, err = run(
+            capsys, "rasterize", "--input", str(sketch_file), "--attention", "file",
+            "--attention-file", str(att_file), "--out", str(tmp_path / "x.pgm"),
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "MalformedDocumentError"
+        assert str(att_file) in info["detail"]
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [([0.5, 0.5], "LengthMismatchError"), (None, "NonFiniteAttentionError")],
+        ids=["short", "nan"],
+    )
+    def test_attention_file_values_checked(self, sketch_file, tmp_path, capsys, values, error):
+        n = load_sketch(sketch_file).n
+        att_file = tmp_path / "att.json"
+        att_file.write_text(json.dumps(values if values is not None else [float("nan")] * n))
+        code, _, err = run(
+            capsys, "rasterize", "--input", str(sketch_file), "--attention", "file",
+            "--attention-file", str(att_file), "--out", str(tmp_path / "x.pgm"),
+        )
+        assert code == 1
+        assert _one_error(err)["error"] == error
+
     def test_missing_input_errors_with_json_line(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "rasterize", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.pgm")
@@ -143,12 +198,6 @@ class TestMalformedDocuments:
     # a malformed document ends the command with exit 1 and one JSON error
     # line, never a traceback
 
-    @staticmethod
-    def _one_error_line(err):
-        lines = err.strip().splitlines()
-        assert len(lines) == 1
-        return json.loads(lines[0])["error"]
-
     def test_train_on_two_column_point_row(self, tmp_path, capsys):
         # the row [1, 2] used to raise a bare IndexError out of main
         path = tmp_path / "train.json"
@@ -158,7 +207,7 @@ class TestMalformedDocuments:
         }))
         code, _, err = run(capsys, "train", "--train", str(path), "--out", str(tmp_path / "run"), "--epochs", "1")
         assert code == 1
-        assert self._one_error_line(err) == "MalformedPointsError"
+        assert _one_error(err)["error"] == "MalformedPointsError"
 
     def test_simplify_fractional_state(self, tmp_path, capsys):
         # a 0.7 state used to be truncated to 0 and the command succeeded
@@ -168,7 +217,7 @@ class TestMalformedDocuments:
         }))
         code, _, err = run(capsys, "simplify", "--input", str(path), "--out", str(tmp_path / "out.json"))
         assert code == 1
-        assert self._one_error_line(err) == "InvalidStrokeStateError"
+        assert _one_error(err)["error"] == "InvalidStrokeStateError"
 
 
 class TestGradcheckCommand:
@@ -205,6 +254,17 @@ class TestGradcheckCommand:
         info = json.loads(lines[0])
         assert info["error"] == "InvalidConfigError"
         assert "'nosuch'" in info["detail"] and "'cnn.conv0.w'" in info["detail"] and "'cnn.fc.b'" in info["detail"]
+
+    @pytest.mark.parametrize("entries", ["0", "-1"])
+    def test_max_entries_must_probe_something(self, capsys, entries):
+        # 0 used to probe nothing and print PASS for a corrupted gradient
+        code, stdout, err = run(
+            capsys, "gradcheck", "--profile", "nlr", "--corrupt", "attention", "--max-entries", entries
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "max_entries_per_param" in info["detail"]
 
     def test_same_seed_same_report(self, capsys):
         code1, out1, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "3")
@@ -296,6 +356,56 @@ class TestTrainEvalPredict:
         info = json.loads(lines[0])
         assert info["error"] == "InvalidConfigError"
         assert "'beta1'" in info["detail"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "lr", "fast"),
+            (None, "seed", 0.5),
+            (None, "batch_size", 4.0),
+            (None, "epochs", 0),
+            (None, "early_stop_train_acc", "x"),
+            ("rnn", "hidden_size", 8.0),
+            ("raster", "width", 64.5),
+            ("cnn", "stages", [[3, 8.5, 2]]),
+            ("simplify", "max_points", 100.5),
+        ],
+        ids=["lr_string", "seed_float", "batch_size_float", "epochs_zero", "early_stop_string",
+             "hidden_size_float", "width_float", "stage_channels_float", "max_points_float"],
+    )
+    def test_config_file_with_ill_typed_value_named(self, trained, tmp_path, capsys, section, key, value):
+        # each used to pass the config check, write config.json and then end
+        # in an uncaught TypeError, UFuncNoLoopError or IndexError traceback
+        base, _, _ = trained
+        from sketchattn.pipeline import desk_config
+
+        doc = desk_config(2).to_json_dict()
+        (doc if section is None else doc[section])[key] = value
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run4"
+        code, stdout, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--out", str(out_dir), "--config", str(cfg_file),
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert repr(key) in info["detail"]
+        assert section is None or repr(section) in info["detail"]
+        assert not out_dir.exists()
+
+    def test_zero_epochs_flag_rejected(self, trained, tmp_path, capsys):
+        # used to write config.json, then die with an IndexError in metrics.final
+        base, _, _ = trained
+        out_dir = tmp_path / "run5"
+        code, stdout, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--out", str(out_dir), "--epochs", "0"
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "'epochs'" in info["detail"]
         assert not out_dir.exists()
 
     def test_predict_emits_category_and_map(self, trained, tmp_path, capsys):

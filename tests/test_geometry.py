@@ -9,7 +9,13 @@ from sketchattn.errors import (
     MalformedPointsError,
     NonFiniteCoordinateError,
 )
-from sketchattn.geometry import VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
+from sketchattn.geometry import (
+    VectorSketch,
+    normalize_to_canvas,
+    segment_projection,
+    stroke_slices,
+    validate_and_normalize,
+)
 from sketchattn.pipeline import _batch_inputs
 from sketchattn.raster import segment_table
 
@@ -181,6 +187,32 @@ class TestOffsets:
         assert lengths.tolist() == [2, 3]
         assert inputs[0].tolist() == [[0, 0, 0], [1, 0, 1], [0, 0, 0]]
         assert inputs[1].tolist() == offsets(long, 2).tolist()
+
+
+class TestSegmentProjection:
+    def test_hand_computed(self):
+        rel = np.array([[-1.0, 1.0], [1.0, 1.0], [3.0, -2.0]])
+        t, d2 = segment_projection(rel[:, 0], rel[:, 1], 2.0, 0.0)
+        np.testing.assert_array_equal(t, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(d2, [2.0, 1.0, 5.0])
+
+    def test_degenerate_segment_projects_to_its_start(self):
+        t, d2 = segment_projection(np.array([3.0, 0.0]), np.array([4.0, 0.0]), 0.0, 0.0)
+        assert t.tolist() == [0.0, 0.0] and not np.signbit(t).any()
+        np.testing.assert_array_equal(d2, [25.0, 0.0])
+
+    def test_broadcast_segments_match_one_at_a_time(self):
+        # a grid of points against a column of segments, one of them degenerate
+        rng = np.random.default_rng(0)
+        px, py = rng.normal(size=(1, 7)), rng.normal(size=(1, 7))
+        ax, ay, vx, vy = (rng.normal(size=(4, 1)) for _ in range(4))
+        vx[2] = vy[2] = 0.0
+        t, d2 = segment_projection(px - ax, py - ay, vx, vy)
+        assert t.shape == d2.shape == (4, 7)
+        for k in range(4):
+            tk, d2k = segment_projection(px[0] - ax[k, 0], py[0] - ay[k, 0], vx[k, 0], vy[k, 0])
+            np.testing.assert_array_equal(t[k], tk)
+            np.testing.assert_array_equal(d2[k], d2k)
 
 
 class TestNormalizeToCanvas:

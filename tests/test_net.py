@@ -22,6 +22,8 @@ from sketchattn.net.model import (
 from sketchattn.net.optim import ModelState, adam_step, load_checkpoint, save_checkpoint
 from sketchattn.pipeline import _batch_inputs
 
+import tape_ops as ops
+
 
 def small_rnn(seed=0, hidden=8):
     rng = np.random.default_rng(seed)
@@ -34,11 +36,11 @@ def offsets_for(sketch, width=64.0):
     return _batch_inputs([sketch], width)[0][0]
 
 
-def attention_for(sketch, cfg, params, mode="eval", tape=None, rng=None):
+def attention_for(sketch, cfg, params, tape=None, dropout_rng=None):
     """(1, n) attention of one sketch through the batch path with B=1."""
     inputs = offsets_for(sketch)[None]
     tape = tape if tape is not None else Tape()
-    return rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg, mode, rng)
+    return rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg, dropout_rng)
 
 
 def cnn_logits(image, cfg, params):
@@ -60,7 +62,7 @@ class TestAutodiffCore:
         theta = ad.parameter(np.array([1.5, -2.0, 0.25]))
 
         def fn(tape):
-            return ad.sum_all(tape, ad.mul(tape, theta, theta))
+            return ad.sum_all(tape, ops.mul(tape, theta, theta))
 
         rep = grad_check(fn, {"theta": theta}, step=1e-4, tolerance=1e-9)
         assert rep.passed
@@ -69,7 +71,7 @@ class TestAutodiffCore:
     def test_tape_consumed(self):
         x = ad.parameter(np.array(2.0))
         tape = Tape()
-        y = ad.mul(tape, x, x)
+        y = ops.mul(tape, x, x)
         backward(tape, y)
         with pytest.raises(TapeConsumedError):
             backward(tape, y)
@@ -79,7 +81,7 @@ class TestAutodiffCore:
         grads = {}
         for c in (1.0, 3.5):
             tape = Tape()
-            loss = ad.mul_const(tape, ad.sum_all(tape, ad.mul(tape, x, x)), c)
+            loss = ad.mul_const(tape, ad.sum_all(tape, ops.mul(tape, x, x)), c)
             backward(tape, loss)
             grads[c] = x.grad.copy()
             x.grad = None
@@ -91,7 +93,7 @@ class TestAutodiffCore:
         for _ in range(1000):
             x = ad.constant(rng.normal(size=(2, 3)) * 10.0)
             tape = Tape()
-            out = ad.sum_all(tape, ad.tanh(tape, ad.matmul(tape, x, w)))
+            out = ad.sum_all(tape, ops.tanh(tape, ops.matmul(tape, x, w)))
             backward(tape, out)
             assert np.isfinite(w.grad).all()
             w.grad = None
@@ -99,7 +101,7 @@ class TestAutodiffCore:
     def test_backward_requires_scalar(self):
         x = ad.parameter(np.ones(3))
         tape = Tape()
-        y = ad.mul(tape, x, x)
+        y = ops.mul(tape, x, x)
         with pytest.raises(ShapeMismatchError):
             backward(tape, y)
 
@@ -125,15 +127,20 @@ def _away_from_zero(rng, shape):
     return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.2, 1.0, size=shape)
 
 
-# every op routed through ad.op: (operand arrays, forward on those tensors)
+# every op routed through ad.op, the package's and the test-local tape_ops
+# the reference LSTM is built from: (operand arrays, forward on those tensors)
 OP_CASES = {
-    "add_broadcast_row": (lambda r: [r.normal(size=(3, 4)), r.normal(size=4)], lambda t, a, b: ad.add(t, a, b)),
-    "add_broadcast_both": (lambda r: [r.normal(size=(3, 1)), r.normal(size=(1, 4))], lambda t, a, b: ad.add(t, a, b)),
-    "mul_broadcast": (lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(3, 1))], lambda t, a, b: ad.mul(t, a, b)),
+    "add_broadcast_row": (lambda r: [r.normal(size=(3, 4)), r.normal(size=4)], lambda t, a, b: ops.add(t, a, b)),
+    "add_broadcast_both": (lambda r: [r.normal(size=(3, 1)), r.normal(size=(1, 4))], lambda t, a, b: ops.add(t, a, b)),
+    "mul_broadcast": (lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(3, 1))], lambda t, a, b: ops.mul(t, a, b)),
     "mul_const": (lambda r: [r.normal(size=(2, 3))], lambda t, a: ad.mul_const(t, a, np.array([0.5, -2.0, 3.0]))),
-    "matmul": (lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2))], lambda t, a, b: ad.matmul(t, a, b)),
+    "matmul": (lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2))], lambda t, a, b: ops.matmul(t, a, b)),
+    "linear": (
+        lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2)), r.normal(size=2)],
+        lambda t, x, w, b: ad.linear(t, x, w, b),
+    ),
     "sigmoid": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ad.sigmoid(t, a)),
-    "tanh": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ad.tanh(t, a)),
+    "tanh": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ops.tanh(t, a)),
     "relu": (lambda r: [_away_from_zero(r, (3, 4))], lambda t, a: ad.relu(t, a)),
     "concat_axis1": (
         lambda r: [r.normal(size=(2, k, 3)) for k in (1, 2, 3)],
@@ -192,8 +199,8 @@ class TestOpHelper:
         y = ad.parameter(np.array([1.5, 2.0]))
         c = ad.constant(np.array([2.0, 3.0]))
         tape = Tape()
-        ad.tanh(tape, x)  # recorded, but the loss never reaches it
-        loss = ad.sum_all(tape, ad.mul(tape, y, c))
+        ad.sigmoid(tape, x)  # recorded, but the loss never reaches it
+        loss = ad.sum_all(tape, ops.mul(tape, y, c))
         backward(tape, loss)
         assert x.grad is None
         assert c.grad is None
@@ -216,9 +223,12 @@ class TestOpHelper:
         cfg = desk_config(len(ds.categories))
         sketches = [prepare_sketch(it.sketch, cfg) for it in ds.items]
         tape = Tape()
-        logits, _, _ = _forward_batch(init_model_state(cfg), cfg, sketches, "train", tape, np.random.default_rng(0))
+        logits, _, _ = _forward_batch(init_model_state(cfg), cfg, sketches, tape, np.random.default_rng(0))
         cross_entropy_logits(tape, logits, np.array([it.label for it in ds.items]))
         assert len(calls) == len(tape) > 0
+        # and each closure is the one that autodiff.op makes
+        op_closure = [c for c in ad.op.__code__.co_consts if getattr(c, "co_name", None) == "bwd"]
+        assert {fn.__code__ for fn in calls} == set(op_closure)
 
 
 class TestRnnAttention:
@@ -268,22 +278,21 @@ class TestRnnAttention:
         inputs = np.zeros((2, T, 3))
         inputs[0, : sk_short.n] = offsets_for(sk_short)
         inputs[1, : sk_long.n] = offsets_for(sk_long)
-        batch = rnn_attention_batch(
-            Tape(), inputs, np.array([sk_short.n, sk_long.n]), params, cfg, "eval"
-        )
+        batch = rnn_attention_batch(Tape(), inputs, np.array([sk_short.n, sk_long.n]), params, cfg)
         np.testing.assert_allclose(batch.data[0, : sk_short.n], a_short, atol=1e-12)
         np.testing.assert_allclose(batch.data[1], a_long, atol=1e-12)
         assert np.all(batch.data[0, sk_short.n :] == 0.0)
 
-    def test_train_mode_requires_rng_for_dropout(self):
+    def test_dropout_runs_iff_an_rng_is_given(self):
         rng = np.random.default_rng(7)
         cfg = RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.5)
         params = init_rnn_params(rng, cfg)
         sk = random_sketch(rng, 4, 64, 64)
-        with pytest.raises(ValueError):
-            attention_for(sk, cfg, params, "train")
-        out = attention_for(sk, cfg, params, "train", rng=rng)
-        assert out.data.shape == (1, sk.n)
+        plain = attention_for(sk, RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.0), params).data
+        np.testing.assert_array_equal(attention_for(sk, cfg, params).data, plain)
+        dropped = attention_for(sk, cfg, params, dropout_rng=rng).data
+        assert dropped.shape == (1, sk.n)
+        assert not np.array_equal(dropped, plain)
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_input_width_is_the_offset_encoding(self, width):
@@ -316,15 +325,15 @@ def reference_lstm_grads(x, wx, wh, b, upstream):
     c = ad.constant(np.zeros((B, H)))
     hs, loss = [], None
     for t in range(T):
-        z = [ad.add(tape, ad.add(tape, ad.matmul(tape, xs[t], wxs[k]), ad.matmul(tape, h, whs[k])), bs[k])
+        z = [ops.add(tape, ops.add(tape, ops.matmul(tape, xs[t], wxs[k]), ops.matmul(tape, h, whs[k])), bs[k])
              for k in range(4)]
         i, f, o = ad.sigmoid(tape, z[0]), ad.sigmoid(tape, z[1]), ad.sigmoid(tape, z[3])
-        g = ad.tanh(tape, z[2])
-        c = ad.add(tape, ad.mul(tape, f, c), ad.mul(tape, i, g))
-        h = ad.mul(tape, o, ad.tanh(tape, c))
+        g = ops.tanh(tape, z[2])
+        c = ops.add(tape, ops.mul(tape, f, c), ops.mul(tape, i, g))
+        h = ops.mul(tape, o, ops.tanh(tape, c))
         hs.append(h.data)
-        step = ad.sum_all(tape, ad.mul(tape, h, ad.constant(upstream[:, t])))
-        loss = step if loss is None else ad.add(tape, loss, step)
+        step = ad.sum_all(tape, ops.mul(tape, h, ad.constant(upstream[:, t])))
+        loss = step if loss is None else ops.add(tape, loss, step)
     backward(tape, loss)
     return (
         np.stack(hs, axis=1),
@@ -354,6 +363,24 @@ class TestFusedLstm:
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
         for t, ref in zip(tensors, ref_grads):
             np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", [0, 1, 2, 3], ids=["x", "wx", "wh", "b"])
+    def test_lone_operand_gradient_matches_reference(self, which):
+        # the four vjps share one BPTT pass, run by whichever comes first;
+        # with one operand requiring a gradient, its vjp is the only one
+        rng = np.random.default_rng(15)
+        B, T, D, H = 2, 5, 3, 4
+        arrays = [rng.normal(size=(B, T, D)), rng.normal(size=(D, 4 * H)), rng.normal(size=(H, 4 * H)),
+                  rng.normal(size=4 * H)]
+        upstream = rng.normal(size=(B, T, H))
+        _, *ref_grads = reference_lstm_grads(*arrays, upstream)
+
+        tensors = [Tensor(a.copy(), requires_grad=k == which) for k, a in enumerate(arrays)]
+        tape = Tape()
+        out = ad.lstm(tape, *tensors)
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
+        assert [t.grad is not None for t in tensors] == [k == which for k in range(4)]
+        np.testing.assert_allclose(tensors[which].grad, ref_grads[which], rtol=0, atol=1e-12)
 
     def test_reversed_prefixes_match_reference_per_item(self):
         # with lengths, each item runs over its real prefix backwards, then
@@ -392,7 +419,7 @@ class TestFusedLstm:
         lengths = []
         for T in (5, 50):
             tape = Tape()
-            rnn_attention_batch(tape, rng.normal(size=(2, T, 3)), np.array([T, T - 2]), params, cfg, "eval")
+            rnn_attention_batch(tape, rng.normal(size=(2, T, 3)), np.array([T, T - 2]), params, cfg)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
@@ -406,7 +433,7 @@ class TestFusedLstm:
         w = rng.normal(size=(3, 6))
 
         def fn(tape):
-            attn = rnn_attention_batch(tape, inputs, lengths, params, cfg, "eval")
+            attn = rnn_attention_batch(tape, inputs, lengths, params, cfg)
             return ad.sum_all(tape, ad.mul_const(tape, attn, w))
 
         rep = grad_check(fn, params, step=1e-4, tolerance=1e-5)
@@ -619,7 +646,7 @@ class TestGradCheckHarness:
         phi = ad.parameter(np.array([3.0]))
 
         def fn(tape):
-            return ad.add(tape, ad.sum_all(tape, ad.mul(tape, theta, theta)), ad.sum_all(tape, phi))
+            return ops.add(tape, ad.sum_all(tape, ops.mul(tape, theta, theta)), ad.sum_all(tape, phi))
 
         rep = grad_check(fn, {"theta": theta, "phi": phi}, tolerance=1e-6, corrupt="phi")
         assert not rep.passed
@@ -629,7 +656,7 @@ class TestGradCheckHarness:
         theta = ad.parameter(np.array([1.0]))
 
         def fn(tape):
-            return ad.sum_all(tape, ad.mul(tape, theta, theta))
+            return ad.sum_all(tape, ops.mul(tape, theta, theta))
 
         rep = grad_check(fn, {"theta": theta}, tolerance=1e-6)
         text = rep.format()
@@ -639,7 +666,7 @@ class TestGradCheckHarness:
         theta = ad.parameter(np.arange(100, dtype=float))
 
         def fn(tape):
-            return ad.sum_all(tape, ad.mul(tape, theta, theta))
+            return ad.sum_all(tape, ops.mul(tape, theta, theta))
 
         rep = grad_check(
             fn, {"theta": theta}, tolerance=1e-6, max_entries_per_param=5,

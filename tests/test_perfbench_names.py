@@ -59,7 +59,7 @@ def test_counters_match_direct_counts():
     owners = [rasterize_forward(sk, np.zeros(sk.n), cfg.raster).owner for sk in rastered]
     tape = Tape()
     logits, _, _ = pipeline._forward_batch(
-        pipeline.init_model_state(cfg), cfg, prepared[: cfg.batch_size], "train", tape, np.random.default_rng(0)
+        pipeline.init_model_state(cfg), cfg, prepared[: cfg.batch_size], tape, np.random.default_rng(0)
     )
     cross_entropy_logits(tape, logits, np.array([it.label for it in ds.items[: cfg.batch_size]]))
     batches = -(-len(prepared) // cfg.batch_size)

@@ -5,7 +5,7 @@ import pytest
 
 from sketchattn.errors import InvalidConfigError, LabelOutOfRangeError, ShapeMismatchError, VersionMismatchError
 from sketchattn.geometry import validate_and_normalize
-from sketchattn.ingest import LabeledSketch, synth_dataset, synth_generate
+from sketchattn.ingest import synth_dataset, synth_generate
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape
 from sketchattn.net.model import CnnConfig, RnnConfig
@@ -72,13 +72,20 @@ class TestForwardClassify:
         _, attention, amap = forward_classify(state, cfg, sk)
         assert attention[0] == 1.0 and attention[-1] == 0.0
 
-    def test_accepts_labeled_sketch(self):
-        cfg = tiny_config()
+    def test_stroke_order_shuffled_iff_an_order_rng_is_given(self):
+        from sketchattn.pipeline import _forward_batch
+
+        cfg = tiny_config("random_stroke_order_r2cnn")
         state = init_model_state(cfg)
-        item = synth_generate("spiral", 2)
-        item = LabeledSketch(prepare_sketch(item.sketch, cfg), 0, item.category_name)
-        logits, _, _ = forward_classify(state, cfg, item)
-        assert logits.shape == (2,)
+        sk = prepare_sketch(multi_stroke_sketch(), cfg)
+        _, drawn, _ = forward_classify(state, cfg, sk)
+        _, again, _ = _forward_batch(state, cfg, [sk], Tape())
+        np.testing.assert_array_equal(again.data[0], drawn)
+        moved = randomize_stroke_order(sk, np.random.default_rng(2))
+        assert not np.array_equal(moved.xy, sk.xy)
+        _, shuffled, _ = _forward_batch(state, cfg, [sk], Tape(), order_rng=np.random.default_rng(2))
+        np.testing.assert_array_equal(shuffled.data[0], forward_classify(state, cfg, moved)[1])
+        assert not np.array_equal(shuffled.data[0], drawn)
 
     def test_gradient_reaches_rnn_parameters(self):
         cfg = tiny_config()
@@ -88,7 +95,7 @@ class TestForwardClassify:
         from sketchattn.pipeline import _forward_batch
 
         tape = Tape()
-        logits, _, _ = _forward_batch(state, cfg, [sk], "train", tape, np.random.default_rng(0))
+        logits, _, _ = _forward_batch(state, cfg, [sk], tape, np.random.default_rng(0))
         loss = cross_entropy_logits(tape, logits, np.array([0]))
         backward(tape, loss)
         rnn_grads = [p.grad for n, p in state.params.items() if n.startswith(("rnn.", "head."))]
