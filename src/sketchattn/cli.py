@@ -22,6 +22,7 @@ from .ingest import (
     load_sketch,
     parse_quickdraw_line,
     random_sketch,
+    read_json,
     save_internal,
     save_sketch,
     synth_dataset,
@@ -74,11 +75,7 @@ def _load_input_sketch(path: str) -> VectorSketch:
 
 def _load_attention(path) -> np.ndarray:
     """An attention file: a JSON list of numbers, one per sketch point."""
-    with open(path) as f:
-        try:
-            values = json.load(f)
-        except ValueError as exc:
-            raise MalformedDocumentError(f"{path}: not a JSON document: {exc}") from exc
+    values = read_json(path)
     if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
         raise MalformedDocumentError(f"{path}: attention is not a flat list of numbers")
     try:
@@ -128,13 +125,8 @@ def cmd_synth(args) -> int:
 
 
 def _experiment_config(args, num_classes: int) -> ExperimentConfig:
-    if args.config:
-        with open(args.config) as f:
-            cfg = ExperimentConfig.from_json_dict(json.load(f))
-        overrides = {}
-    else:
-        cfg = desk_config(num_classes)
-        overrides = {}
+    cfg = ExperimentConfig.from_json_dict(read_json(args.config)) if args.config else desk_config(num_classes)
+    overrides = {}
     if args.variant:
         overrides["variant"] = args.variant
     if args.epochs is not None:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+the config classes share."""
+
+import math
 
 
 class SketchError(Exception):
@@ -55,6 +58,18 @@ class NonFiniteAttentionError(SketchError):
 
 class InvalidConfigError(SketchError):
     """A configuration value violates its invariants."""
+
+
+def require_finite(**values) -> None:
+    """Raise InvalidConfigError naming the first value that is NaN,
+    infinite, or an integer beyond the float range."""
+    for name, value in values.items():
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidConfigError(f"{name!r} must be finite, got {value!r}")
 
 
 class ShapeMismatchError(SketchError):

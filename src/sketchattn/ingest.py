@@ -275,13 +275,19 @@ def save_internal(dataset: Dataset, path) -> None:
         json.dump(payload, f)
 
 
-def _read_document(path, fmt: str, version: int = FORMAT_VERSION) -> dict:
-    """A JSON document of the given format and version."""
+def read_json(path):
+    """The JSON value a file holds; a file that is not JSON is a
+    MalformedDocumentError."""
     with open(path) as f:
         try:
-            payload = json.load(f)
+            return json.load(f)
         except ValueError as exc:
             raise MalformedDocumentError(f"{path}: not a JSON document: {exc}") from exc
+
+
+def _read_document(path, fmt: str, version: int = FORMAT_VERSION) -> dict:
+    """A JSON document of the given format and version."""
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise VersionMismatchError(f"{path} is not a {fmt} file")
     if payload.get("version") != version:

@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, LabelOutOfRangeError, NonFiniteLossError, ShapeMismatchError, VersionMismatchError
+from .errors import (
+    InvalidConfigError,
+    LabelOutOfRangeError,
+    NonFiniteLossError,
+    ShapeMismatchError,
+    VersionMismatchError,
+    require_finite,
+)
 from .geometry import VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
 from .ingest import Dataset
 from .net import autodiff as ad
@@ -60,6 +67,14 @@ class AugmentConfig:
     removal_prob: float = 0.3
     jitter: bool = True
     jitter_sigma: float = 1.0
+
+    def __post_init__(self):
+        for name in ("reflect_prob", "removal_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # false for NaN too
+                raise InvalidConfigError(f"{name!r} must lie in [0, 1], got {getattr(self, name)!r}")
+        require_finite(jitter_sigma=self.jitter_sigma)
+        if self.jitter_sigma < 0:
+            raise InvalidConfigError(f"'jitter_sigma' must be >= 0, got {self.jitter_sigma!r}")
 
     @property
     def any_enabled(self) -> bool:
@@ -111,7 +126,7 @@ def _config_section(name: str, cls, value):
     _check_values(f"config section {name!r}", cls, value)
     try:
         return cls(**value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidConfigError) as exc:
         raise InvalidConfigError(f"config section {name!r}: {exc}") from exc
 
 
@@ -136,6 +151,13 @@ class ExperimentConfig:
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"config {name!r} must be >= 1, got {getattr(self, name)}")
+        require_finite(lr=self.lr)
+        if self.lr <= 0:
+            raise InvalidConfigError(f"config 'lr' must be > 0, got {self.lr!r}")
+        for name in ("early_stop_train_acc", "early_stop_valid_acc"):
+            acc = getattr(self, name)
+            if acc is not None and not 0.0 <= acc <= 1.0:  # false for NaN too
+                raise InvalidConfigError(f"config {name!r} must lie in [0, 1], got {acc!r}")
 
     @property
     def uses_rnn(self) -> bool:

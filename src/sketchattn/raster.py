@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, LengthMismatchError, NonFiniteAttentionError, ShapeMismatchError
+from .errors import InvalidConfigError, LengthMismatchError, NonFiniteAttentionError, ShapeMismatchError, require_finite
 from .geometry import VectorSketch, segment_projection
 
 
@@ -34,7 +34,8 @@ class RasterConfig:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidConfigError("canvas dimensions must be >= 1")
-        if not (self.epsilon > 0):
+        require_finite(epsilon=self.epsilon)
+        if self.epsilon <= 0:
             raise InvalidConfigError("epsilon must be > 0")
 
 

@@ -10,13 +10,12 @@ stroke, identical anchors) degrades to point distance to the anchor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
-from .geometry import VectorSketch, segment_projection, stroke_slices, validate_and_normalize
+from .errors import InvalidConfigError, require_finite
+from .geometry import VectorSketch, segment_projection, validate_and_normalize
 
 MAX_ESCALATIONS = 10
 # chord arithmetic squares coordinate differences, which overflows once
@@ -32,12 +31,77 @@ class SimplifyConfig:
     escalation_factor: float = 1.5
 
     def __post_init__(self):
+        require_finite(epsilon=self.epsilon, escalation_factor=self.escalation_factor)
         if self.epsilon <= 0:
             raise InvalidConfigError("epsilon must be > 0")
         if self.max_points < 2:
             raise InvalidConfigError("max_points must be >= 2")
         if self.escalation_factor <= 1:
             raise InvalidConfigError("escalation_factor must be > 1")
+
+
+def _significance(xy: np.ndarray, ends: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """RDP of every stroke at once, recorded as one significance per point.
+
+    The strokes are the half-open ranges of ``xy`` ending at ``ends``.
+    Their intervals split level by level, all strokes together. An
+    interval splits at the first maximum of the chord distance, which does
+    not depend on epsilon, so one pass at the base epsilon serves every
+    larger one. A point's significance is +inf at a stroke end, -inf if the
+    base epsilon never keeps it, else min(its split d², its parent's
+    significance). A stroke whose coordinates pass _RESCALE_ABOVE is
+    measured after the exact power-of-two rescale ``shift``; see
+    :func:`_kept`.
+    """
+    starts = np.concatenate(([0], ends))[:-1]
+    sizes = ends - starts
+    peak = np.maximum.reduceat(np.maximum(np.abs(xy[:, 0]), np.abs(xy[:, 1])), starts)
+    shift = np.repeat(np.where(peak > _RESCALE_ABOVE, -np.frexp(peak)[1], 0), sizes)
+    work = np.ldexp(xy, shift[:, None])
+    eps_sq = _square(np.ldexp(epsilon, shift))
+
+    interior = np.ones(len(xy), dtype=bool)
+    interior[starts] = interior[ends - 1] = False
+    sig = np.where(interior, -np.inf, np.inf)
+    live = interior.nonzero()[0]  # interior points of the intervals still splitting
+    lo = np.repeat(starts, sizes)[live]  # and the anchors of their interval
+    hi = np.repeat(ends - 1, sizes)[live]
+    cap = np.full(len(live), np.inf)  # significance of the point that made the interval
+    pos = np.arange(len(xy))
+    while len(live):
+        a = work[lo]
+        rel = work[live] - a
+        v = work[hi] - a
+        _, d2 = segment_projection(rel[:, 0], rel[:, 1], v[:, 0], v[:, 1])
+        m = len(live)
+        head = np.ones(m, dtype=bool)  # intervals are contiguous runs of one lo
+        np.not_equal(lo[1:], lo[:-1], out=head[1:])
+        group = np.add.accumulate(head) - 1
+        head = head.nonzero()[0]
+        peak_d2 = np.maximum.reduceat(d2, head)
+        # first maximum of each interval; an interval holding NaN never splits
+        at = live[np.minimum.reduceat(np.where(d2 == peak_d2[group], pos[:m], m - 1), head)]
+        splits = peak_d2 > eps_sq[lo[head]]
+        sig[at[splits]] = np.minimum(peak_d2, cap[head])[splits]
+        at = at[group]
+        stay = (splits[group] & (live != at)).nonzero()[0]
+        live, lo, hi, at = live[stay], lo[stay], hi[stay], at[stay]
+        cap = sig[at]
+        left = live < at
+        lo = np.where(left, lo, at)
+        hi = np.where(left, at, hi)
+    return sig, shift
+
+
+def _square(eps: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # past the float range eps² is inf, as in float arithmetic
+        return eps * eps
+
+
+def _kept(sig: np.ndarray, shift: np.ndarray, epsilon: float) -> np.ndarray:
+    """Points RDP keeps at ``epsilon``: stroke ends (also where eps² is
+    inf), and points whose significance passes ldexp(epsilon, shift)²."""
+    return (sig > _square(np.ldexp(epsilon, shift))) | (sig == np.inf)
 
 
 def rdp_stroke(points, epsilon: float) -> np.ndarray:
@@ -50,33 +114,10 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("rdp_stroke expects an (n, 2) point array")
-    n = pts.shape[0]
-    if n <= 2:
-        return pts.copy()
-
-    work, eps = pts, float(epsilon)
-    peak = float(np.abs(pts).max())
-    if peak > _RESCALE_ABOVE:
-        shift = -math.frexp(peak)[1]
-        work, eps = np.ldexp(pts, shift), math.ldexp(eps, shift)
-    eps_sq = eps * eps
-    keep = np.zeros(n, dtype=bool)
-    keep[0] = keep[-1] = True
-    stack = [(0, n - 1)]
-    while stack:
-        first, last = stack.pop()
-        if last - first < 2:
-            continue
-        rel = work[first + 1 : last] - work[first]
-        v = work[last] - work[first]
-        _, d2 = segment_projection(rel[:, 0], rel[:, 1], v[0], v[1])
-        k = int(np.argmax(d2))  # argmax returns the first maximum
-        if d2[k] > eps_sq:
-            split = first + 1 + k
-            keep[split] = True
-            stack.append((first, split))
-            stack.append((split, last))
-    return pts[keep].copy()
+    eps = float(epsilon)
+    ends = np.array([len(pts)] if len(pts) else [], dtype=np.intp)  # one stroke, none in an empty array
+    sig, shift = _significance(pts, ends, eps)
+    return pts[_kept(sig, shift, eps)]
 
 
 def simplify_sketch(sketch: VectorSketch, config: SimplifyConfig) -> VectorSketch:
@@ -85,18 +126,16 @@ def simplify_sketch(sketch: VectorSketch, config: SimplifyConfig) -> VectorSketc
     Epsilon is multiplied by the escalation factor up to MAX_ESCALATIONS
     times; if the cap is still exceeded the point sequence is truncated at
     max_points (whole trailing strokes drop first, then trailing points of
-    the stroke at the cut).
+    the stroke at the cut). RDP runs once: each round is a threshold on
+    the significance it recorded.
     """
-    strokes = [sketch.xy[a:b] for a, b in stroke_slices(sketch)]
+    sig, shift = _significance(sketch.xy, np.flatnonzero(sketch.s == 1) + 1, config.epsilon)
     eps = config.epsilon
-    simplified = [rdp_stroke(st, eps) for st in strokes]
+    keep = _kept(sig, shift, eps)
     rounds = 0
-    while sum(len(st) for st in simplified) > config.max_points and rounds < MAX_ESCALATIONS:
+    while np.count_nonzero(keep) > config.max_points and rounds < MAX_ESCALATIONS:
         eps *= config.escalation_factor
-        simplified = [rdp_stroke(st, eps) for st in strokes]
+        keep = _kept(sig, shift, eps)
         rounds += 1
-
-    xy = np.concatenate(simplified)
-    s = np.zeros(len(xy))
-    s[np.cumsum([len(st) for st in simplified]) - 1] = 1.0
-    return validate_and_normalize(np.column_stack([xy, s])[: config.max_points])
+    points = np.column_stack([sketch.xy[keep], sketch.s[keep]])
+    return validate_and_normalize(points[: config.max_points])

@@ -1,17 +1,23 @@
 """Per-point loop implementations of the sketch constructor and the
 segment table, kept from before both were vectorised (the segment table
-has since lost its switch for point discs, which are always drawn).
+has since lost its switch for point discs, which are always drawn), and
+the per-stroke stack RDP with its re-run-per-round epsilon escalation,
+kept from before simplification became one significance pass per sketch.
 
 tests/test_loop_reference.py checks the numpy versions in the package
 against these loops. The raster oracle cannot catch a segment table change
 on its own, because it builds its entities with ``segment_table`` too.
 """
 
+import math
+
 import numpy as np
 
+from sketchattn import geometry
 from sketchattn.errors import EmptySketchError, NonFiniteCoordinateError
-from sketchattn.geometry import VectorSketch
+from sketchattn.geometry import VectorSketch, segment_projection
 from sketchattn.raster import SegmentTable
+from sketchattn.simplify import _RESCALE_ABOVE, MAX_ESCALATIONS
 
 
 def validate_and_normalize(raw_points) -> VectorSketch:
@@ -59,3 +65,52 @@ def segment_table(sketch: VectorSketch) -> SegmentTable:
             starts.append(i)
             ends.append(i)
     return SegmentTable(np.asarray(starts, dtype=np.int32), np.asarray(ends, dtype=np.int32))
+
+
+def rdp_stroke(points, epsilon: float) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("rdp_stroke expects an (n, 2) point array")
+    n = pts.shape[0]
+    if n <= 2:
+        return pts.copy()
+
+    work, eps = pts, float(epsilon)
+    peak = float(np.abs(pts).max())
+    if peak > _RESCALE_ABOVE:
+        shift = -math.frexp(peak)[1]
+        work, eps = np.ldexp(pts, shift), math.ldexp(eps, shift)
+    eps_sq = eps * eps
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = keep[-1] = True
+    stack = [(0, n - 1)]
+    while stack:
+        first, last = stack.pop()
+        if last - first < 2:
+            continue
+        rel = work[first + 1 : last] - work[first]
+        v = work[last] - work[first]
+        _, d2 = segment_projection(rel[:, 0], rel[:, 1], v[0], v[1])
+        k = int(np.argmax(d2))  # argmax returns the first maximum
+        if d2[k] > eps_sq:
+            split = first + 1 + k
+            keep[split] = True
+            stack.append((first, split))
+            stack.append((split, last))
+    return pts[keep].copy()
+
+
+def simplify_sketch(sketch: VectorSketch, config) -> VectorSketch:
+    strokes = [sketch.xy[a:b] for a, b in geometry.stroke_slices(sketch)]
+    eps = config.epsilon
+    simplified = [rdp_stroke(st, eps) for st in strokes]
+    rounds = 0
+    while sum(len(st) for st in simplified) > config.max_points and rounds < MAX_ESCALATIONS:
+        eps *= config.escalation_factor
+        simplified = [rdp_stroke(st, eps) for st in strokes]
+        rounds += 1
+
+    xy = np.concatenate(simplified)
+    s = np.zeros(len(xy))
+    s[np.cumsum([len(st) for st in simplified]) - 1] = 1.0
+    return geometry.validate_and_normalize(np.column_stack([xy, s])[: config.max_points])

@@ -56,6 +56,17 @@ class TestSynthAndSimplify:
         assert info["points_after"] == 2
         assert load_sketch(out).n == 2
 
+    @pytest.mark.parametrize("flag", ["--eps", "--escalation"])
+    def test_simplify_nan_flag_rejected(self, sketch_file, tmp_path, capsys, flag):
+        # --eps nan used to collapse the sketch to its stroke ends and exit 0
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, "simplify", "--input", str(sketch_file), "--out", str(out), flag, "nan")
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert ("'epsilon'" if flag == "--eps" else "'escalation_factor'") in info["detail"]
+        assert not out.exists()
+
     def test_simplify_max_points_flags(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         from sketchattn.geometry import validate_and_normalize
@@ -136,6 +147,16 @@ class TestRasterizeCommand:
         )
         assert code == 0
         assert json.loads(stdout.strip().splitlines()[-1])["owned_pixels"] > 0
+
+    def test_infinite_eps_rejected(self, sketch_file, tmp_path, capsys):
+        # used to end in an OverflowError traceback inside rasterize_forward
+        out = tmp_path / "map.pgm"
+        code, stdout, err = run(capsys, "rasterize", "--input", str(sketch_file), "--out", str(out), "--eps", "inf")
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "'epsilon'" in info["detail"]
+        assert not out.exists()
 
     def test_attention_file_flag_required(self, sketch_file, tmp_path, capsys):
         # used to end in a TypeError traceback from open(None)
@@ -406,6 +427,34 @@ class TestTrainEvalPredict:
         info = _one_error(err)
         assert info["error"] == "InvalidConfigError"
         assert "'epochs'" in info["detail"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("lr", ["0", "-0.001", "nan", "inf"])
+    def test_lr_flag_out_of_range_rejected(self, trained, tmp_path, capsys, lr):
+        base, _, _ = trained
+        out_dir = tmp_path / "run6"
+        code, stdout, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--out", str(out_dir), "--lr", lr
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "'lr'" in info["detail"]
+        assert not out_dir.exists()
+
+    def test_config_file_not_json(self, trained, tmp_path, capsys):
+        # used to end in {"error": "JSONDecodeError", ...}
+        base, _, _ = trained
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("not json")
+        out_dir = tmp_path / "run7"
+        code, stdout, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--out", str(out_dir), "--config", str(cfg_file)
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "MalformedDocumentError"
+        assert str(cfg_file) in info["detail"]
         assert not out_dir.exists()
 
     def test_predict_emits_category_and_map(self, trained, tmp_path, capsys):

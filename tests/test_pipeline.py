@@ -9,6 +9,7 @@ from sketchattn.ingest import synth_dataset, synth_generate
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape
 from sketchattn.net.model import CnnConfig, RnnConfig
+from sketchattn import pipeline
 from sketchattn.net.optim import save_checkpoint
 from sketchattn.pipeline import (
     AugmentConfig,
@@ -26,6 +27,7 @@ from sketchattn.pipeline import (
     train,
 )
 from sketchattn.raster import RasterConfig, rasterize_forward
+from sketchattn.simplify import SimplifyConfig
 
 TINY = dict(
     rnn=RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0),
@@ -140,27 +142,27 @@ class TestAugment:
 
     def test_double_reflection_is_identity(self):
         sk = multi_stroke_sketch()
-        cfg = AugmentConfig(reflect=True, reflect_prob=1.1, stroke_removal=False, jitter=False)
+        cfg = AugmentConfig(reflect=True, reflect_prob=1.0, stroke_removal=False, jitter=False)
         once = augment(sk, np.random.default_rng(0), cfg, 64)
         twice = augment(once, np.random.default_rng(0), cfg, 64)
         np.testing.assert_allclose(twice.xy, sk.xy, atol=1e-9)
 
     def test_reflection_maps_x(self):
         sk = validate_and_normalize([(0, 0, 0), (10, 5, 1)])
-        cfg = AugmentConfig(reflect=True, reflect_prob=1.1, stroke_removal=False, jitter=False)
+        cfg = AugmentConfig(reflect=True, reflect_prob=1.0, stroke_removal=False, jitter=False)
         out = augment(sk, np.random.default_rng(0), cfg, 64)
         np.testing.assert_allclose(out.xy[:, 0], [63.0, 53.0])
         np.testing.assert_allclose(out.xy[:, 1], sk.xy[:, 1])
 
     def test_single_stroke_never_removed(self):
         sk = validate_and_normalize([(0, 0, 0), (10, 10, 1)])
-        cfg = AugmentConfig(reflect=False, stroke_removal=True, removal_prob=1.1, jitter=False)
+        cfg = AugmentConfig(reflect=False, stroke_removal=True, removal_prob=1.0, jitter=False)
         out = augment(sk, np.random.default_rng(0), cfg, 64)
         assert out.n == sk.n
 
     def test_stroke_removal_drops_one_stroke(self):
         sk = multi_stroke_sketch()
-        cfg = AugmentConfig(reflect=False, stroke_removal=True, removal_prob=1.1, jitter=False)
+        cfg = AugmentConfig(reflect=False, stroke_removal=True, removal_prob=1.0, jitter=False)
         out = augment(sk, np.random.default_rng(1), cfg, 64)
         assert out.n == sk.n - 2
         assert out.s[-1] == 1
@@ -222,8 +224,11 @@ class TestRandomizeStrokeOrder:
 
 
 class TestTrainEvaluate:
-    def test_lr_zero_leaves_parameters(self):
-        cfg = tiny_config(lr=0.0, epochs=2)
+    def test_lr_zero_leaves_parameters(self, monkeypatch):
+        # a config's lr must be > 0, so the optimizer is stepped at 0 directly
+        step = pipeline.adam_step
+        monkeypatch.setattr(pipeline, "adam_step", lambda state, grads, lr: step(state, grads, 0.0))
+        cfg = tiny_config(epochs=2)
         ds = synth_dataset(4, seed=1, split="train", categories=("square_cw", "square_ccw"))
         ref = init_model_state(cfg)
         state, metrics = train(cfg, ds)
@@ -464,3 +469,54 @@ class TestExperimentConfig:
         m.records.append(EpochRecord(0, 1.0, 0.5, None, None, 0.1))
         m.records.append(EpochRecord(1, 0.5, 0.8, None, None, 0.1))
         assert m.final.epoch == 1
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRealConfigValues:
+    # each of these used to be accepted: a NaN epsilon collapsed every
+    # stroke to its ends, an infinite raster epsilon died in an
+    # OverflowError inside rasterize_forward
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (SimplifyConfig, "epsilon", NAN),
+            (SimplifyConfig, "epsilon", INF),
+            (SimplifyConfig, "escalation_factor", NAN),
+            (SimplifyConfig, "escalation_factor", INF),
+            (RasterConfig, "epsilon", INF),
+            (RasterConfig, "epsilon", NAN),
+            (ExperimentConfig, "lr", -0.001),
+            (ExperimentConfig, "lr", 0.0),
+            (ExperimentConfig, "lr", NAN),
+            (ExperimentConfig, "lr", INF),
+            pytest.param(ExperimentConfig, "lr", 10**400, id="ExperimentConfig-lr-int_past_float_range"),
+            (ExperimentConfig, "early_stop_train_acc", NAN),
+            (ExperimentConfig, "early_stop_valid_acc", 2.5),
+            (AugmentConfig, "reflect_prob", 2.0),
+            (AugmentConfig, "reflect_prob", -0.1),
+            (AugmentConfig, "removal_prob", NAN),
+            (AugmentConfig, "jitter_sigma", -1.0),
+            (AugmentConfig, "jitter_sigma", INF),
+        ],
+    )
+    def test_rejected_by_name(self, cls, field, value):
+        with pytest.raises(InvalidConfigError, match=f"'{field}'"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [(None, "lr", -0.001), (None, "lr", NAN), ("simplify", "epsilon", NAN), ("augment", "removal_prob", 1.5)],
+    )
+    def test_config_document_rejected_by_name(self, section, field, value):
+        d = tiny_config().to_json_dict()
+        (d if section is None else d[section])[field] = value
+        with pytest.raises(InvalidConfigError, match=f"'{field}'"):
+            ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
+
+    def test_range_ends_accepted(self):
+        AugmentConfig(reflect_prob=0.0, removal_prob=1.0, jitter_sigma=0.0)
+        SimplifyConfig(epsilon=1e-300, escalation_factor=1.0000001)
+        RasterConfig(epsilon=1e-300)
+        tiny_config(lr=1e-300, early_stop_train_acc=0.0, early_stop_valid_acc=1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sketchattn import simplify
 from sketchattn.errors import InvalidConfigError
 from sketchattn.geometry import validate_and_normalize
 from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
@@ -170,3 +171,29 @@ class TestSimplifySketch:
             SimplifyConfig(max_points=1)
         with pytest.raises(InvalidConfigError):
             SimplifyConfig(escalation_factor=1.0)
+
+
+def test_escalation_does_not_rerun_rdp(monkeypatch):
+    # each escalation round used to re-run RDP over every stroke; now every
+    # round thresholds the significance of one pass
+    calls = {"pass": 0, "projection": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(simplify, "_significance", counted("pass", simplify._significance))
+    monkeypatch.setattr(simplify, "segment_projection", counted("projection", simplify.segment_projection))
+    sk = dense_noisy_sketch(np.random.default_rng(26), 999)
+    seen = {}
+    # no cap below the point count needs no escalation; 3 strokes keep 6
+    # ends, so a cap of 2 runs all MAX_ESCALATIONS rounds
+    for cap in (sk.n, 2):
+        calls.update({"pass": 0, "projection": 0})
+        simplify_sketch(sk, SimplifyConfig(epsilon=2.0, max_points=cap))
+        seen[cap] = dict(calls)
+    assert seen[2] == seen[sk.n]
+    assert seen[2]["pass"] == 1
