@@ -5,6 +5,11 @@ intensity linearly interpolated between the attention values of the
 segment's endpoints; the interpolation weight is the clamped projection
 parameter of the pixel center onto the segment. Overlaps resolve by
 painter's order: the temporally latest covering segment owns the pixel.
+Ownership and weights depend on geometry alone; :func:`coverage` finds
+them in one vectorised pass per sketch that hit-tests (entity, pixel)
+candidates, the span of the stripe around each sloped entity's line in
+each row of its box, in chunks of whole entities of about _PAIR_BUDGET
+pairs.
 
 Backward: intensity is linear in attention with coefficients (1 - alpha,
 alpha) that depend only on geometry, so the exact adjoint is a scatter of
@@ -21,8 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, LengthMismatchError, NonFiniteAttentionError, ShapeMismatchError, require_finite
+from .errors import (
+    InvalidConfigError,
+    LengthMismatchError,
+    NonFiniteAttentionError,
+    NonFiniteCoordinateError,
+    ShapeMismatchError,
+    require_finite,
+)
 from .geometry import VectorSketch, segment_projection
+
+# coverage hit-tests its (entity, pixel) candidates in chunks of whole
+# entities holding about this many pairs, which bounds its transient memory
+_PAIR_BUDGET = 2**14
+# where coverage's span candidates are proven to hold every hit: |vy|/L
+# above _FLAT_SLOPE, coordinates, canvas and eps within _SPAN_LIMIT
+_FLAT_SLOPE = 2.0**-10
+_SPAN_LIMIT = 2.0**24
 
 
 @dataclass(frozen=True)
@@ -86,7 +106,90 @@ def _check_inputs(sketch: VectorSketch, attention: np.ndarray) -> np.ndarray:
         raise LengthMismatchError(f"attention length {a.shape[0]} != sketch length {sketch.n}")
     if not np.isfinite(a).all():
         raise NonFiniteAttentionError("attention contains NaN or infinite values")
+    if not np.isfinite(sketch.xy).all():  # a VectorSketch built directly is unchecked
+        raise NonFiniteCoordinateError("sketch contains NaN or infinite coordinates")
     return a
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[k] - 1 for each k in turn, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def coverage(sketch: VectorSketch, config: RasterConfig) -> tuple[SegmentTable, np.ndarray, np.ndarray]:
+    """Which entity owns each pixel, and its interpolation weight there.
+
+    Returns (table, owner, alpha): owner is (H, W) int32, -1 where no
+    entity covers the pixel; alpha is the clamped projection parameter of
+    the pixel centre onto its owner, 0 where unowned. Both depend on
+    geometry alone.
+
+    An entity's box spans its end points widened by eps + 1 and clipped to
+    the canvas; an entity whose box misses the canvas is dropped unmeasured.
+    Each box row contributes a span of candidate pixels (below), every
+    candidate is hit-tested with ``segment_projection`` and ``d2 < eps²``,
+    and the highest entity index among a pixel's hits owns it. Candidates
+    run through that test in chunks of whole entities of about
+    ``_PAIR_BUDGET`` (entity, pixel) pairs, in entity order, so a later
+    chunk's owners overwrite an earlier one's.
+
+    A box row of a sloped entity offers only its crossing with the stripe
+    within eps of the entity's infinite line (a segment is no nearer than
+    its line), widened by one pixel on each side. A pixel centre outside
+    that span lies at least |vy|/L > _FLAT_SLOPE beyond eps from the line,
+    while rounding moves the span edges and the tested distance by under
+    2^-14 px as long as coordinates, canvas and eps stay within
+    ``_SPAN_LIMIT``. So the span holds every hit. Entities that are
+    near-horizontal, degenerate (discs) or past that limit take whole box
+    rows.
+    """
+    H, W, eps = config.height, config.width, config.epsilon
+    eps_sq = eps * eps
+    table = segment_table(sketch)
+    owner = np.full(H * W, -1, dtype=np.int32)
+    alpha = np.zeros(H * W, dtype=np.float64)
+
+    p0, p1 = sketch.xy[table.start], sketch.xy[table.end]
+    slack = eps + 1.0
+    lo = np.maximum(np.floor(np.minimum(p0, p1) - slack), 0.0)  # clipped as floats: no cast overflows
+    hi = np.minimum(np.ceil(np.maximum(p0, p1) + slack), [W - 1.0, H - 1.0])
+    ent = np.flatnonzero(np.all(lo <= hi, axis=1))
+    lo, hi, p0, p1 = lo[ent].astype(np.intp), hi[ent].astype(np.intp), p0[ent], p1[ent]
+    x0, y0 = p0[:, 0], p0[:, 1]
+    vx, vy = p1[:, 0] - x0, p1[:, 1] - y0
+
+    length = np.sqrt(vx * vx + vy * vy)
+    sloped = np.abs(vy) > length * _FLAT_SLOPE
+    sloped &= np.maximum(np.abs(p0), np.abs(p1)).max(axis=1) <= _SPAN_LIMIT
+    sloped &= max(W, H, eps) <= _SPAN_LIMIT
+    half = np.zeros(len(ent))  # half the span's width along a row, one pixel of margin included
+    half[sloped] = eps * length[sloped] / np.abs(vy[sloped]) + 1.0
+    rows = hi[:, 1] - lo[:, 1] + 1
+    width = hi[:, 0] - lo[:, 0] + 1
+    cost = rows * np.where(sloped, np.minimum(width, 2.0 * half + 1.0), width)  # bounds the entity's pairs
+
+    done = np.cumsum(cost)
+    first = 0
+    while first < len(ent):
+        last = max(int(np.searchsorted(done, done[first] - cost[first] + _PAIR_BUDGET, "right")), first + 1)
+        e = np.repeat(np.arange(first, last), rows[first:last])  # one (entity, row) each
+        r = lo[e, 1] + _ranks(rows[first:last])
+        c0, c1 = lo[e, 0], hi[e, 0]
+        s = np.flatnonzero(sloped[e])
+        es = e[s]
+        x_line = x0[es] + vx[es] * ((r[s] + 0.5) - y0[es]) / vy[es]
+        c0[s] = np.maximum(np.ceil(x_line - half[es] - 0.5), c0[s])
+        c1[s] = np.minimum(np.floor(x_line + half[es] - 0.5), c1[s])
+        n = np.maximum(c1 - c0 + 1, 0)
+        e, r, c = np.repeat(e, n), np.repeat(r, n), np.repeat(c0, n) + _ranks(n)  # one (entity, pixel) each
+        t, d2 = segment_projection((c + 0.5) - x0[e], (r + 0.5) - y0[e], vx[e], vy[e])
+        hit = np.flatnonzero(d2 < eps_sq)
+        pix, who = r[hit] * W + c[hit], ent[e[hit]].astype(np.int32)
+        np.maximum.at(owner, pix, who)  # painter's order
+        won = owner[pix] == who
+        alpha[pix[won]] = t[hit[won]]
+        first = last
+    return table, owner.reshape(H, W), alpha.reshape(H, W)
 
 
 def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> AttentionMap:
@@ -96,38 +199,8 @@ def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> 
     is a property of the attention head, not of this kernel.
     """
     a = _check_inputs(sketch, attention)
-    H, W = config.height, config.width
-    eps_sq = config.epsilon * config.epsilon
-
-    table = segment_table(sketch)
-    owner = np.full((H, W), -1, dtype=np.int32)
-    alpha = np.zeros((H, W), dtype=np.float64)
-
-    xy = sketch.xy
-    slack = config.epsilon + 1.0
-    for e in range(len(table)):
-        i = int(table.start[e])
-        j = int(table.end[e])
-        x0, y0 = xy[i, 0], xy[i, 1]
-        x1, y1 = xy[j, 0], xy[j, 1]
-        c0 = max(int(np.floor(min(x0, x1) - slack)), 0)
-        c1 = min(int(np.ceil(max(x0, x1) + slack)), W - 1)
-        r0 = max(int(np.floor(min(y0, y1) - slack)), 0)
-        r1 = min(int(np.ceil(max(y0, y1) + slack)), H - 1)
-        if c0 > c1 or r0 > r1:
-            continue
-        cx = np.arange(c0, c1 + 1, dtype=np.float64) + 0.5
-        cy = np.arange(r0, r1 + 1, dtype=np.float64) + 0.5
-        al, d2 = segment_projection(cx[None, :] - x0, cy[:, None] - y0, x1 - x0, y1 - y0)
-        hit = d2 < eps_sq
-        if not hit.any():
-            continue
-        sub_owner = owner[r0 : r1 + 1, c0 : c1 + 1]
-        sub_alpha = alpha[r0 : r1 + 1, c0 : c1 + 1]
-        sub_owner[hit] = e
-        sub_alpha[hit] = al[hit]
-
-    intensities = np.zeros((H, W), dtype=np.float64)
+    table, owner, alpha = coverage(sketch, config)
+    intensities = np.zeros(owner.shape, dtype=np.float64)
     mask = owner >= 0
     if mask.any():
         ow = owner[mask]

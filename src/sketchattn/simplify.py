@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, require_finite
+from .errors import InvalidConfigError, NonFiniteCoordinateError, require_finite
 from .geometry import VectorSketch, segment_projection, validate_and_normalize
 
 MAX_ESCALATIONS = 10
@@ -109,11 +109,13 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
 
     The first and last points are always retained. Ties in the maximum
     deviation go to the earliest point, which makes the algorithm
-    idempotent.
+    idempotent. Non-finite coordinates raise NonFiniteCoordinateError.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("rdp_stroke expects an (n, 2) point array")
+    if not np.isfinite(pts).all():  # a NaN distance would never split its interval
+        raise NonFiniteCoordinateError("stroke contains NaN or infinite coordinates")
     eps = float(epsilon)
     ends = np.array([len(pts)] if len(pts) else [], dtype=np.intp)  # one stroke, none in an empty array
     sig, shift = _significance(pts, ends, eps)

@@ -1,12 +1,15 @@
 """Per-point loop implementations of the sketch constructor and the
 segment table, kept from before both were vectorised (the segment table
-has since lost its switch for point discs, which are always drawn), and
-the per-stroke stack RDP with its re-run-per-round epsilon escalation,
-kept from before simplification became one significance pass per sketch.
+has since lost its switch for point discs, which are always drawn), the
+per-stroke stack RDP with its re-run-per-round epsilon escalation, kept
+from before simplification became one significance pass per sketch, and
+the per-segment raster loop, kept from before coverage became one
+candidate pass per sketch.
 
 tests/test_loop_reference.py checks the numpy versions in the package
 against these loops. The raster oracle cannot catch a segment table change
-on its own, because it builds its entities with ``segment_table`` too.
+on its own, because it builds its entities with ``segment_table`` too; the
+raster loop is fast enough to compare at 224², where the oracle is not.
 """
 
 import math
@@ -16,7 +19,7 @@ import numpy as np
 from sketchattn import geometry
 from sketchattn.errors import EmptySketchError, NonFiniteCoordinateError
 from sketchattn.geometry import VectorSketch, segment_projection
-from sketchattn.raster import SegmentTable
+from sketchattn.raster import AttentionMap, RasterConfig, SegmentTable, _check_inputs
 from sketchattn.simplify import _RESCALE_ABOVE, MAX_ESCALATIONS
 
 
@@ -65,6 +68,50 @@ def segment_table(sketch: VectorSketch) -> SegmentTable:
             starts.append(i)
             ends.append(i)
     return SegmentTable(np.asarray(starts, dtype=np.int32), np.asarray(ends, dtype=np.int32))
+
+
+def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> AttentionMap:
+    a = _check_inputs(sketch, attention)
+    H, W = config.height, config.width
+    eps_sq = config.epsilon * config.epsilon
+
+    table = segment_table(sketch)
+    owner = np.full((H, W), -1, dtype=np.int32)
+    alpha = np.zeros((H, W), dtype=np.float64)
+
+    xy = sketch.xy
+    slack = config.epsilon + 1.0
+    for e in range(len(table)):
+        i = int(table.start[e])
+        j = int(table.end[e])
+        x0, y0 = xy[i, 0], xy[i, 1]
+        x1, y1 = xy[j, 0], xy[j, 1]
+        c0 = max(int(np.floor(min(x0, x1) - slack)), 0)
+        c1 = min(int(np.ceil(max(x0, x1) + slack)), W - 1)
+        r0 = max(int(np.floor(min(y0, y1) - slack)), 0)
+        r1 = min(int(np.ceil(max(y0, y1) + slack)), H - 1)
+        if c0 > c1 or r0 > r1:
+            continue
+        cx = np.arange(c0, c1 + 1, dtype=np.float64) + 0.5
+        cy = np.arange(r0, r1 + 1, dtype=np.float64) + 0.5
+        al, d2 = segment_projection(cx[None, :] - x0, cy[:, None] - y0, x1 - x0, y1 - y0)
+        hit = d2 < eps_sq
+        if not hit.any():
+            continue
+        sub_owner = owner[r0 : r1 + 1, c0 : c1 + 1]
+        sub_alpha = alpha[r0 : r1 + 1, c0 : c1 + 1]
+        sub_owner[hit] = e
+        sub_alpha[hit] = al[hit]
+
+    intensities = np.zeros((H, W), dtype=np.float64)
+    mask = owner >= 0
+    if mask.any():
+        ow = owner[mask]
+        alm = alpha[mask]
+        ai = a[table.start[ow]]
+        aj = a[table.end[ow]]
+        intensities[mask] = (1.0 - alm) * ai + alm * aj
+    return AttentionMap(intensities, owner, alpha, table)
 
 
 def rdp_stroke(points, epsilon: float) -> np.ndarray:

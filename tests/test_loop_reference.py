@@ -1,17 +1,22 @@
-"""The vectorised sketch constructor, stroke slices, segment table and
-RDP simplification agree bit for bit with the loops in loop_reference.py.
+"""The vectorised sketch constructor, stroke slices, segment table, RDP
+simplification and raster coverage agree bit for bit with the loops in
+loop_reference.py.
 
 Rows come from a small coordinate grid (signed zero included), so
 consecutive duplicates, duplicate runs across stroke ends, one-point
 strokes and tied chord distances are common.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_reference as ref
-from sketchattn.geometry import stroke_slices, validate_and_normalize
-from sketchattn.raster import segment_table
+from sketchattn import raster
+from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
+from sketchattn.raster import RasterConfig, rasterize_forward, segment_table
 from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
 
 _grid = st.sampled_from([0.0, -0.0, 1.0, 2.5])
@@ -108,3 +113,126 @@ def test_rdp_stroke_matches_loop(pts, scale, eps):
     got, expected = rdp_stroke(arr, eps), ref.rdp_stroke(arr, eps)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def _same_raster(sk, cfg, seed=0):
+    a = np.random.default_rng(seed).uniform(-0.5, 1.5, sk.n)
+    got, expected = rasterize_forward(sk, a, cfg), ref.rasterize_forward(sk, a, cfg)
+    for field in ("owner", "alpha", "intensities"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+    return got
+
+
+def _walk(seed, n, width, height):
+    """A random walk of n points started on the canvas, free to leave it."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, max(width, height) / 12.0, size=(n, 2))
+    xy = rng.uniform(0.0, [width, height]) + np.cumsum(steps, axis=0)
+    return validate_and_normalize(np.column_stack([xy, rng.random(n) < 0.15]))
+
+
+_canvases = st.sampled_from([(224, 224), (224, 96), (80, 224)]) | st.tuples(
+    st.integers(1, 224), st.integers(1, 224)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 448),
+    size=_canvases,
+    eps=st.floats(0.3, 3.0),
+    fit=st.booleans(),
+)
+def test_raster_matches_loop_on_walks(seed, n, size, eps, fit):
+    # a fitted walk is dense like a prepared sketch; an unfitted one strays
+    # off the canvas
+    sk = _walk(seed, n, *size)
+    if fit and min(size) > 8:
+        sk = normalize_to_canvas(sk, *size)
+    _same_raster(sk, RasterConfig(size[0], size[1], eps), seed)
+
+
+_FLAT = 22.5 * raster._FLAT_SLOPE  # |vy| at which a segment of length ~22.5 turns sloped
+_TARGETED = {
+    "horizontal": [(3.2, 10.5, 0), (25.7, 10.5, 1)],
+    "vertical": [(10.5, 3.2, 0), (10.5, 25.7, 1)],
+    "vy_1e-12": [(3.2, 10.4, 0), (25.7, 10.4 + 1e-12, 1)],
+    "vy_-1e-9": [(3.2, 10.4, 0), (25.7, 10.4 - 1e-9, 1)],
+    "vy_1e-6": [(3.2, 10.4, 0), (25.7, 10.4 + 1e-6, 1)],
+    "vy_below_flat": [(3.5, 10.4, 0), (26.0, 10.4 + _FLAT * 0.999, 1)],
+    "vy_above_flat": [(3.5, 10.4, 0), (26.0, 10.4 + _FLAT * 1.001, 1)],
+    "steep": [(12.4, 2.0, 0), (12.4 + 1e-9, 28.6, 0), (4.3, 28.6 - 1e-12, 1)],
+    # a subnormal vy: eps·L/|vy| overflows if such an entity counts as sloped
+    "vy_subnormal": [(3.2, 0.0, 0), (25.7, 5e-324, 1), (4.5, 4.5, 0), (20.5, 12.5, 1)],
+    # lines across the canvas from far off it: spans at 1e6; at 1e17, where
+    # rounding moves a span edge by many pixels (and the hits with it),
+    # whole box rows
+    "large_crossing": [(-1e6, -1e6 + 16.0, 0), (1e6, 1e6 + 16.0, 1)],
+    "huge_crossing": [(-1e17, -1e17, 0), (1e17, 1e17 + 32.0, 1)],
+    "pixel_centres": [(4.5, 4.5, 0), (20.5, 12.5, 0), (8.5, 27.5, 1)],
+    # centres at distance exactly 1 and 2 from the line: |4 dy - 3 dx| = 5 or 10
+    "distance_exactly_eps": [(5.5, 5.5, 0), (21.5, 17.5, 1)],
+    "discs": [(10.5, 10.5, 1), (12.3, 11.7, 1), (0.2, 31.9, 1), (31.5, -0.5, 1)],
+    "redrawn": [(5.0, 5.0, 0), (25.0, 20.0, 1), (25.0, 20.0, 0), (5.0, 5.0, 1), (5.0, 5.0, 0), (25.0, 20.0, 1)],
+    "redrawn_crossing": [(2.0, 2.0, 0), (29.0, 29.0, 0), (2.0, 29.0, 0), (29.0, 2.0, 0), (2.0, 2.0, 1)],
+}
+
+
+@pytest.mark.parametrize("eps", [0.3, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("rows", _TARGETED.values(), ids=_TARGETED.keys())
+def test_raster_matches_loop_on_targeted_geometry(rows, eps):
+    amap = _same_raster(validate_and_normalize(rows), RasterConfig(32, 32, eps))
+    assert amap.owned_pixel_count > 0
+
+
+def _edge_sketch(seed, eps, n=60, size=64):
+    """n two-point strokes, each at distance eps, up to rounding, from a
+    pixel centre that projects inside it."""
+    rng = np.random.default_rng(seed)
+    centre = rng.integers(4, size - 4, size=(n, 1, 2)) + 0.5
+    angle = rng.uniform(0.0, np.pi, size=(n, 1, 1))
+    along = np.concatenate([np.cos(angle), np.sin(angle)], axis=2)
+    normal = np.concatenate([-np.sin(angle), np.cos(angle)], axis=2)
+    t = rng.uniform(1.0, 6.0, size=(n, 2, 1)) * np.array([[-1.0], [1.0]])
+    xy = (centre + eps * normal + t * along).reshape(-1, 2)
+    return validate_and_normalize(np.column_stack([xy, np.tile([0, 1], n)]))
+
+
+@pytest.mark.parametrize("eps", [0.7, 1.3, 2.9])
+def test_raster_matches_loop_with_centres_on_stripe_edges(eps):
+    # rounding decides both whether such a centre is a hit and on which
+    # side of the span's exact edge it falls; the span's one-pixel margin
+    # keeps every hit among the candidates
+    for seed in range(20):
+        _same_raster(_edge_sketch(seed, eps), RasterConfig(64, 64, eps), seed)
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_raster_matches_loop_across_chunk_boundaries(monkeypatch, budget):
+    # a budget below one entity's pairs makes every entity a chunk of its
+    # own, so painter's order must carry across chunks
+    monkeypatch.setattr(raster, "_PAIR_BUDGET", budget)
+    for seed, n, size in [(1, 60, (64, 64)), (2, 30, (48, 20)), (3, 150, (224, 224))]:
+        _same_raster(_walk(seed, n, *size), RasterConfig(size[0], size[1], 1.5), seed)
+    _same_raster(validate_and_normalize(_TARGETED["redrawn"]), RasterConfig(32, 32, 2.0))
+
+
+def test_raster_matches_loop_beside_entities_far_off_the_canvas():
+    # what `rasterize --no-normalize` hands the rasterizer: entities at
+    # +-1e300 are dropped by their clipped boxes before any arithmetic, as
+    # the loop's continue drops them; a cast to int before clipping breaks
+    far = 1e300
+    rows = [
+        (far, far, 0), (-far, far, 1),  # x spans the canvas, y above it
+        (5.5, 5.5, 0), (20.2, 17.9, 0), (9.0, 27.0, 1),
+        (-far, -far, 0), (far, -far, 1),  # x spans the canvas, y below it
+        (-far, 3.0, 0), (-far, 30.0, 1),  # y spans the canvas, x left of it
+        (far, 16.0, 1),  # a disc right of the canvas
+        (25.0, 4.0, 1),
+    ]
+    sk = validate_and_normalize(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amap = _same_raster(sk, RasterConfig(32, 32, 1.0))
+    assert set(np.unique(amap.owner).tolist()) == {-1, 1, 2, 6}

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from sketchattn.errors import (
     InvalidConfigError,
     LengthMismatchError,
     NonFiniteAttentionError,
+    NonFiniteCoordinateError,
     ShapeMismatchError,
 )
-from sketchattn.geometry import validate_and_normalize
+from sketchattn.geometry import VectorSketch, segment_projection, validate_and_normalize
 from sketchattn.ingest import random_sketch
 from sketchattn.net.model import CnnConfig
+from sketchattn import raster
 from sketchattn.pipeline import desk_config, forward_classify, init_model_state
 from sketchattn.raster import (
     RasterConfig,
@@ -116,6 +119,15 @@ class TestForward:
         with pytest.raises(NonFiniteAttentionError):
             rasterize_forward(sk, [0.5, bad], CFG64)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # a VectorSketch built directly skips validate_and_normalize; the
+        # per-segment loop died with a bare ValueError on a NaN box, and a
+        # box test on NaN would drop the entity silently
+        sk = VectorSketch(np.array([[bad, 5.0], [10.0, 10.0], [20.0, 12.0]]), np.array([0, 0, 1]))
+        with pytest.raises(NonFiniteCoordinateError):
+            rasterize_forward(sk, np.ones(3), CFG64)
+
     def test_painters_order_latest_segment_owns(self):
         # two crossing strokes: the second drawn owns the crossing pixel
         sk = make([(2.5, 16.5, 0), (30.5, 16.5, 1), (16.5, 2.5, 0), (16.5, 30.5, 1)])
@@ -182,6 +194,45 @@ class TestOracleDifferential:
         assert np.array_equal(fast.owner, ref.owner)
         assert np.array_equal(fast.alpha, ref.alpha)
         assert np.array_equal(fast.intensities, ref.intensities)
+
+
+class TestCoverageStructure:
+    def test_one_projection_call_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return segment_projection(*args)
+
+        monkeypatch.setattr(raster, "segment_projection", counted)
+        x = np.linspace(4.0, 60.0, 51)
+        y = np.where(np.arange(51) % 2 == 0, 10.0, 50.0)
+        sk = make(np.column_stack([x, y, np.zeros(51)]))
+        assert len(segment_table(sk)) == 50
+        rasterize_forward(sk, np.ones(sk.n), CFG64)
+        assert 1 <= len(calls) <= 2
+
+    def test_peak_memory_bounded_by_pair_budget(self):
+        # a zigzag of 39 canvas-long diagonals at 1024², eps 20: each box
+        # holds ~1.1M pixels, while its stripe holds under 1100 rows of 64
+        # candidates. A chunk holds at most the larger of the budget and one
+        # such entity. The bound: the (H, W) owner, alpha, intensities and
+        # mask, six float64s per owned pixel for the gather, and 256 bytes
+        # (32 float64s) per pair of one chunk
+        n, H, W = 40, 1024, 1024
+        ends = np.where(np.arange(n) % 2 == 0, 10.0, 1010.0)
+        xy = np.column_stack([ends, ends]) + np.random.default_rng(0).uniform(-3.0, 3.0, (n, 2))
+        sk = make(np.column_stack([xy, np.zeros(n)]))
+        tracemalloc.start()
+        try:
+            amap = rasterize_forward(sk, np.ones(sk.n), RasterConfig(W, H, 20.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        owned = amap.owned_pixel_count
+        assert 0 < owned < H * W // 8
+        chunk_pairs = max(raster._PAIR_BUDGET, 1100 * 64)
+        assert peak < H * W * (4 + 8 + 8 + 1) + owned * 6 * 8 + chunk_pairs * 256
 
 
 class TestBackward:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sketchattn import simplify
-from sketchattn.errors import InvalidConfigError
+from sketchattn.errors import InvalidConfigError, NonFiniteCoordinateError
 from sketchattn.geometry import validate_and_normalize
 from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
 
@@ -94,6 +94,15 @@ class TestRdpStroke:
     def test_huge_collinear_interior_removed(self):
         out = rdp_stroke(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]) * 1e160, 2.0)
         assert out.tolist() == [[0.0, 0.0], [2e160, 0.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_raise(self, bad):
+        # a NaN made its interval's maximum NaN, so the interval never split
+        # and (1, 7), 7 from the chord, vanished along with the NaN point
+        with pytest.raises(NonFiniteCoordinateError):
+            rdp_stroke([[0.0, 0.0], [bad, 5.0], [1.0, 7.0], [2.0, 0.0]], 1.0)
+        with pytest.raises(ValueError):
+            rdp_stroke([[0.0, bad, 1.0]], 1.0)
 
     @given(st.integers(3, 60), st.floats(0.2, 8.0))
     def test_property_subsequence_bound(self, n, eps):
