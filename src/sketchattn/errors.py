@@ -25,7 +25,8 @@ class InvalidStrokeStateError(SketchError):
 
 
 class InvalidCanvasError(SketchError):
-    """Canvas dimensions are too small for the requested padding."""
+    """Canvas dimensions are too small for the requested padding, or the
+    padding is not a finite non-negative number."""
 
 
 class MalformedLineError(SketchError):

@@ -104,8 +104,10 @@ def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: floa
     Aspect ratio is preserved. An axis whose extent is zero, or under
     2^-1000 of its target (the scale would overflow), sets no scale; when
     neither axis sets one, every point maps to the canvas center.
-    Idempotent.
+    Idempotent. pad must be finite and non-negative.
     """
+    if not (np.isfinite(pad) and pad >= 0):
+        raise InvalidCanvasError(f"pad must be finite and non-negative, got {pad}")
     if width <= 2 * pad or height <= 2 * pad:
         raise InvalidCanvasError(f"canvas {width}x{height} too small for pad {pad}")
     lo = sketch.xy.min(axis=0)

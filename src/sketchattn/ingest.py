@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyDatasetError,
+    InvalidConfigError,
     LabelOutOfRangeError,
     MalformedDocumentError,
     MalformedLineError,
@@ -224,6 +225,14 @@ def synth_dataset(
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}")
+    if per_class < 1:
+        raise InvalidConfigError(f"per_class must be >= 1, got {per_class}")
+    unknown = [c for c in categories if c not in SYNTH_CATEGORIES]
+    if unknown:
+        raise InvalidConfigError(f"unknown synthetic category {unknown[0]!r}; known: {', '.join(SYNTH_CATEGORIES)}")
+    if not categories or len(set(categories)) != len(categories):
+        # a repeated category would label the very same sketches twice
+        raise InvalidConfigError(f"categories must be non-empty and distinct, got {list(categories)}")
     split_code = SPLITS.index(split)
     items = []
     for label, cat in enumerate(categories):

@@ -4,14 +4,14 @@ Every operation computes its numpy result eagerly and states its backward
 as one vjp per operand. op() wraps the result and, when any operand
 requires gradients, records one closure that adds each vjp of the
 output's gradient into its operand; it is the one place a closure is
-recorded, the fused LSTM layer included, whose four vjps share one BPTT
-pass. backward() replays the closures in exact reverse recording order,
-which is a valid reverse topological order because tensors are created
-before they are consumed.
+recorded, the fused bidirectional LSTM layer included, whose seven vjps
+share one BPTT pass over both directions. backward() replays the closures
+in exact reverse recording order, which is a valid reverse topological
+order because tensors are created before they are consumed.
 
-The op set covers exactly what the sketch pipeline runs (a fused LSTM
-layer, a linear head, a small CNN, softmax cross entropy); it is not a
-general-purpose autodiff.
+The op set covers exactly what the sketch pipeline runs (a fused
+bidirectional LSTM layer, a linear head, a small CNN, softmax cross
+entropy); it is not a general-purpose autodiff.
 """
 
 from __future__ import annotations
@@ -138,102 +138,109 @@ def relu(tape: Tape, a: Tensor) -> Tensor:
     return op(tape, np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
 
 
-def concat(tape: Tape, tensors: list[Tensor], axis: int) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    lead = (slice(None),) * (axis % data.ndim)
-    edges, lo = [], 0
-    for t in tensors:
-        hi = lo + t.data.shape[axis]
-        edges.append((t, lambda g, part=lead + (slice(lo, hi),): g[part]))
-        lo = hi
-    return op(tape, data, *edges)
-
-
 def reshape(tape: Tape, a: Tensor, shape) -> Tensor:
     return op(tape, a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
-def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None) -> Tensor:
-    """One LSTM layer from zero state: x (B, T, D) -> hidden states (B, T, H).
+def lstm(tape: Tape, x: Tensor, lengths, fw, bw) -> Tensor:
+    """One bidirectional LSTM layer from zero state: x (B, T, D) -> (B, T, 2H).
 
-    Gate order i, f, g, o; step t computes z = (x_t wx + h_{t-1} wh) + b.
-    The input projection of all T steps is one GEMM and the recurrence
-    runs on plain arrays, so the layer is a single tape op. Its four vjps
-    share one hand-written BPTT pass over the stored gates into dZ, run by
-    whichever vjp is called first; each is then one GEMM over all B*T rows.
+    fw and bw are (wx, wh, b) triples. Gate order i, f, g, o; step t of a
+    direction computes z = (x_t wx + h_{t-1} wh) + b. The forward direction
+    reads x in order; the backward one reads each item's real prefix (of
+    ``lengths`` (B,)) reversed, then its padding in place. That map is its
+    own inverse, so one gather serves x, the states, their gradient and dx.
+    The result is [forward | backward] states in x's time order.
 
-    Given per-item lengths (B,), the layer runs backwards: it reads each
-    real prefix reversed, then the padding in place, and returns its states
-    in x's time order. That map is its own inverse, so one gather serves
-    x, the output, the output's gradient and dx.
+    Both directions advance as one stack on a leading axis of 2: the input
+    projection is one (2, B*T, D) @ (2, D, 4H) GEMM, and each step one
+    (2, B, H) @ (2, H, 4H) GEMM plus the gate arithmetic on (2, B, 4H).
+    The layer is a single tape op whose seven vjps share one hand-written
+    BPTT pass over that stack into dZ, run by whichever vjp is called
+    first. Each weight gradient is then one GEMM of its direction over the
+    B*T rows in batch-major order, the order of the one-direction layer.
     """
     B, T, D = x.data.shape
-    H = wh.data.shape[0]
-    idx = None
-    if lengths is not None:
-        n, steps = np.asarray(lengths)[:, None], np.arange(T)
-        idx = np.where(steps < n, n - 1 - steps, steps)[:, :, None]
+    H = fw[1].data.shape[0]
+    n, steps = np.asarray(lengths)[:, None], np.arange(T)
+    idx = np.where(steps < n, n - 1 - steps, steps)[:, :, None]
 
-    def run_order(a):
-        return a if idx is None else np.take_along_axis(a, idx, axis=1)
+    def reverse(a):
+        return np.take_along_axis(a, idx, axis=1)
 
-    xs = run_order(x.data)
-    xw = (xs.reshape(B * T, D) @ wx.data).reshape(B, T, 4 * H)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    wx, wh, b = (np.stack([fw[k].data, bw[k].data]) for k in range(3))
+    xs = np.stack([x.data, reverse(x.data)]).reshape(2, B * T, D)
+    xw = (xs @ wx).reshape(2, B, T, 4 * H)
+    b = b[:, None, :]
+    h = np.zeros((2, B, H))
+    c = np.zeros((2, B, H))
     acts, cs, tcs, hs = [], [], [], []
-    for t in range(T):
-        z = (xw[:, t] + h @ wh.data) + b.data
-        a = _stable_sigmoid(z)
-        a[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
-        c = a[:, H : 2 * H] * c + a[:, :H] * a[:, 2 * H : 3 * H]
-        tc = np.tanh(c)
-        h = a[:, 3 * H :] * tc
-        acts.append(a)
-        cs.append(c)
-        tcs.append(tc)
-        hs.append(h)
-    h_run = np.stack(hs, axis=1)  # in the order the recurrence ran
-    dz_run = []  # dZ (B*T, 4H), filled by whichever vjp runs first
+    gi, gf, gg, go = (slice(k * H, (k + 1) * H) for k in range(4))
+    # exp overflow at z < -709 saturates to inf and the sigmoid to the exact
+    # limit 0.0, so the result stays correct; only the warning is suppressed
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            z = (xw[:, :, t] + h @ wh) + b
+            a = 1.0 / (1.0 + np.exp(-z))
+            a[..., gg] = np.tanh(z[..., gg])
+            c = a[..., gf] * c + a[..., gi] * a[..., gg]
+            tc = np.tanh(c)
+            h = a[..., go] * tc
+            acts.append(a)
+            cs.append(c)
+            tcs.append(tc)
+            hs.append(h)
+    h_run = np.stack(hs, axis=2)  # (2, B, T, H) in the order each direction ran
+    out = np.empty((B, T, 2 * H))
+    out[..., :H] = h_run[0]
+    out[..., H:] = reverse(h_run[1])
+    dz_run = []  # dZ (2, B*T, 4H), filled by whichever vjp runs first
 
     def dz(grad):
         if dz_run:
             return dz_run[0]
-        a4 = np.stack(acts).reshape(T, B, 4, H)
-        i, f, g, o = a4[:, :, 0], a4[:, :, 1], a4[:, :, 2], a4[:, :, 3]
+        a4 = np.stack(acts).reshape(T, 2, B, 4, H)
+        i, f, g, o = a4[..., 0, :], a4[..., 1, :], a4[..., 2, :], a4[..., 3, :]
         tc = np.stack(tcs)
-        c_prev = np.stack([np.zeros((B, H))] + cs[:-1])
+        c_prev = np.stack([np.zeros((2, B, H))] + cs[:-1])
         # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o)
-        k = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)], axis=2)
+        k = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)], axis=3)
         dc_dh = o * (1.0 - tc * tc)
-        d = np.empty((B, T, 4, H))
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
-        dout = run_order(grad)
+        dout = np.stack([grad[..., :H], reverse(grad[..., H:])])
+        whT = wh.transpose(0, 2, 1)
+        d = np.empty((2, B, T, 4, H))
+        dh_next = np.zeros((2, B, H))
+        dc_next = np.zeros((2, B, H))
         for t in range(T - 1, -1, -1):
-            dh = dout[:, t] + dh_next
+            dh = dout[:, :, t] + dh_next
             dc = dh * dc_dh[t] + dc_next
-            d_t = d[:, t]
-            d_t[:, :3] = k[t, :, :3] * dc[:, None, :]
-            d_t[:, 3] = k[t, :, 3] * dh
-            dh_next = d_t.reshape(B, 4 * H) @ wh.data.T
+            d_t = d[:, :, t]
+            np.multiply(k[t, :, :, :3], dc[:, :, None, :], out=d_t[:, :, :3])
+            np.multiply(k[t, :, :, 3], dh, out=d_t[:, :, 3])
+            dh_next = d_t.reshape(2, B, 4 * H) @ whT
             dc_next = dc * f[t]
-        dz_run.append(d.reshape(B * T, 4 * H))
+        dz_run.append(d.reshape(2, B * T, 4 * H))
         del acts[:], cs[:], tcs[:]  # spent: dZ is all the vjps need of them
         return dz_run[0]
 
-    def dwh(grad):
-        h_prev = np.concatenate([np.zeros((B, 1, H)), h_run[:, :-1]], axis=1).reshape(B * T, H)
-        return h_prev.T @ dz(grad)
+    def dx(grad):
+        dxs = (dz(grad) @ wx.transpose(0, 2, 1)).reshape(2, B, T, D)
+        return dxs[0] + reverse(dxs[1])
 
-    return op(
-        tape,
-        run_order(h_run),
-        (x, lambda g: run_order((dz(g) @ wx.data.T).reshape(B, T, D))),
-        (wx, lambda g: xs.reshape(B * T, D).T @ dz(g)),
-        (wh, dwh),
-        (b, lambda g: dz(g).sum(axis=0)),
-    )
+    def direction(r, p):
+        wx_t, wh_t, b_t = p
+
+        def dwh(grad):
+            h_prev = np.concatenate([np.zeros((B, 1, H)), h_run[r, :, :-1]], axis=1).reshape(B * T, H)
+            return h_prev.T @ dz(grad)[r]
+
+        return (
+            (wx_t, lambda g: xs[r].T @ dz(g)[r]),
+            (wh_t, dwh),
+            (b_t, lambda g: dz(g)[r].sum(axis=0)),
+        )
+
+    return op(tape, out, (x, dx), *direction(0, fw), *direction(1, bw))
 
 
 def dropout(tape: Tape, a: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -84,9 +84,9 @@ def init_rnn_params(rng: np.random.Generator, cfg: RnnConfig) -> dict[str, Tenso
     return params
 
 
-def init_cnn_params(rng: np.random.Generator, cfg: CnnConfig, in_channels: int = 1) -> dict[str, Tensor]:
+def init_cnn_params(rng: np.random.Generator, cfg: CnnConfig) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
-    ch_in = in_channels
+    ch_in = 1  # the one attention-painted image channel
     for s, (k, ch, _pool) in enumerate(cfg.stages):
         fan_in = ch_in * k * k
         bound = np.sqrt(6.0 / fan_in)
@@ -121,10 +121,8 @@ def rnn_attention_batch(
 
     x = ad.constant(inputs)
     for layer in range(cfg.num_layers):
-        p = f"rnn.l{layer}"
-        h_fw = ad.lstm(tape, x, params[f"{p}.fw.wx"], params[f"{p}.fw.wh"], params[f"{p}.fw.b"])
-        h_bw = ad.lstm(tape, x, params[f"{p}.bw.wx"], params[f"{p}.bw.wh"], params[f"{p}.bw.b"], lengths)
-        x = ad.concat(tape, [h_fw, h_bw], axis=2)
+        fw, bw = (tuple(params[f"rnn.l{layer}.{d}.{w}"] for w in ("wx", "wh", "b")) for d in ("fw", "bw"))
+        x = ad.lstm(tape, x, lengths, fw, bw)
         if layer < cfg.num_layers - 1 and dropout_rng is not None and cfg.dropout_prob > 0.0:
             x = ad.dropout(tape, x, cfg.dropout_prob, dropout_rng)
 

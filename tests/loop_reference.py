@@ -4,7 +4,10 @@ has since lost its switch for point discs, which are always drawn), the
 per-stroke stack RDP with its re-run-per-round epsilon escalation, kept
 from before simplification became one significance pass per sketch, and
 the per-segment raster loop, kept from before coverage became one
-candidate pass per sketch.
+candidate pass per sketch, and the one-direction fused LSTM op, kept
+from before both directions of a layer advanced as one stacked recurrence
+(``bidirectional_lstm`` runs it as the layer did then: a forward op, a
+backward op over reversed prefixes, and a concat).
 
 tests/test_loop_reference.py checks the numpy versions in the package
 against these loops. The raster oracle cannot catch a segment table change
@@ -19,6 +22,7 @@ import numpy as np
 from sketchattn import geometry
 from sketchattn.errors import EmptySketchError, NonFiniteCoordinateError
 from sketchattn.geometry import VectorSketch, segment_projection
+from sketchattn.net.autodiff import Tape, Tensor, _stable_sigmoid, op
 from sketchattn.raster import AttentionMap, RasterConfig, SegmentTable, _check_inputs
 from sketchattn.simplify import _RESCALE_ABOVE, MAX_ESCALATIONS
 
@@ -161,3 +165,99 @@ def simplify_sketch(sketch: VectorSketch, config) -> VectorSketch:
     s = np.zeros(len(xy))
     s[np.cumsum([len(st) for st in simplified]) - 1] = 1.0
     return geometry.validate_and_normalize(np.column_stack([xy, s])[: config.max_points])
+
+
+def lstm(tape: Tape, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, lengths=None) -> Tensor:
+    """One LSTM layer from zero state: x (B, T, D) -> hidden states (B, T, H).
+
+    Gate order i, f, g, o; step t computes z = (x_t wx + h_{t-1} wh) + b.
+    The input projection of all T steps is one GEMM and the recurrence
+    runs on plain arrays, so the layer is a single tape op. Its four vjps
+    share one hand-written BPTT pass over the stored gates into dZ, run by
+    whichever vjp is called first; each is then one GEMM over all B*T rows.
+
+    Given per-item lengths (B,), the layer runs backwards: it reads each
+    real prefix reversed, then the padding in place, and returns its states
+    in x's time order. That map is its own inverse, so one gather serves
+    x, the output, the output's gradient and dx.
+    """
+    B, T, D = x.data.shape
+    H = wh.data.shape[0]
+    idx = None
+    if lengths is not None:
+        n, steps = np.asarray(lengths)[:, None], np.arange(T)
+        idx = np.where(steps < n, n - 1 - steps, steps)[:, :, None]
+
+    def run_order(a):
+        return a if idx is None else np.take_along_axis(a, idx, axis=1)
+
+    xs = run_order(x.data)
+    xw = (xs.reshape(B * T, D) @ wx.data).reshape(B, T, 4 * H)
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    acts, cs, tcs, hs = [], [], [], []
+    for t in range(T):
+        z = (xw[:, t] + h @ wh.data) + b.data
+        a = _stable_sigmoid(z)
+        a[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
+        c = a[:, H : 2 * H] * c + a[:, :H] * a[:, 2 * H : 3 * H]
+        tc = np.tanh(c)
+        h = a[:, 3 * H :] * tc
+        acts.append(a)
+        cs.append(c)
+        tcs.append(tc)
+        hs.append(h)
+    h_run = np.stack(hs, axis=1)  # in the order the recurrence ran
+    dz_run = []  # dZ (B*T, 4H), filled by whichever vjp runs first
+
+    def dz(grad):
+        if dz_run:
+            return dz_run[0]
+        a4 = np.stack(acts).reshape(T, B, 4, H)
+        i, f, g, o = a4[:, :, 0], a4[:, :, 1], a4[:, :, 2], a4[:, :, 3]
+        tc = np.stack(tcs)
+        c_prev = np.stack([np.zeros((B, H))] + cs[:-1])
+        # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o)
+        k = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)], axis=2)
+        dc_dh = o * (1.0 - tc * tc)
+        d = np.empty((B, T, 4, H))
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        dout = run_order(grad)
+        for t in range(T - 1, -1, -1):
+            dh = dout[:, t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            d_t = d[:, t]
+            d_t[:, :3] = k[t, :, :3] * dc[:, None, :]
+            d_t[:, 3] = k[t, :, 3] * dh
+            dh_next = d_t.reshape(B, 4 * H) @ wh.data.T
+            dc_next = dc * f[t]
+        dz_run.append(d.reshape(B * T, 4 * H))
+        del acts[:], cs[:], tcs[:]  # spent: dZ is all the vjps need of them
+        return dz_run[0]
+
+    def dwh(grad):
+        h_prev = np.concatenate([np.zeros((B, 1, H)), h_run[:, :-1]], axis=1).reshape(B * T, H)
+        return h_prev.T @ dz(grad)
+
+    return op(
+        tape,
+        run_order(h_run),
+        (x, lambda g: run_order((dz(g) @ wx.data.T).reshape(B, T, D))),
+        (wx, lambda g: xs.reshape(B * T, D).T @ dz(g)),
+        (wh, dwh),
+        (b, lambda g: dz(g).sum(axis=0)),
+    )
+
+
+def bidirectional_lstm(tape: Tape, x: Tensor, lengths, fw, bw) -> Tensor:
+    """A layer as three tape ops: fw op, bw op over reversed prefixes, concat."""
+    h_fw = lstm(tape, x, *fw)
+    h_bw = lstm(tape, x, *bw, lengths)
+    H = h_fw.data.shape[2]
+    return op(
+        tape,
+        np.concatenate([h_fw.data, h_bw.data], axis=2),
+        (h_fw, lambda g: g[..., :H]),
+        (h_bw, lambda g: g[..., H:]),
+    )

@@ -43,6 +43,29 @@ class TestSynthAndSimplify:
         info = json.loads(stdout.strip().splitlines()[-1])
         assert code == 0 and info["items"] == 200
 
+    @pytest.mark.parametrize("per_class", ["0", "-1"])
+    def test_synth_needs_an_item_per_class(self, tmp_path, capsys, per_class):
+        # used to write an empty dataset, exit 0, and fail later in load_dataset
+        out = tmp_path / "ds.json"
+        code, stdout, err = run(capsys, "synth", "--out", str(out), "--per-class", per_class)
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "per_class" in info["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("categories, named", [("line,nope", "'nope'"), ("line,line", "distinct")])
+    def test_synth_bad_categories_named(self, tmp_path, capsys, categories, named):
+        # an unknown category used to end in a bare KeyError, and a repeated
+        # one wrote the same sketches under two labels with exit code 0
+        out = tmp_path / "ds.json"
+        code, stdout, err = run(capsys, "synth", "--out", str(out), "--per-class", "2", "--categories", categories)
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert named in info["detail"]
+        assert not out.exists()
+
     def test_simplify_collinear(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         from sketchattn.geometry import validate_and_normalize
@@ -156,6 +179,21 @@ class TestRasterizeCommand:
         info = _one_error(err)
         assert info["error"] == "InvalidConfigError"
         assert "'epsilon'" in info["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pad", ["nan", "-40"])
+    def test_invalid_pad_rejected(self, sketch_file, tmp_path, capsys, pad):
+        # --pad nan used to paint 1 owned pixel and --pad -40 to push the
+        # sketch off the canvas, both with exit code 0
+        out = tmp_path / "map.pgm"
+        code, stdout, err = run(
+            capsys, "rasterize", "--input", str(sketch_file), "--out", str(out), "--width", "64", "--height", "64",
+            "--pad", pad,
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidCanvasError"
+        assert "pad" in info["detail"]
         assert not out.exists()
 
     def test_attention_file_flag_required(self, sketch_file, tmp_path, capsys):

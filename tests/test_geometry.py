@@ -277,6 +277,17 @@ class TestNormalizeToCanvas:
         with pytest.raises(InvalidCanvasError):
             normalize_to_canvas(make([(0, 0, 1)]), 8, 64, pad=4)
 
+    @pytest.mark.parametrize("pad", [float("nan"), float("inf"), -float("inf"), -40.0, -1e-9])
+    def test_non_finite_or_negative_pad_rejected(self, pad):
+        # a NaN pad passed the size check and collapsed the sketch to NaN
+        # coordinates; a negative one scaled it past the canvas edges
+        with pytest.raises(InvalidCanvasError, match="pad"):
+            normalize_to_canvas(make([(0, 0, 0), (10, 5, 1)]), 64, 64, pad=pad)
+
+    def test_zero_pad_fills_the_canvas(self):
+        out = normalize_to_canvas(make([(0, 0, 0), (10, 10, 1)]), 64, 64, pad=0)
+        np.testing.assert_array_equal(out.xy, [[0.0, 0.0], [63.0, 63.0]])
+
 
 class TestSegments:
     # the rasterizer's segment table is the one segment extraction; its

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sketchattn.errors import (
     EmptyDatasetError,
     EmptySketchError,
+    InvalidConfigError,
     InvalidStrokeStateError,
     LabelOutOfRangeError,
     MalformedDocumentError,
@@ -237,6 +238,22 @@ class TestSynthetic:
         tr = synth_dataset(3, seed=3, split="train")
         te = synth_dataset(3, seed=3, split="test")
         assert tr.items[0].sketch.xy.tolist() != te.items[0].sketch.xy.tolist()
+
+    @pytest.mark.parametrize("per_class", [0, -1])
+    def test_dataset_needs_an_item_per_class(self, per_class):
+        with pytest.raises(InvalidConfigError, match="per_class"):
+            synth_dataset(per_class, seed=0)
+
+    def test_dataset_unknown_category_named(self):
+        with pytest.raises(InvalidConfigError, match="'nope'"):
+            synth_dataset(2, seed=0, categories=("line", "nope"))
+
+    @pytest.mark.parametrize("categories", [(), ("line", "circle", "line")], ids=["empty", "repeated"])
+    def test_dataset_categories_non_empty_and_distinct(self, categories):
+        # no categories gave an empty dataset; a repeated one gave the same
+        # sketches under two labels
+        with pytest.raises(InvalidConfigError, match="distinct"):
+            synth_dataset(2, seed=0, categories=categories)
 
     def test_category_subset(self):
         ds = synth_dataset(2, seed=0, split="train", categories=("square_cw", "square_ccw"))

@@ -1,6 +1,6 @@
 """The vectorised sketch constructor, stroke slices, segment table, RDP
-simplification and raster coverage agree bit for bit with the loops in
-loop_reference.py.
+simplification and raster coverage, and the stacked bidirectional LSTM
+layer, agree bit for bit with the loops in loop_reference.py.
 
 Rows come from a small coordinate grid (signed zero included), so
 consecutive duplicates, duplicate runs across stroke ends, one-point
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import loop_reference as ref
 from sketchattn import raster
 from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
+from sketchattn.net import autodiff as ad
 from sketchattn.raster import RasterConfig, rasterize_forward, segment_table
 from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
 
@@ -236,3 +237,41 @@ def test_raster_matches_loop_beside_entities_far_off_the_canvas():
         warnings.simplefilter("error")
         amap = _same_raster(sk, RasterConfig(32, 32, 1.0))
     assert set(np.unique(amap.owner).tolist()) == {-1, 1, 2, 6}
+
+
+def _layer_bits(layer, x, lengths, weights, upstream):
+    """Output and the gradients of x and the six weights, of sum(out * upstream)."""
+    tensors = [ad.parameter(a.copy()) for a in [x, *weights]]
+    tape = ad.Tape()
+    out = layer(tape, tensors[0], lengths, tuple(tensors[1:4]), tuple(tensors[4:]))
+    ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize(
+    "B, T, D, H, lengths",
+    [
+        (1, 1, 3, 4, [1]),
+        (1, 9, 3, 32, [9]),
+        (3, 1, 5, 4, [1, 1, 1]),
+        (4, 12, 3, 32, [12, 1, 7, 12]),
+        (16, 35, 64, 32, list(range(35, 3, -2))),
+        (2, 20, 64, 512, [20, 1]),
+    ],
+)
+def test_bidirectional_lstm_matches_three_op_layer(B, T, D, H, lengths):
+    rng = np.random.default_rng(B * 1000 + T)
+    lengths = np.array(lengths)
+    x = rng.normal(size=(B, T, D))
+    for bi, n in enumerate(lengths):
+        x[bi, n:] = 0.0  # padding, as the pipeline pads
+    weights = [
+        a
+        for _ in ("fw", "bw")
+        for a in (rng.normal(scale=0.5, size=(D, 4 * H)), rng.normal(scale=0.3, size=(H, 4 * H)), rng.normal(size=4 * H))
+    ]
+    upstream = rng.normal(size=(B, T, 2 * H))
+    got = _layer_bits(ad.lstm, x, lengths, weights, upstream)
+    expected = _layer_bits(ref.bidirectional_lstm, x, lengths, weights, upstream)
+    for name, g, e in zip(["out", "x", "fw.wx", "fw.wh", "fw.b", "bw.wx", "bw.wh", "bw.b"], got, expected):
+        assert g.tobytes() == e.tobytes(), name

@@ -142,14 +142,6 @@ OP_CASES = {
     "sigmoid": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ad.sigmoid(t, a)),
     "tanh": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ops.tanh(t, a)),
     "relu": (lambda r: [_away_from_zero(r, (3, 4))], lambda t, a: ad.relu(t, a)),
-    "concat_axis1": (
-        lambda r: [r.normal(size=(2, k, 3)) for k in (1, 2, 3)],
-        lambda t, *xs: ad.concat(t, list(xs), axis=1),
-    ),
-    "concat_last_axis": (
-        lambda r: [r.normal(size=(2, 3, 2)), r.normal(size=(2, 3, 4))],
-        lambda t, *xs: ad.concat(t, list(xs), axis=-1),
-    ),
     "reshape": (lambda r: [r.normal(size=(2, 6))], lambda t, a: ad.reshape(t, a, (3, 4))),
     "conv2d": (
         lambda r: [r.normal(size=(2, 2, 5, 4)), r.normal(size=(3, 2, 3, 3)), r.normal(size=3)],
@@ -344,74 +336,98 @@ def reference_lstm_grads(x, wx, wh, b, upstream):
     )
 
 
+def reference_bidirectional(x, lengths, weights, upstream):
+    """The layer's output and gradients (x, then fw and bw wx, wh, b) built
+    from reference_lstm_grads: the fw half on the whole batch, the bw half
+    item by item on each real prefix reversed, its padding after it."""
+    B, T, _ = x.shape
+    H = weights[1].shape[0]
+    fw_out, fw_dx, *fw_dw = reference_lstm_grads(x, *weights[:3], upstream[..., :H])
+    bw_out, bw_dx = np.zeros_like(fw_out), np.zeros_like(fw_dx)
+    bw_dw = [np.zeros_like(w) for w in weights[3:]]
+    for bi, n in enumerate(lengths):
+        order = np.concatenate([np.arange(n - 1, -1, -1), np.arange(n, T)])
+        item = np.s_[bi : bi + 1, order]
+        out, dx, *dw = reference_lstm_grads(x[item], *weights[3:], upstream[..., H:][item])
+        back = np.argsort(order)
+        bw_out[bi], bw_dx[bi] = out[0, back], dx[0, back]
+        for acc, g in zip(bw_dw, dw):
+            acc += g
+    return np.concatenate([fw_out, bw_out], axis=2), [fw_dx + bw_dx, *fw_dw, *bw_dw]
+
+
+def random_layer(rng, D, H):
+    """fw then bw (wx, wh, b) arrays of one layer."""
+    return [a for _ in ("fw", "bw") for a in (rng.normal(size=(D, 4 * H)), rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H))]
+
+
+def run_layer(tensors, lengths, upstream):
+    """ad.lstm on [x, *fw, *bw] tensors and backward of sum(out * upstream)."""
+    tape = Tape()
+    out = ad.lstm(tape, tensors[0], lengths, tuple(tensors[1:4]), tuple(tensors[4:]))
+    assert len(tape) == 1
+    backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
+    return out
+
+
+LAYER_OPERANDS = ["x", "wx", "wh", "b", "bw_wx", "bw_wh", "bw_b"]
+
+
 class TestFusedLstm:
-    def test_matches_step_by_step_reference(self):
-        rng = np.random.default_rng(11)
-        B, T, D, H = 3, 7, 5, 4
+    def _check_against_reference(self, seed, B, T, D, H, lengths):
+        rng = np.random.default_rng(seed)
         x = rng.normal(size=(B, T, D))
-        wx = rng.normal(size=(D, 4 * H))
-        wh = rng.normal(size=(H, 4 * H))
-        b = rng.normal(size=4 * H)
-        upstream = rng.normal(size=(B, T, H))
-        ref_out, *ref_grads = reference_lstm_grads(x, wx, wh, b, upstream)
+        weights = random_layer(rng, D, H)
+        upstream = rng.normal(size=(B, T, 2 * H))
+        ref_out, ref_grads = reference_bidirectional(x, lengths, weights, upstream)
 
-        tensors = [ad.parameter(a.copy()) for a in (x, wx, wh, b)]
-        tape = Tape()
-        out = ad.lstm(tape, *tensors)
-        assert len(tape) == 1
-        backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
+        tensors = [ad.parameter(a.copy()) for a in [x, *weights]]
+        out = run_layer(tensors, lengths, upstream)
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
-        for t, ref in zip(tensors, ref_grads):
-            np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12)
+        for name, t, ref in zip(LAYER_OPERANDS, tensors, ref_grads):
+            np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("which", [0, 1, 2, 3], ids=["x", "wx", "wh", "b"])
+    def test_matches_step_by_step_reference(self):
+        # full lengths: the bw half reads every item wholly reversed
+        self._check_against_reference(11, B=3, T=7, D=5, H=4, lengths=np.array([7, 7, 7]))
+
+    @pytest.mark.parametrize("which", range(7), ids=LAYER_OPERANDS)
     def test_lone_operand_gradient_matches_reference(self, which):
-        # the four vjps share one BPTT pass, run by whichever comes first;
+        # the seven vjps share one BPTT pass, run by whichever comes first;
         # with one operand requiring a gradient, its vjp is the only one
         rng = np.random.default_rng(15)
         B, T, D, H = 2, 5, 3, 4
-        arrays = [rng.normal(size=(B, T, D)), rng.normal(size=(D, 4 * H)), rng.normal(size=(H, 4 * H)),
-                  rng.normal(size=4 * H)]
-        upstream = rng.normal(size=(B, T, H))
-        _, *ref_grads = reference_lstm_grads(*arrays, upstream)
+        lengths = np.array([5, 3])
+        arrays = [rng.normal(size=(B, T, D)), *random_layer(rng, D, H)]
+        upstream = rng.normal(size=(B, T, 2 * H))
+        _, ref_grads = reference_bidirectional(arrays[0], lengths, arrays[1:], upstream)
 
         tensors = [Tensor(a.copy(), requires_grad=k == which) for k, a in enumerate(arrays)]
         tape = Tape()
-        out = ad.lstm(tape, *tensors)
+        out = ad.lstm(tape, tensors[0], lengths, tuple(tensors[1:4]), tuple(tensors[4:]))
         backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
-        assert [t.grad is not None for t in tensors] == [k == which for k in range(4)]
+        assert [t.grad is not None for t in tensors] == [k == which for k in range(7)]
         np.testing.assert_allclose(tensors[which].grad, ref_grads[which], rtol=0, atol=1e-12)
 
     def test_reversed_prefixes_match_reference_per_item(self):
-        # with lengths, each item runs over its real prefix backwards, then
-        # its padding in place; states come back in the input's time order
-        rng = np.random.default_rng(12)
-        B, T, D, H = 3, 6, 4, 3
-        lengths = np.array([6, 2, 4])
-        x = rng.normal(size=(B, T, D))
-        wx = rng.normal(size=(D, 4 * H))
-        wh = rng.normal(size=(H, 4 * H))
-        b = rng.normal(size=4 * H)
-        upstream = rng.normal(size=(B, T, H))
+        # ragged lengths: each item's bw half runs over its real prefix
+        # backwards, then its padding in place; states come back in the
+        # input's time order
+        self._check_against_reference(12, B=3, T=6, D=4, H=3, lengths=np.array([6, 2, 4]))
+        self._check_against_reference(16, B=4, T=5, D=3, H=2, lengths=np.array([1, 5, 3, 1]))
 
-        tensors = [ad.parameter(a.copy()) for a in (x, wx, wh, b)]
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_one_recurrence_op_per_layer(self, num_layers, training):
+        # per layer one lstm op (and dropout between layers when training);
+        # then reshape, linear, sigmoid, reshape and the padding mask
+        cfg = RnnConfig(hidden_size=4, num_layers=num_layers, dropout_prob=0.5)
+        params = init_rnn_params(np.random.default_rng(17), cfg)
+        rng = np.random.default_rng(17)
         tape = Tape()
-        out = ad.lstm(tape, *tensors, lengths=lengths)
-        assert len(tape) == 1
-        backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
-
-        ref_weights = [np.zeros_like(a) for a in (wx, wh, b)]
-        for bi, n in enumerate(lengths):
-            order = np.concatenate([np.arange(n - 1, -1, -1), np.arange(n, T)])
-            item = np.s_[bi : bi + 1, order]
-            ref_out, ref_dx, *ref_dw = reference_lstm_grads(x[item], wx, wh, b, upstream[item])
-            back = np.argsort(order)
-            np.testing.assert_allclose(out.data[bi], ref_out[0, back], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(tensors[0].grad[bi], ref_dx[0, back], rtol=0, atol=1e-12)
-            for acc, g in zip(ref_weights, ref_dw):
-                acc += g
-        for t, ref in zip(tensors[1:], ref_weights):
-            np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12)
+        rnn_attention_batch(tape, rng.normal(size=(3, 6, 3)), np.array([6, 1, 4]), params, cfg,
+                            rng if training else None)
+        assert len(tape) == num_layers + (num_layers - 1 if training else 0) + 5
 
     def test_attention_tape_length_independent_of_sequence_length(self):
         cfg, params = small_rnn(13)
