@@ -201,7 +201,7 @@ def _nlr_profile(seed: int):
     rng = np.random.default_rng((seed, 11))
     sketch = random_sketch(rng, 24, 32.0, 32.0)
     config = RasterConfig(width=32, height=32, epsilon=1.0)
-    delta = rng.normal(size=(1, 1, 32, 32))
+    delta = rng.normal(size=(1, 32, 32, 1))
     attention = ad.parameter(rng.uniform(0.1, 0.9, size=(1, sketch.n)))
 
     def fn(tape: Tape) -> Tensor:
@@ -240,7 +240,7 @@ def _cnn_profile(seed: int):
     cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2)
     params = init_cnn_params(rng, cfg)
     _jitter_biases(params, rng)
-    image = rng.normal(size=(1, 1, 8, 8))
+    image = rng.normal(size=(1, 8, 8, 1))
     labels = np.array([1])
 
     def fn(tape: Tape) -> Tensor:

@@ -10,8 +10,9 @@ in exact reverse recording order, which is a valid reverse topological
 order because tensors are created before they are consumed.
 
 The op set covers exactly what the sketch pipeline runs (a fused
-bidirectional LSTM layer, a linear head, a small CNN, softmax cross
-entropy); it is not a general-purpose autodiff.
+bidirectional LSTM layer, a linear head, a small channels-last CNN on
+(B, H, W, C) activations, softmax cross entropy); it is not a
+general-purpose autodiff.
 """
 
 from __future__ import annotations
@@ -250,69 +251,72 @@ def dropout(tape: Tape, a: Tensor, p: float, rng: np.random.Generator) -> Tensor
 
 
 def conv2d(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Stride-1 same-padding 2D convolution for odd kernels.
+    """Stride-1 same-padding 2D convolution for odd kernels, channels-last.
 
-    x: (B, C, H, W), w: (O, C, k, k), b: (O,). Implemented as an im2col
-    matrix product; the column matrix is kept for the backward pass so
-    both directions are single BLAS calls plus a k*k col2im scatter.
+    x: (B, H, W, C), w: (O, C, k, k), b: (O,) -> (B, H, W, O). One im2col
+    GEMM, its columns copied from the padded window view in (C, k, k)
+    order and kept for dw; dx is one GEMM per kernel tap, whose contiguous
+    (B, H, W, C) slab is added into the padded gradient at the tap's shift.
     """
-    B, C, H, W = x.data.shape
+    B, H, W, C = x.data.shape
     O = w.data.shape[0]
     k = w.data.shape[2]
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B, C, H, W, k, k)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * H * W, C * k * k)
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (B, H, W, C, k, k)
+    cols = np.ascontiguousarray(win).reshape(B * H * W, C * k * k)
     w_mat = w.data.reshape(O, C * k * k).T
-    out_data = (cols @ w_mat).reshape(B, H, W, O).transpose(0, 3, 1, 2) + b.data[None, :, None, None]
-
-    def g_mat(g):
-        return np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * H * W, O)
+    out_data = (cols @ w_mat).reshape(B, H, W, O)
+    out_data += b.data
 
     def dx(g):
-        dcols = (g_mat(g) @ w_mat.T).reshape(B, H, W, C, k, k)
-        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        taps = g.reshape(1, B * H * W, O) @ w.data.transpose(2, 3, 0, 1).reshape(k * k, O, C)
+        dxp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
         for u in range(k):
             for v in range(k):
-                dxp[:, :, u : u + H, v : v + W] += dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-        return dxp[:, :, pad : pad + H, pad : pad + W]
+                dxp[:, u : u + H, v : v + W] += taps[u * k + v].reshape(B, H, W, C)
+        return dxp[:, pad : pad + H, pad : pad + W]
 
     return op(
         tape,
         out_data,
-        (b, lambda g: g.sum(axis=(0, 2, 3))),
-        (w, lambda g: (cols.T @ g_mat(g)).T.reshape(O, C, k, k)),
+        (b, lambda g: g.reshape(B * H * W, O).sum(axis=0)),
+        (w, lambda g: (cols.T @ g.reshape(B * H * W, O)).T.reshape(O, C, k, k)),
         (x, dx),
     )
 
 
 def maxpool2d(tape: Tape, x: Tensor, factor: int) -> Tensor:
-    """Non-overlapping max pooling; trailing rows/cols that do not fill a
-    window are dropped. Ties go to the first element (row-major in the
-    window), which keeps the backward pass deterministic."""
-    B, C, H, W = x.data.shape
+    """Non-overlapping max pooling over (B, H, W, C); trailing rows/cols
+    that do not fill a window are dropped. Ties go to the first element
+    (row-major in the window), which keeps the backward pass
+    deterministic. The vjp copies the gradient onto that element rather
+    than multiplying by a mask, so an inf gradient leaves the others 0."""
     f = factor
-    Hc, Wc = (H // f) * f, (W // f) * f
-    xc = x.data[:, :, :Hc, :Wc]
-    win = xc.reshape(B, C, Hc // f, f, Wc // f, f).transpose(0, 1, 2, 4, 3, 5).reshape(
-        B, C, Hc // f, Wc // f, f * f
-    )
-    idx = win.argmax(axis=-1)
-    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    Ho, Wo = x.data.shape[1] // f, x.data.shape[2] // f
+    cells = [np.s_[:, i : Ho * f : f, j : Wo * f : f] for i in range(f) for j in range(f)]
+    out_data = x.data[cells[0]].copy()
+    for cell in cells[1:]:
+        np.maximum(out_data, x.data[cell], out=out_data)
 
     def vjp(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dxc = dwin.reshape(B, C, Hc // f, Wc // f, f, f).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, Hc, Wc)
-        return dxc if (Hc, Wc) == (H, W) else np.pad(dxc, ((0, 0), (0, 0), (0, H - Hc), (0, W - Wc)))
+        dx = np.zeros_like(x.data)
+        free = np.ones(out_data.shape, dtype=bool)
+        for cell in cells:
+            first = np.equal(x.data[cell], out_data)
+            first &= free
+            np.copyto(dx[cell], g, where=first)
+            free ^= first
+        return dx
 
     return op(tape, out_data, (x, vjp))
 
 
 def global_avg_pool(tape: Tape, x: Tensor) -> Tensor:
-    """(B, C, H, W) -> (B, C) spatial mean."""
-    B, C, H, W = x.data.shape
-    return op(tape, x.data.mean(axis=(2, 3)), (x, lambda g: g[:, :, None, None] / (H * W)))
+    """(B, H, W, C) -> (B, C) spatial mean, summed in (B, C, H, W) order."""
+    B, H, W, C = x.data.shape
+    mean = np.ascontiguousarray(x.data.transpose(0, 3, 1, 2)).mean(axis=(2, 3))
+    return op(tape, mean, (x, lambda g: g[:, None, None, :] / (H * W)))
 
 
 def sum_all(tape: Tape, a: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ The function under test must be deterministic (no dropout rng): it is called
 once per probed entry with a parameter nudged by +/-step. Relative errors
 use max(|analytic|, |numeric|, 1e-6) as the denominator so vanishing
 gradients do not produce spurious failures from finite-difference noise.
+A NaN on either side counts as an infinite relative error.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def grad_check(
             numeric = (f_plus - f_minus) / (2.0 * step)
             a = float(a_flat[idx])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), REL_ERR_FLOOR)
+            if np.isnan(rel):
+                rel = np.inf
             if rel >= worst[0]:
                 worst = (rel, int(idx), a, numeric)
         entries.append(GradCheckEntry(name, worst[0], worst[1], worst[2], worst[3]))

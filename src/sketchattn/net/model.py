@@ -1,5 +1,6 @@
 """Network building blocks: a stacked LSTM that reads each layer in both
-directions, a sigmoid attention head, and a small convolutional classifier.
+directions, a sigmoid attention head, and a small convolutional classifier
+whose activations are channels-last, (B, H, W, C).
 
 Parameter naming scheme (used by the optimizer and checkpoints):
     rnn.l{layer}.{fw|bw}.wx   (in_dim, 4*hidden)   gate order i, f, g, o
@@ -133,10 +134,12 @@ def rnn_attention_batch(
 
 
 def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg: CnnConfig) -> Tensor:
-    """(B, 1, H, W) images -> (B, num_classes) logits."""
+    """(B, H, W, 1) images -> (B, num_classes) logits, channels-last
+    throughout. relu runs after each max pool: it commutes with the max,
+    in values and in the cell each window's gradient reaches."""
     x = images
     for s, (_k, _ch, pool) in enumerate(cfg.stages):
-        x = ad.relu(tape, ad.conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]))
-        x = ad.maxpool2d(tape, x, pool)
+        x = ad.conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"])
+        x = ad.relu(tape, ad.maxpool2d(tape, x, pool))
     x = ad.global_avg_pool(tape, x)
     return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])

@@ -158,6 +158,14 @@ class ExperimentConfig:
             acc = getattr(self, name)
             if acc is not None and not 0.0 <= acc <= 1.0:  # false for NaN too
                 raise InvalidConfigError(f"config {name!r} must lie in [0, 1], got {acc!r}")
+        h, w = self.raster.height, self.raster.width
+        for s, (_k, _ch, pool) in enumerate(self.cnn.stages):
+            if h < pool or w < pool:
+                raise InvalidConfigError(
+                    f"cnn stage {s} pools by {pool} but its input is {h}x{w} (height x width): "
+                    "the canvas is too small for the stages"
+                )
+            h, w = h // pool, w // pool
 
     @property
     def uses_rnn(self) -> bool:
@@ -340,7 +348,7 @@ def randomize_stroke_order(sketch: VectorSketch, rng: np.random.Generator) -> Ve
 
 
 def _rasterize_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg: RasterConfig):
-    """The one bridge from per-point attention (B, T) to images (B, 1, H, W).
+    """The one bridge from per-point attention (B, T) to images (B, H, W, 1).
 
     Every variant and the nlr gradcheck pass through here. The vjp hands
     each item's incoming pixel gradients to rasterize_backward and scatters
@@ -348,16 +356,16 @@ def _rasterize_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg
     gradient, adds no tape op.
     """
     maps: list[AttentionMap] = []
-    images = np.zeros((len(sketches), 1, cfg.height, cfg.width))
+    images = np.zeros((len(sketches), cfg.height, cfg.width, 1))
     for b, sk in enumerate(sketches):
         amap = rasterize_forward(sk, attn.data[b, : sk.n], cfg)
         maps.append(amap)
-        images[b, 0] = amap.intensities
+        images[b, :, :, 0] = amap.intensities
 
     def vjp(g):
         d = np.zeros_like(attn.data)
         for b, sk in enumerate(sketches):
-            d[b, : sk.n] = rasterize_backward(maps[b], g[b, 0], sk.n)
+            d[b, : sk.n] = rasterize_backward(maps[b], g[b, :, :, 0], sk.n)
         return d
 
     return ad.op(tape, images, (attn, vjp)), maps

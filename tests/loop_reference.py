@@ -7,22 +7,29 @@ the per-segment raster loop, kept from before coverage became one
 candidate pass per sketch, and the one-direction fused LSTM op, kept
 from before both directions of a layer advanced as one stacked recurrence
 (``bidirectional_lstm`` runs it as the layer did then: a forward op, a
-backward op over reversed prefixes, and a concat).
+backward op over reversed prefixes, and a concat), and the channels-first
+CNN ops and forward pass, kept from before activations became (B, H, W, C)
+(im2col through a transposed copy, a k*k col2im scatter, an argmax max
+pool, relu before the pool).
 
 tests/test_loop_reference.py checks the numpy versions in the package
-against these loops. The raster oracle cannot catch a segment table change
-on its own, because it builds its entities with ``segment_table`` too; the
-raster loop is fast enough to compare at 224², where the oracle is not.
+against these loops and ops. The raster oracle cannot catch a segment
+table change on its own, because it builds its entities with
+``segment_table`` too; the raster loop is fast enough to compare at 224²,
+where the oracle is not.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sketchattn import geometry
 from sketchattn.errors import EmptySketchError, NonFiniteCoordinateError
 from sketchattn.geometry import VectorSketch, segment_projection
+from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape, Tensor, _stable_sigmoid, op
+from sketchattn.net.model import CnnConfig
 from sketchattn.raster import AttentionMap, RasterConfig, SegmentTable, _check_inputs
 from sketchattn.simplify import _RESCALE_ABOVE, MAX_ESCALATIONS
 
@@ -261,3 +268,79 @@ def bidirectional_lstm(tape: Tape, x: Tensor, lengths, fw, bw) -> Tensor:
         (h_fw, lambda g: g[..., :H]),
         (h_bw, lambda g: g[..., H:]),
     )
+
+
+def conv2d(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stride-1 same-padding 2D convolution for odd kernels.
+
+    x: (B, C, H, W), w: (O, C, k, k), b: (O,). Implemented as an im2col
+    matrix product; the column matrix is kept for the backward pass so
+    both directions are single BLAS calls plus a k*k col2im scatter.
+    """
+    B, C, H, W = x.data.shape
+    O = w.data.shape[0]
+    k = w.data.shape[2]
+    pad = k // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B, C, H, W, k, k)
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * H * W, C * k * k)
+    w_mat = w.data.reshape(O, C * k * k).T
+    out_data = (cols @ w_mat).reshape(B, H, W, O).transpose(0, 3, 1, 2) + b.data[None, :, None, None]
+
+    def g_mat(g):
+        return np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * H * W, O)
+
+    def dx(g):
+        dcols = (g_mat(g) @ w_mat.T).reshape(B, H, W, C, k, k)
+        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        for u in range(k):
+            for v in range(k):
+                dxp[:, :, u : u + H, v : v + W] += dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+        return dxp[:, :, pad : pad + H, pad : pad + W]
+
+    return op(
+        tape,
+        out_data,
+        (b, lambda g: g.sum(axis=(0, 2, 3))),
+        (w, lambda g: (cols.T @ g_mat(g)).T.reshape(O, C, k, k)),
+        (x, dx),
+    )
+
+
+def maxpool2d(tape: Tape, x: Tensor, factor: int) -> Tensor:
+    """Non-overlapping max pooling; trailing rows/cols that do not fill a
+    window are dropped. Ties go to the first element (row-major in the
+    window), which keeps the backward pass deterministic."""
+    B, C, H, W = x.data.shape
+    f = factor
+    Hc, Wc = (H // f) * f, (W // f) * f
+    xc = x.data[:, :, :Hc, :Wc]
+    win = xc.reshape(B, C, Hc // f, f, Wc // f, f).transpose(0, 1, 2, 4, 3, 5).reshape(
+        B, C, Hc // f, Wc // f, f * f
+    )
+    idx = win.argmax(axis=-1)
+    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        dxc = dwin.reshape(B, C, Hc // f, Wc // f, f, f).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, Hc, Wc)
+        return dxc if (Hc, Wc) == (H, W) else np.pad(dxc, ((0, 0), (0, 0), (0, H - Hc), (0, W - Wc)))
+
+    return op(tape, out_data, (x, vjp))
+
+
+def global_avg_pool(tape: Tape, x: Tensor) -> Tensor:
+    """(B, C, H, W) -> (B, C) spatial mean."""
+    B, C, H, W = x.data.shape
+    return op(tape, x.data.mean(axis=(2, 3)), (x, lambda g: g[:, :, None, None] / (H * W)))
+
+
+def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg: CnnConfig) -> Tensor:
+    """(B, 1, H, W) images -> (B, num_classes) logits."""
+    x = images
+    for s, (_k, _ch, pool) in enumerate(cfg.stages):
+        x = ad.relu(tape, conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]))
+        x = maxpool2d(tape, x, pool)
+    x = global_avg_pool(tape, x)
+    return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])

@@ -495,6 +495,26 @@ class TestTrainEvalPredict:
         assert str(cfg_file) in info["detail"]
         assert not out_dir.exists()
 
+    def test_config_file_pooling_past_the_canvas_rejected(self, trained, tmp_path, capsys):
+        # used to train on NaN logits until a NonFiniteLossError
+        base, _, _ = trained
+        from sketchattn.pipeline import desk_config
+
+        doc = desk_config(2).to_json_dict()
+        doc["raster"].update(width=16, height=16)
+        doc["cnn"]["stages"] = [[3, 4, 2]] * 5
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run8"
+        code, stdout, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--out", str(out_dir), "--config", str(cfg_file)
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "cnn stage 4" in info["detail"]
+        assert not out_dir.exists()
+
     def test_predict_emits_category_and_map(self, trained, tmp_path, capsys):
         base, out_dir, _ = trained
         sk_file = tmp_path / "item.json"

@@ -1,6 +1,7 @@
 """The vectorised sketch constructor, stroke slices, segment table, RDP
-simplification and raster coverage, and the stacked bidirectional LSTM
-layer, agree bit for bit with the loops in loop_reference.py.
+simplification and raster coverage, the stacked bidirectional LSTM layer
+and the channels-last CNN agree bit for bit with the loops and the
+channels-first ops in loop_reference.py (CNN gradients to within 1e-12).
 
 Rows come from a small coordinate grid (signed zero included), so
 consecutive duplicates, duplicate runs across stroke ends, one-point
@@ -16,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 import loop_reference as ref
 from sketchattn import raster
 from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
+from sketchattn.ingest import synth_dataset
 from sketchattn.net import autodiff as ad
+from sketchattn.net.model import CnnConfig, cnn_forward_batch, init_cnn_params
+from sketchattn.pipeline import _rasterize_batch, desk_config, prepare_sketch
 from sketchattn.raster import RasterConfig, rasterize_forward, segment_table
 from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
 
@@ -275,3 +279,163 @@ def test_bidirectional_lstm_matches_three_op_layer(B, T, D, H, lengths):
     expected = _layer_bits(ref.bidirectional_lstm, x, lengths, weights, upstream)
     for name, g, e in zip(["out", "x", "fw.wx", "fw.wh", "fw.b", "bw.wx", "bw.wh", "bw.b"], got, expected):
         assert g.tobytes() == e.tobytes(), name
+
+
+def _nchw(a):
+    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
+
+
+def _nhwc(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _close(got, expected, name):
+    """Equal to within 1e-12 of the largest entry of the expected array."""
+    assert got.shape == expected.shape, name
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=0.0), name
+
+
+def _op_bits(op, channels_first, x, *operands, upstream):
+    """Output and the gradients of x and the operands, of sum(out * upstream).
+
+    x, upstream and the output are channels-last here; with channels_first
+    the op sees them as (B, C, H, W).
+    """
+    to, back = (_nchw, _nhwc) if channels_first else (np.ascontiguousarray, np.ascontiguousarray)
+    tensors = [ad.parameter(to(x))] + [ad.parameter(a.copy()) for a in operands]
+    tape = ad.Tape()
+    out = op(tape, *tensors)
+    ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, to(upstream) if upstream.ndim == 4 else upstream)))
+    grads = [back(tensors[0].grad)] + [t.grad for t in tensors[1:]]
+    return (back(out.data) if out.data.ndim == 4 else out.data), grads
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 5]),
+    C=st.integers(1, 8),
+    O=st.integers(1, 8),
+    B=st.integers(1, 3),
+    H=st.integers(1, 9),
+    W=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_matches_channels_first(k, C, O, B, H, W, seed):
+    rng = np.random.default_rng(seed)
+    x, w, b = rng.normal(size=(B, H, W, C)), rng.normal(size=(O, C, k, k)), rng.normal(size=O)
+    upstream = rng.normal(size=(B, H, W, O))
+    out, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
+    ref_out, ref_grads = _op_bits(ref.conv2d, True, x, w, b, upstream=upstream)
+    assert out.tobytes() == ref_out.tobytes()
+    for name, g, e in zip(["x", "w", "b"], grads, ref_grads):
+        _close(g, e, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.integers(1, 3),
+    C=st.integers(1, 8),
+    B=st.integers(1, 3),
+    H=st.integers(1, 10),
+    W=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_maxpool2d_and_global_avg_pool_match_channels_first(f, C, B, H, W, seed):
+    # values from a grid of four make tied windows common; cropped tails
+    # and canvases smaller than a window are drawn too
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(B, H, W, C))
+    upstream = rng.normal(size=(B, H // f, W // f, C))
+    out, (dx,) = _op_bits(lambda t, a: ad.maxpool2d(t, a, f), False, x, upstream=upstream)
+    ref_out, (ref_dx,) = _op_bits(lambda t, a: ref.maxpool2d(t, a, f), True, x, upstream=upstream)
+    assert out.tobytes() == ref_out.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+    g = rng.normal(size=(B, C))
+    mean, (dx,) = _op_bits(ad.global_avg_pool, False, x, upstream=g)
+    ref_mean, (ref_dx,) = _op_bits(ref.global_avg_pool, True, x, upstream=g)
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+
+
+def test_maxpool_tied_window_sends_gradient_to_first_cell():
+    x = np.ones((1, 4, 6, 2))
+    x[0, 2:, :2] = [[[-1.0, 3.0], [3.0, 3.0]], [[3.0, -1.0], [3.0, 3.0]]]  # ties within one window
+    upstream = np.arange(1.0, 13.0).reshape(1, 2, 3, 2)
+    _, (dx,) = _op_bits(lambda t, a: ad.maxpool2d(t, a, 2), False, x, upstream=upstream)
+    _, (ref_dx,) = _op_bits(lambda t, a: ref.maxpool2d(t, a, 2), True, x, upstream=upstream)
+    assert dx.tobytes() == ref_dx.tobytes()
+    expected = np.zeros_like(x)
+    expected[0, ::2, ::2] = upstream[0]
+    expected[0, 2, 0, 0], expected[0, 2, 1, 0] = 0.0, upstream[0, 1, 0, 0]  # the first 3 of channel 0
+    assert dx.tobytes() == expected.tobytes()
+
+
+def test_maxpool_inf_gradient_leaves_other_cells_at_zero():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 5, 5, 3))
+    upstream = rng.normal(size=(2, 2, 2, 3))
+    upstream[0, 1, 0, 2], upstream[1, 0, 1, 0] = np.inf, -np.inf
+    _, (dx,) = _op_bits(lambda t, a: ad.maxpool2d(t, a, 2), False, x, upstream=upstream)
+    _, (ref_dx,) = _op_bits(lambda t, a: ref.maxpool2d(t, a, 2), True, x, upstream=upstream)
+    assert dx.tobytes() == ref_dx.tobytes()
+    assert not np.isnan(dx).any()
+    assert np.count_nonzero(dx) == upstream.size
+    assert np.isinf(dx).sum() == 2
+
+
+def _cnn_bits(forward, images, params, cfg, upstream):
+    """Logits and the gradients of every parameter and the images, of sum(logits * upstream)."""
+    tensors = {name: ad.parameter(p.data.copy()) for name, p in params.items()}
+    image = ad.parameter(images.copy())
+    tape = ad.Tape()
+    logits = forward(tape, image, tensors, cfg)
+    ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, logits, upstream)))
+    return logits.data, {name: t.grad for name, t in tensors.items()}, image.grad
+
+
+def _same_cnn(images, cfg, seed):
+    """The NHWC CNN on (B, H, W, 1) images against the NCHW one on the same bytes."""
+    rng = np.random.default_rng(seed)
+    params = init_cnn_params(rng, cfg)
+    upstream = rng.normal(size=(images.shape[0], cfg.num_classes))
+    logits, grads, dimage = _cnn_bits(cnn_forward_batch, images, params, cfg, upstream)
+    B, H, W, _ = images.shape
+    ref_logits, ref_grads, ref_dimage = _cnn_bits(ref.cnn_forward_batch, images.reshape(B, 1, H, W), params, cfg, upstream)
+    assert logits.tobytes() == ref_logits.tobytes()
+    for name in ref_grads:
+        _close(grads[name], ref_grads[name], name)
+    _close(dimage, ref_dimage.reshape(B, H, W, 1), "images")
+
+
+def test_cnn_matches_channels_first_on_desk_rasters():
+    cfg = desk_config(6)
+    ds = synth_dataset(3, 0)
+    sketches = [prepare_sketch(it.sketch, cfg) for it in ds.items[:16]]
+    attn = np.random.default_rng(1).uniform(0.1, 1.0, size=(16, max(sk.n for sk in sketches)))
+    images, _ = _rasterize_batch(ad.Tape(), ad.constant(attn), sketches, cfg.raster)
+    assert images.data.shape == (16, 64, 64, 1)
+    _same_cnn(images.data, cfg.cnn, 0)
+    _same_cnn(images.data[3:4], cfg.cnn, 1)
+
+
+_cnn_stages = st.lists(
+    st.tuples(st.sampled_from([1, 3, 5]), st.integers(1, 8), st.integers(1, 3)), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stages=_cnn_stages,
+    extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    B=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_cnn_matches_channels_first_on_drawn_shapes(stages, extra, B, seed):
+    # the canvas is the least one every stage can pool (1 px when every
+    # factor is 1) plus a drawn margin, so pooling crops tails; sparse
+    # images leave tied windows of background
+    need = int(np.prod([pool for _k, _ch, pool in stages]))
+    H, W = need + extra[0], need + extra[1]
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0.0, 1.0, size=(B, H, W, 1)) * (rng.random((B, H, W, 1)) < 0.4)
+    _same_cnn(images, CnnConfig(stages=tuple(stages), num_classes=3), seed)

@@ -45,7 +45,7 @@ def attention_for(sketch, cfg, params, tape=None, dropout_rng=None):
 
 def cnn_logits(image, cfg, params):
     """(H, W) image -> (num_classes,) logits through the B=1 batch path."""
-    return cnn_forward_batch(Tape(), ad.constant(image[None, None]), params, cfg).data[0]
+    return cnn_forward_batch(Tape(), ad.constant(image[None, :, :, None]), params, cfg).data[0]
 
 
 def ce_loss_and_grad(logits, label):
@@ -144,12 +144,12 @@ OP_CASES = {
     "relu": (lambda r: [_away_from_zero(r, (3, 4))], lambda t, a: ad.relu(t, a)),
     "reshape": (lambda r: [r.normal(size=(2, 6))], lambda t, a: ad.reshape(t, a, (3, 4))),
     "conv2d": (
-        lambda r: [r.normal(size=(2, 2, 5, 4)), r.normal(size=(3, 2, 3, 3)), r.normal(size=3)],
+        lambda r: [r.normal(size=(2, 5, 4, 2)), r.normal(size=(3, 2, 3, 3)), r.normal(size=3)],
         lambda t, x, w, b: ad.conv2d(t, x, w, b),
     ),
-    "maxpool2d_cropped": (lambda r: [_away_from_zero(r, (2, 2, 5, 7))], lambda t, a: ad.maxpool2d(t, a, 2)),
-    "maxpool2d_factor3": (lambda r: [_away_from_zero(r, (1, 2, 7, 6))], lambda t, a: ad.maxpool2d(t, a, 3)),
-    "global_avg_pool": (lambda r: [r.normal(size=(2, 3, 4, 5))], lambda t, a: ad.global_avg_pool(t, a)),
+    "maxpool2d_cropped": (lambda r: [_away_from_zero(r, (2, 5, 7, 2))], lambda t, a: ad.maxpool2d(t, a, 2)),
+    "maxpool2d_factor3": (lambda r: [_away_from_zero(r, (1, 7, 6, 2))], lambda t, a: ad.maxpool2d(t, a, 3)),
+    "global_avg_pool": (lambda r: [r.normal(size=(2, 4, 5, 3))], lambda t, a: ad.global_avg_pool(t, a)),
     "sum_all": (lambda r: [r.normal(size=(3, 4))], lambda t, a: ad.sum_all(t, a)),
     "cross_entropy_logits": (
         lambda r: [r.normal(size=(4, 3))],
@@ -179,12 +179,12 @@ class TestOpHelper:
         assert rep.passed, rep.format()
 
     def test_maxpool_cropped_tail_gets_zero_gradient(self):
-        x = ad.parameter(_away_from_zero(np.random.default_rng(0), (1, 1, 5, 7)))
+        x = ad.parameter(_away_from_zero(np.random.default_rng(0), (1, 5, 7, 1)))
         tape = Tape()
         backward(tape, ad.sum_all(tape, ad.maxpool2d(tape, x, 2)))
-        assert x.grad.shape == (1, 1, 5, 7)
-        assert np.all(x.grad[:, :, 4, :] == 0.0) and np.all(x.grad[:, :, :, 6] == 0.0)
-        assert x.grad[:, :, :4, :6].sum() == 6.0
+        assert x.grad.shape == (1, 5, 7, 1)
+        assert np.all(x.grad[:, 4, :, :] == 0.0) and np.all(x.grad[:, :, 6, :] == 0.0)
+        assert x.grad[:, :4, :6, :].sum() == 6.0
 
     def test_unreached_and_constant_operands_keep_no_gradient(self):
         x = ad.parameter(np.array([0.3, -0.7]))
@@ -471,7 +471,7 @@ class TestCnn:
         for name, p in params.items():
             if name.endswith(".b"):
                 p.data += rng.normal(0, 0.05, p.data.shape)  # move relu off its kink
-        image = rng.normal(size=(1, 1, 8, 8))
+        image = rng.normal(size=(1, 8, 8, 1))
         labels = np.array([1])
 
         def fn(tape):
@@ -497,6 +497,17 @@ class TestCnn:
         for size in (16, 24, 64):
             logits = cnn_logits(rng.normal(size=(size, size)), cfg, params)
             assert logits.shape == (4,)
+
+    @pytest.mark.parametrize("num_stages", [1, 2, 3])
+    def test_three_ops_per_stage_plus_two(self, num_stages):
+        # conv, max pool and relu per stage, then the global pool and the
+        # linear head: the benchmark's cnn.tape_ops counts these
+        rng = np.random.default_rng(13)
+        cfg = CnnConfig(stages=((3, 4, 2),) * num_stages, num_classes=3)
+        params = init_cnn_params(rng, cfg)
+        tape = Tape()
+        cnn_forward_batch(tape, ad.constant(rng.normal(size=(2, 16, 16, 1))), params, cfg)
+        assert len(tape) == 3 * num_stages + 2
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -667,6 +678,29 @@ class TestGradCheckHarness:
         rep = grad_check(fn, {"theta": theta, "phi": phi}, tolerance=1e-6, corrupt="phi")
         assert not rep.passed
         assert rep.worst.name == "phi"
+
+    @pytest.mark.parametrize("side", ["analytic", "numeric"])
+    def test_nan_gradient_fails(self, side):
+        # a NaN relative error used to compare false against the running
+        # worst, so the entry kept max_rel_err=0.0 and the report said PASS
+        theta = ad.parameter(np.array([1.0, 2.0]))
+        phi = ad.parameter(np.array([0.5]))
+        scale = np.array([3.0, np.nan if side == "analytic" else 3.0])
+
+        def loss(tape):
+            value = 3.0 * theta.data.sum()
+            if side == "numeric" and theta.data[1] != 2.0:
+                value = float("nan")  # the loss leaves the reals off the probe point
+            linear = ad.op(tape, value, (theta, lambda g: g * scale))
+            return ops.add(tape, linear, ad.sum_all(tape, ops.mul(tape, phi, phi)))
+
+        rep = grad_check(loss, {"theta": theta, "phi": phi}, tolerance=1e-6)
+        assert not rep.passed
+        assert rep.worst.name == "theta" and rep.worst.worst_flat_index == 1
+        assert rep.worst.max_rel_err == np.inf
+        text = rep.format()
+        assert text.splitlines()[0].startswith("FAIL theta")
+        assert text.splitlines()[-1].startswith("FAIL: worst theta rel_err=inf")
 
     def test_report_format_mentions_worst(self):
         theta = ad.parameter(np.array([1.0]))

@@ -117,10 +117,10 @@ class TestRasterizeBatch:
         tape = Tape()
         images, maps = _rasterize_batch(tape, ad.constant(rows), sketches, cfg)
         assert len(tape) == 0
-        assert images.data.shape == (2, 1, 48, 48)
+        assert images.data.shape == (2, 48, 48, 1)
         for b, sk in enumerate(sketches):
             expect = rasterize_forward(sk, rows[b, : sk.n], cfg)
-            np.testing.assert_array_equal(images.data[b, 0], expect.intensities)
+            np.testing.assert_array_equal(images.data[b, :, :, 0], expect.intensities)
             np.testing.assert_array_equal(maps[b].owner, expect.owner)
 
         tape = Tape()
@@ -520,3 +520,40 @@ class TestRealConfigValues:
         SimplifyConfig(epsilon=1e-300, escalation_factor=1.0000001)
         RasterConfig(epsilon=1e-300)
         tiny_config(lr=1e-300, early_stop_train_acc=0.0, early_stop_valid_acc=1.0)
+
+
+class TestPoolingFitsTheCanvas:
+    # five halvings of a 16x16 canvas leave nothing for the fifth stage to
+    # pool: these configs used to be accepted, then gave NaN logits, an
+    # evaluate() accuracy read off them and a NonFiniteLossError in train()
+    EMPTIED = dict(raster=RasterConfig(16, 16, 1.0), cnn=CnnConfig(stages=((3, 4, 2),) * 5, num_classes=6))
+
+    def test_constructor_names_first_emptied_stage(self):
+        with pytest.raises(InvalidConfigError, match=r"cnn stage 4 pools by 2 but its input is 1x1"):
+            desk_config(6, **self.EMPTIED)
+
+    @pytest.mark.parametrize(
+        "width, height, stages, first_bad",
+        [
+            (64, 2, ((3, 8, 2), (3, 8, 2)), 1),  # one axis runs out first
+            (9, 64, ((3, 8, 3), (3, 8, 2), (3, 8, 2)), 2),  # 9 -> 3 -> 1: cropped halving
+            (1, 1, ((1, 2, 2),), 0),
+            (5, 5, ((3, 2, 1), (3, 2, 6)), 1),
+        ],
+    )
+    def test_any_axis_and_pool_factor(self, width, height, stages, first_bad):
+        with pytest.raises(InvalidConfigError, match=f"cnn stage {first_bad} pools"):
+            desk_config(2, raster=RasterConfig(width, height, 1.0), cnn=CnnConfig(stages=stages, num_classes=2))
+
+    def test_from_json_dict_rejects(self):
+        d = desk_config(6).to_json_dict()
+        d["raster"].update(width=16, height=16)
+        d["cnn"]["stages"] = [[3, 4, 2]] * 5
+        with pytest.raises(InvalidConfigError, match="cnn stage 4"):
+            ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
+
+    def test_pooling_down_to_one_pixel_accepted(self):
+        cfg = desk_config(6, raster=RasterConfig(16, 16, 1.0), cnn=CnnConfig(stages=((3, 4, 2),) * 4, num_classes=6))
+        logits, _, _ = forward_classify(init_model_state(cfg), cfg, prepare_sketch(synth_generate("line", 0).sketch, cfg))
+        assert np.isfinite(logits).all()
+        desk_config(2, raster=RasterConfig(3, 1, 1.0), cnn=CnnConfig(stages=((3, 2, 1), (1, 2, 1)), num_classes=2))
