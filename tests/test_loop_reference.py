@@ -327,8 +327,11 @@ def test_conv2d_matches_channels_first(k, C, O, B, H, W, seed):
     out, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
     ref_out, ref_grads = _op_bits(ref.conv2d, True, x, w, b, upstream=upstream)
     assert out.tobytes() == ref_out.tobytes()
-    for name, g, e in zip(["x", "w", "b"], grads, ref_grads):
-        _close(g, e, name)
+    # dw and db reduce the same operands in the same order; dx's per-tap
+    # product is a GEMV at C=1, which may round differently
+    assert grads[1].tobytes() == ref_grads[1].tobytes()
+    assert grads[2].tobytes() == ref_grads[2].tobytes()
+    _close(grads[0], ref_grads[0], "x")
 
 
 @settings(max_examples=200, deadline=None)
