@@ -85,6 +85,8 @@ def _load_attention(path) -> np.ndarray:
 
 
 def cmd_rasterize(args) -> int:
+    if (args.attention == "file") != (args.attention_file is not None):
+        raise InvalidConfigError("--attention file and --attention-file go together: give both or neither")
     sketch = _load_input_sketch(args.input)
     config = RasterConfig(width=args.width, height=args.height, epsilon=args.eps)
     if not args.no_normalize:
@@ -93,8 +95,6 @@ def cmd_rasterize(args) -> int:
         attention = np.ones(sketch.n)
     elif args.attention == "ramp":
         attention = order_ramp(sketch.n)
-    elif args.attention_file is None:
-        raise InvalidConfigError("--attention file needs --attention-file")
     else:
         attention = _load_attention(args.attention_file)
     amap = rasterize_forward(sketch, attention, config)
@@ -204,7 +204,7 @@ def _nlr_profile(seed: int):
     delta = rng.normal(size=(1, 32, 32, 1))
     attention = ad.parameter(rng.uniform(0.1, 0.9, size=(1, sketch.n)))
 
-    def fn(tape: Tape) -> Tensor:
+    def fn(tape: Tape | None) -> Tensor:
         images, _ = _rasterize_batch(tape, attention, [sketch], config)
         return ad.sum_all(tape, ad.mul_const(tape, images, delta))
 
@@ -219,7 +219,7 @@ def _rnn_profile(seed: int):
     inputs, _ = _batch_inputs([sketch], 64)
     w = rng.normal(size=(1, sketch.n))
 
-    def fn(tape: Tape) -> Tensor:
+    def fn(tape: Tape | None) -> Tensor:
         attn = rnn_attention_batch(tape, inputs, np.array([sketch.n]), params, cfg)
         return ad.sum_all(tape, ad.mul_const(tape, attn, w))
 
@@ -243,7 +243,7 @@ def _cnn_profile(seed: int):
     image = rng.normal(size=(1, 8, 8, 1))
     labels = np.array([1])
 
-    def fn(tape: Tape) -> Tensor:
+    def fn(tape: Tape | None) -> Tensor:
         logits = cnn_forward_batch(tape, ad.constant(image), params, cfg)
         return cross_entropy_logits(tape, logits, labels)
 
@@ -264,7 +264,7 @@ def _full_profile(seed: int):
     sketch = prepare_sketch(item.sketch, cfg)
     labels = np.array([0])
 
-    def fn(tape: Tape) -> Tensor:
+    def fn(tape: Tape | None) -> Tensor:
         logits, _, _ = _forward_batch(state, cfg, [sketch], tape)
         return cross_entropy_logits(tape, logits, labels)
 

@@ -1,13 +1,14 @@
 """Minimal reverse-mode autodiff: a flat tape of backward closures.
 
 Every operation computes its numpy result eagerly and states its backward
-as one vjp per operand. op() wraps the result and, when any operand
-requires gradients, records one closure that adds each vjp of the
-output's gradient into its operand; it is the one place a closure is
-recorded, the fused bidirectional LSTM layer included, whose seven vjps
-share one BPTT pass over both directions. backward() replays the closures
-in exact reverse recording order, which is a valid reverse topological
-order because tensors are created before they are consumed.
+as one vjp per operand. op() wraps the result and, given a tape (inference
+passes None) and an operand that requires gradients, records one closure
+that adds each vjp of the output's gradient into its operand; it is the
+one place a closure is recorded, the fused bidirectional LSTM layer
+included, whose seven vjps share one BPTT pass over both directions.
+backward() replays the closures in exact reverse recording order, which
+is a valid reverse topological order because tensors are created before
+they are consumed.
 
 The op set covers exactly what the sketch pipeline runs (a fused
 bidirectional LSTM layer, a linear head, a small channels-last CNN on
@@ -81,16 +82,16 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def op(tape: Tape, data, *edges) -> Tensor:
+def op(tape: Tape | None, data, *edges) -> Tensor:
     """Wrap a forward result as a tensor and record its backward closure.
 
     Each edge is an (operand, vjp) pair: vjp maps the output's gradient to
     the operand's (any shape that broadcasts onto it). The one closure,
-    recorded only when some operand requires a gradient, skips an output
-    the loss never reached and runs only the vjps of operands that
-    require a gradient, in edge order.
+    recorded only on a tape and when some operand requires a gradient
+    (else the output requires none), skips an output the loss never
+    reached and runs only the vjps of operands that require one.
     """
-    out = Tensor(data, any(t.requires_grad for t, _ in edges))
+    out = Tensor(data, tape is not None and any(t.requires_grad for t, _ in edges))
     if out.requires_grad:
 
         def bwd():
@@ -105,13 +106,13 @@ def op(tape: Tape, data, *edges) -> Tensor:
     return out
 
 
-def mul_const(tape: Tape, a: Tensor, c) -> Tensor:
+def mul_const(tape: Tape | None, a: Tensor, c) -> Tensor:
     """a * c for a constant c that broadcasts to a's shape."""
     c = np.asarray(c, dtype=np.float64)
     return op(tape, a.data * c, (a, lambda g: g * c))
 
 
-def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x (N, D) @ w (D, K) + b (K,)."""
     return op(
         tape,
@@ -130,20 +131,20 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid(tape: Tape, a: Tensor) -> Tensor:
+def sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
     s = _stable_sigmoid(a.data)
     return op(tape, s, (a, lambda g: g * s * (1.0 - s)))
 
 
-def relu(tape: Tape, a: Tensor) -> Tensor:
+def relu(tape: Tape | None, a: Tensor) -> Tensor:
     return op(tape, np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
 
 
-def reshape(tape: Tape, a: Tensor, shape) -> Tensor:
+def reshape(tape: Tape | None, a: Tensor, shape) -> Tensor:
     return op(tape, a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
-def lstm(tape: Tape, x: Tensor, lengths, fw, bw) -> Tensor:
+def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
     """One bidirectional LSTM layer from zero state: x (B, T, D) -> (B, T, 2H).
 
     fw and bw are (wx, wh, b) triples. Gate order i, f, g, o; step t of a
@@ -244,13 +245,13 @@ def lstm(tape: Tape, x: Tensor, lengths, fw, bw) -> Tensor:
     return op(tape, out, (x, dx), *direction(0, fw), *direction(1, bw))
 
 
-def dropout(tape: Tape, a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+def dropout(tape: Tape | None, a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: scales kept activations by 1/(1-p) at train time."""
     mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
     return mul_const(tape, a, mask)
 
 
-def conv2d(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 same-padding 2D convolution for odd kernels, channels-last.
 
     x: (B, H, W, C), w: (O, C, k, k), b: (O,) -> (B, H, W, O). One im2col
@@ -286,7 +287,7 @@ def conv2d(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def maxpool2d(tape: Tape, x: Tensor, factor: int) -> Tensor:
+def maxpool2d(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     """Non-overlapping max pooling over (B, H, W, C); trailing rows/cols
     that do not fill a window are dropped. Ties go to the first element
     (row-major in the window), which keeps the backward pass
@@ -312,18 +313,18 @@ def maxpool2d(tape: Tape, x: Tensor, factor: int) -> Tensor:
     return op(tape, out_data, (x, vjp))
 
 
-def global_avg_pool(tape: Tape, x: Tensor) -> Tensor:
+def global_avg_pool(tape: Tape | None, x: Tensor) -> Tensor:
     """(B, H, W, C) -> (B, C) spatial mean, summed in (B, C, H, W) order."""
     B, H, W, C = x.data.shape
     mean = np.ascontiguousarray(x.data.transpose(0, 3, 1, 2)).mean(axis=(2, 3))
     return op(tape, mean, (x, lambda g: g[:, None, None, :] / (H * W)))
 
 
-def sum_all(tape: Tape, a: Tensor) -> Tensor:
+def sum_all(tape: Tape | None, a: Tensor) -> Tensor:
     return op(tape, a.data.sum(), (a, lambda g: g))
 
 
-def cross_entropy_logits(tape: Tape, logits: Tensor, labels: np.ndarray) -> Tensor:
+def cross_entropy_logits(tape: Tape | None, logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross entropy over a batch; logits (B, C), labels (B,)."""
     labels = np.asarray(labels, dtype=np.int64)
     B, C = logits.data.shape

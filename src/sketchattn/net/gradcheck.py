@@ -1,9 +1,10 @@
 """Central finite-difference checking of analytic gradients.
 
-The function under test must be deterministic (no dropout rng): it is called
-once per probed entry with a parameter nudged by +/-step. Relative errors
-use max(|analytic|, |numeric|, 1e-6) as the denominator so vanishing
-gradients do not produce spurious failures from finite-difference noise.
+The function under test must be deterministic (no dropout rng): it runs
+once on a tape, then with no tape (None) for each probed entry nudged by
++/-step. Relative errors use max(|analytic|, |numeric|, 1e-6) as the
+denominator so vanishing gradients do not produce spurious failures from
+finite-difference noise.
 A NaN on either side counts as an infinite relative error.
 """
 
@@ -56,7 +57,7 @@ class GradCheckReport:
 
 
 def grad_check(
-    fn: Callable[[Tape], Tensor],
+    fn: Callable[[Tape | None], Tensor],
     params: dict[str, Tensor],
     step: float = 1e-4,
     tolerance: float = 1e-5,
@@ -102,9 +103,9 @@ def grad_check(
         for idx in sel:
             orig = flat[idx]
             flat[idx] = orig + step
-            f_plus = float(fn(Tape()).data)
+            f_plus = float(fn(None).data)
             flat[idx] = orig - step
-            f_minus = float(fn(Tape()).data)
+            f_minus = float(fn(None).data)
             flat[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             a = float(a_flat[idx])

@@ -101,7 +101,7 @@ def init_cnn_params(rng: np.random.Generator, cfg: CnnConfig) -> dict[str, Tenso
 
 
 def rnn_attention_batch(
-    tape: Tape,
+    tape: Tape | None,
     inputs: np.ndarray,
     lengths: np.ndarray,
     params: dict[str, Tensor],
@@ -133,7 +133,7 @@ def rnn_attention_batch(
     return ad.mul_const(tape, attn, mask)
 
 
-def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg: CnnConfig) -> Tensor:
+def cnn_forward_batch(tape: Tape | None, images: Tensor, params: dict[str, Tensor], cfg: CnnConfig) -> Tensor:
     """(B, H, W, 1) images -> (B, num_classes) logits, channels-last
     throughout. relu runs after each max pool: it commutes with the max,
     in values and in the cell each window's gradient reaches."""

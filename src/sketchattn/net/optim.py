@@ -83,9 +83,12 @@ def _encode(arr: np.ndarray) -> dict:
 def _decode(rec, where: str) -> np.ndarray:
     try:
         raw = base64.b64decode(rec["data"])
-        return np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"]).astype(np.float64)
+        a = np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"]).astype(np.float64)
     except (KeyError, TypeError, ValueError) as exc:  # not an object, or data that does not fit its shape
         raise MalformedDocumentError(f"{where} is not a tensor record of its shape: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise MalformedDocumentError(f"{where} holds a NaN or infinite value")
+    return a
 
 
 def save_checkpoint(state: ModelState, path) -> None:

@@ -49,23 +49,18 @@ from .simplify import SimplifyConfig, simplify_sketch
 
 VARIANTS = ("sketch_r2cnn", "cnn_only_binary", "order_encoded_cnn", "random_stroke_order_r2cnn")
 
-# full-scale defaults: 1e-4 for training from scratch, 5e-5 for fine-tuning
-PAPER_LR = 1e-4
-PAPER_LR_FINETUNE = 5e-5
+PAPER_LR = 1e-4  # the paper's rate for training from scratch
 
 METRICS_FORMAT = "sketchattn-metrics"
 METRICS_VERSION = 1
 CONFIG_FORMAT = "sketchattn-config"
-CONFIG_VERSION = 2
+CONFIG_VERSION = 3
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    reflect: bool = True
     reflect_prob: float = 0.5
-    stroke_removal: bool = True
     removal_prob: float = 0.3
-    jitter: bool = True
     jitter_sigma: float = 1.0
 
     def __post_init__(self):
@@ -78,7 +73,7 @@ class AugmentConfig:
 
     @property
     def any_enabled(self) -> bool:
-        return self.reflect or self.stroke_removal or self.jitter
+        return self.reflect_prob > 0 or self.removal_prob > 0 or self.jitter_sigma > 0
 
 
 _SECTIONS = {
@@ -99,7 +94,6 @@ _VALUE_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
     "float | None": (lambda v: v is None or _is_int(v) or isinstance(v, float), "null or a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple[tuple[int, int, int], ...]": (
         lambda v: isinstance(v, list) and all(isinstance(s, list) and len(s) == 3 and all(map(_is_int, s)) for s in v),
         "a list of [kernel, channels, pool] integer triples",
@@ -209,10 +203,10 @@ def desk_config(
 ) -> ExperimentConfig:
     """Desk-scale profile: 64x64 canvas, hidden 32, batch 16.
 
-    Trains in minutes on one CPU core. Horizontal reflection defaults off
-    here because the synthetic square_cw/square_ccw pair is chirality
-    labeled: mirroring a clockwise traversal produces a counter-clockwise
-    one, which would make those labels contradictory.
+    Trains in minutes on one CPU core. Horizontal reflection is off here
+    (reflect_prob 0) because the synthetic square_cw/square_ccw pair is
+    chirality labeled: mirroring a clockwise traversal produces a
+    counter-clockwise one, which would make those labels contradictory.
     """
     kw = dict(
         variant=variant,
@@ -220,7 +214,7 @@ def desk_config(
         cnn=CnnConfig(stages=((3, 8, 2), (3, 16, 2), (3, 32, 2)), num_classes=num_classes),
         raster=RasterConfig(width=64, height=64, epsilon=1.0),
         simplify=SimplifyConfig(epsilon=2.0, max_points=448, escalation_factor=1.5),
-        augment=AugmentConfig(reflect=False, stroke_removal=True, jitter=True, jitter_sigma=1.0),
+        augment=AugmentConfig(reflect_prob=0.0),
         batch_size=16,
         epochs=epochs,
         lr=1e-3,
@@ -234,11 +228,9 @@ def paper_scale_config(
     num_classes: int,
     variant: str = "sketch_r2cnn",
     seed: int = 0,
-    finetune: bool = False,
     **overrides,
 ) -> ExperimentConfig:
-    """Full-scale profile: 224x224 canvas, hidden 512, batch 48, lr 1e-4
-    (5e-5 with finetune=True)."""
+    """Full-scale profile: 224x224 canvas, hidden 512, batch 48, lr 1e-4."""
     kw = dict(
         variant=variant,
         rnn=RnnConfig(hidden_size=512, num_layers=2, dropout_prob=0.5),
@@ -248,7 +240,7 @@ def paper_scale_config(
         augment=AugmentConfig(),
         batch_size=48,
         epochs=10,
-        lr=PAPER_LR_FINETUNE if finetune else PAPER_LR,
+        lr=PAPER_LR,
         seed=seed,
     )
     kw.update(overrides)
@@ -310,20 +302,20 @@ def prepare_sketch(sketch: VectorSketch, config: ExperimentConfig) -> VectorSket
 def augment(
     sketch: VectorSketch,
     rng: np.random.Generator,
-    switches: AugmentConfig,
+    amounts: AugmentConfig,
     canvas_width: int,
 ) -> VectorSketch:
     """Horizontal reflection, whole-stroke removal, per-point jitter.
 
     The jitter stands in for elastic sketch deformation. A single-stroke
-    sketch never loses its stroke. With all switches off this is the
-    identity.
+    sketch never loses its stroke. A step draws from rng only when its
+    amount is non-zero; with every amount 0 this is the identity.
     """
     xy = sketch.xy.copy()
     s = sketch.s.copy()
-    if switches.reflect and rng.random() < switches.reflect_prob:
+    if amounts.reflect_prob > 0 and rng.random() < amounts.reflect_prob:
         xy[:, 0] = (canvas_width - 1) - xy[:, 0]
-    if switches.stroke_removal and rng.random() < switches.removal_prob:
+    if amounts.removal_prob > 0 and rng.random() < amounts.removal_prob:
         slices = stroke_slices(VectorSketch(xy, s))
         if len(slices) > 1:
             k = int(rng.integers(len(slices)))
@@ -331,8 +323,8 @@ def augment(
             keep = np.ones(len(s), dtype=bool)
             keep[a:b] = False
             xy, s = xy[keep], s[keep]
-    if switches.jitter:
-        xy = xy + rng.normal(0.0, switches.jitter_sigma, size=xy.shape)
+    if amounts.jitter_sigma > 0:
+        xy = xy + rng.normal(0.0, amounts.jitter_sigma, size=xy.shape)
     return validate_and_normalize(np.column_stack([xy, s]))
 
 
@@ -347,7 +339,7 @@ def randomize_stroke_order(sketch: VectorSketch, rng: np.random.Generator) -> Ve
     return VectorSketch(xy, s)
 
 
-def _rasterize_batch(tape: Tape, attn: Tensor, sketches: list[VectorSketch], cfg: RasterConfig):
+def _rasterize_batch(tape: Tape | None, attn: Tensor, sketches: list[VectorSketch], cfg: RasterConfig):
     """The one bridge from per-point attention (B, T) to images (B, H, W, 1).
 
     Every variant and the nlr gradcheck pass through here. The vjp hands
@@ -391,7 +383,7 @@ def _forward_batch(
     state: ModelState,
     config: ExperimentConfig,
     sketches: list[VectorSketch],
-    tape: Tape,
+    tape: Tape | None,
     dropout_rng: np.random.Generator | None = None,
     order_rng: np.random.Generator | None = None,
 ):
@@ -401,7 +393,8 @@ def _forward_batch(
     attention is the RNN's output, or the fixed ones (cnn_only_binary) or
     order ramp (order_encoded_cnn) of the baselines, padded with zeros.
     Given rngs, it is a training step: dropout_rng drives the RNN's dropout
-    and order_rng the random_stroke_order_r2cnn stroke shuffle.
+    and order_rng the random_stroke_order_r2cnn stroke shuffle. Inference
+    passes no tape.
     """
     cfg_r = config.raster
     if config.variant == "random_stroke_order_r2cnn" and order_rng is not None:
@@ -429,7 +422,7 @@ def forward_classify(state: ModelState, config: ExperimentConfig, sketch: Vector
     the deterministic ramp for order_encoded_cnn, and None for
     cnn_only_binary.
     """
-    logits, attn, maps = _forward_batch(state, config, [sketch], Tape())
+    logits, attn, maps = _forward_batch(state, config, [sketch], None)
     attention = None if config.variant == "cnn_only_binary" else attn.data[0, : sketch.n].copy()
     return logits.data[0].copy(), attention, maps[0]
 
@@ -440,7 +433,7 @@ def _accuracy(state, config, prepared, labels) -> float:
         raise LabelOutOfRangeError(f"labels must lie in [0, {config.cnn.num_classes})")
     correct = 0
     for lo in range(0, len(prepared), config.batch_size):
-        logits, _, _ = _forward_batch(state, config, prepared[lo : lo + config.batch_size], Tape())
+        logits, _, _ = _forward_batch(state, config, prepared[lo : lo + config.batch_size], None)
         correct += int((logits.data.argmax(axis=1) == labels[lo : lo + config.batch_size]).sum())
     return correct / len(prepared)
 

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -206,6 +207,22 @@ class TestRasterizeCommand:
         assert info["error"] == "InvalidConfigError"
         assert "--attention-file" in info["detail"]
 
+    @pytest.mark.parametrize("attention", ["uniform", "ramp"])
+    def test_attention_file_without_file_mode_rejected(self, sketch_file, tmp_path, capsys, attention):
+        # the file used to be ignored: an all-zero one painted the uniform map
+        att_file = tmp_path / "att.json"
+        att_file.write_text(json.dumps([0.0] * load_sketch(sketch_file).n))
+        out = tmp_path / "x.pgm"
+        code, stdout, err = run(
+            capsys, "rasterize", "--input", str(sketch_file), "--attention", attention,
+            "--attention-file", str(att_file), "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "--attention-file" in info["detail"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content",
         ['{"a": 1}', "not json", "NESTED", "BOOLS", '["0.5"]'],
@@ -395,7 +412,7 @@ class TestTrainEvalPredict:
         written = json.loads((out_dir / "config.json").read_text())
         assert written["seed"] == 3
         assert written["rnn"]["hidden_size"] == 8
-        assert written["version"] == 2
+        assert written["version"] == 3
 
     def test_config_file_with_removed_key_named(self, trained, tmp_path, capsys):
         # a key the config no longer has used to be dropped without a word
@@ -530,6 +547,13 @@ class TestTrainEvalPredict:
         assert map_file.read_bytes().startswith(b"P5\n")
 
 
+def _set_first(record, value):
+    """Overwrite the first entry of a checkpoint tensor record."""
+    data = np.frombuffer(base64.b64decode(record["data"]), dtype="<f8").copy()
+    data[0] = value
+    record["data"] = base64.b64encode(data.tobytes()).decode("ascii")
+
+
 class TestCheckpointBoundaries:
     def test_eval_rejects_reordered_categories(self, trained, tmp_path, capsys):
         # same items, category list reversed and labels remapped: the
@@ -592,13 +616,15 @@ class TestCheckpointBoundaries:
             (lambda p: p.update(step="one"), "'step'"),
             (lambda p: p.update(step=1.5), "'step'"),
             (lambda p: p.pop("adam_m"), "'adam_m'"),
+            (lambda p: _set_first(p["params"]["cnn.fc.b"], float("nan")), "params 'cnn.fc.b'"),
+            (lambda p: _set_first(p["adam_v"]["cnn.fc.b"], float("inf")), "adam_v 'cnn.fc.b'"),
         ],
         ids=["params_list", "record_not_object", "shape_vs_data", "step_string", "step_float",
-             "missing_adam_m"],
+             "missing_adam_m", "nan_param", "inf_adam_v"],
     )
     def test_malformed_checkpoint_named(self, trained, tmp_path, sketch_file, capsys, edit, named):
-        # these used to end in a traceback, a bare ValueError/KeyError, or a
-        # silently truncated step
+        # these used to end in a traceback, a bare ValueError/KeyError, a
+        # silently truncated step, or a label read off a NaN parameter
         _, out_dir, _ = trained
         payload = json.loads((out_dir / "best.ckpt.json").read_text())
         edit(payload)
@@ -612,13 +638,22 @@ class TestCheckpointBoundaries:
         assert info["error"] == "MalformedDocumentError"
         assert named in info["detail"]
 
-    def test_version_1_config_rejected(self, trained, tmp_path, sketch_file, capsys):
-        # checkpoints written before config documents reached version 2
+    @pytest.mark.parametrize(
+        "version, old_keys",
+        [
+            (1, dict(canvas_pad=4.0, beta1=0.9, beta2=0.999, eps_opt=1e-8, eval_test_each_epoch=True)),
+            (2, dict(augment=dict(reflect=False, reflect_prob=0.5, stroke_removal=True, removal_prob=0.3,
+                                  jitter=True, jitter_sigma=1.0))),
+        ],
+        ids=["1", "2"],
+    )
+    def test_old_config_version_rejected(self, trained, tmp_path, sketch_file, capsys, version, old_keys):
+        # checkpoints written before config documents reached version 3
         _, out_dir, _ = trained
         payload = json.loads((out_dir / "best.ckpt.json").read_text())
-        payload["config"]["version"] = 1
-        payload["config"].update(canvas_pad=4.0, beta1=0.9, beta2=0.999, eps_opt=1e-8, eval_test_each_epoch=True)
-        ckpt = tmp_path / "v1.ckpt.json"
+        payload["config"]["version"] = version
+        payload["config"].update(old_keys)
+        ckpt = tmp_path / f"v{version}.ckpt.json"
         ckpt.write_text(json.dumps(payload))
         code, _, err = run(capsys, "predict", "--checkpoint", str(ckpt), "--input", str(sketch_file))
         assert code == 1
@@ -626,7 +661,7 @@ class TestCheckpointBoundaries:
         assert len(lines) == 1
         info = json.loads(lines[0])
         assert info["error"] == "VersionMismatchError"
-        assert "version 1" in info["detail"]
+        assert f"version {version}" in info["detail"]
 
     @pytest.mark.parametrize(
         "edit, named",

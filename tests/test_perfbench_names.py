@@ -47,7 +47,7 @@ def test_counters_match_direct_counts():
         rnn=RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.2),
         cnn=CnnConfig(stages=((3, 4, 2),), num_classes=len(ds.categories)),
         raster=RasterConfig(width=16, height=16, epsilon=1.0),
-        augment=AugmentConfig(reflect=False, stroke_removal=False, jitter=False),
+        augment=AugmentConfig(reflect_prob=0.0, removal_prob=0.0, jitter_sigma=0.0),
     )
     prepared = [pipeline.prepare_sketch(it.sketch, cfg) for it in ds.items]
     extra = prepared[0]

@@ -1,9 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sketchattn.errors import InvalidConfigError, LabelOutOfRangeError, ShapeMismatchError, VersionMismatchError
+from sketchattn.errors import (
+    InvalidConfigError,
+    LabelOutOfRangeError,
+    MalformedDocumentError,
+    ShapeMismatchError,
+    VersionMismatchError,
+)
 from sketchattn.geometry import validate_and_normalize
 from sketchattn.ingest import synth_dataset, synth_generate
 from sketchattn.net import autodiff as ad
@@ -104,6 +111,44 @@ class TestForwardClassify:
         assert any(g is not None and np.abs(g).max() > 0 for g in rnn_grads)
 
 
+def _refuse_record(tape, backward_fn):
+    raise AssertionError("a pass that runs no backward recorded a tape op")
+
+
+class TestInferenceRecordsNoTape:
+    @pytest.mark.parametrize("variant", pipeline.VARIANTS)
+    def test_evaluate_and_forward_classify(self, monkeypatch, variant):
+        cfg = tiny_config(variant)
+        state = init_model_state(cfg)
+        ds = synth_dataset(2, 0, "test", ("line", "circle"))
+        sk = prepare_sketch(ds.items[0].sketch, cfg)
+        taped, _, _ = pipeline._forward_batch(state, cfg, [sk], Tape())
+        monkeypatch.setattr(Tape, "record", _refuse_record)
+        assert 0.0 <= evaluate(state, cfg, ds) <= 1.0
+        logits, _, _ = forward_classify(state, cfg, sk)
+        assert logits.tobytes() == taped.data[0].tobytes()
+
+    @pytest.mark.parametrize("profile", ["nlr", "full"])
+    def test_grad_check_probes(self, monkeypatch, profile):
+        # the analytic pass records; every central-difference probe after it must not
+        from sketchattn import cli
+        from sketchattn.net import gradcheck
+
+        analytic_backward = gradcheck.backward
+
+        def backward_then_refuse(tape, loss):
+            analytic_backward(tape, loss)
+            monkeypatch.setattr(Tape, "record", _refuse_record)
+
+        monkeypatch.setattr(gradcheck, "backward", backward_then_refuse)
+        fn, params = cli._PROFILES[profile](0)
+        report = gradcheck.grad_check(
+            fn, params, step=cli.GRADCHECK_STEPS[profile], tolerance=cli.GRADCHECK_TOLERANCES[profile],
+            max_entries_per_param=2, rng=np.random.default_rng(0),
+        )
+        assert report.passed
+
+
 class TestRasterizeBatch:
     def test_one_bridge_tapes_only_learned_attention(self):
         from sketchattn.net.autodiff import backward
@@ -134,42 +179,57 @@ class TestRasterizeBatch:
 
 
 class TestAugment:
+    OFF = dict(reflect_prob=0.0, removal_prob=0.0, jitter_sigma=0.0)
+
     def test_all_switches_off_identity(self):
+        # every amount 0 turns every step off
         sk = multi_stroke_sketch()
-        out = augment(sk, np.random.default_rng(0), AugmentConfig(False, 0.5, False, 0.3, False), 64)
+        out = augment(sk, np.random.default_rng(0), AugmentConfig(**self.OFF), 64)
         np.testing.assert_array_equal(out.xy, sk.xy)
         np.testing.assert_array_equal(out.s, sk.s)
 
+    def test_all_amounts_zero_leave_rng_untouched(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        cfg = AugmentConfig(**self.OFF)
+        assert not cfg.any_enabled
+        augment(multi_stroke_sketch(), rng, cfg, 64)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("amount", ["reflect_prob", "removal_prob", "jitter_sigma"])
+    def test_each_nonzero_amount_enables(self, amount):
+        assert AugmentConfig(**{**self.OFF, amount: 0.5}).any_enabled
+
     def test_double_reflection_is_identity(self):
         sk = multi_stroke_sketch()
-        cfg = AugmentConfig(reflect=True, reflect_prob=1.0, stroke_removal=False, jitter=False)
+        cfg = AugmentConfig(**{**self.OFF, "reflect_prob": 1.0})
         once = augment(sk, np.random.default_rng(0), cfg, 64)
         twice = augment(once, np.random.default_rng(0), cfg, 64)
         np.testing.assert_allclose(twice.xy, sk.xy, atol=1e-9)
 
     def test_reflection_maps_x(self):
         sk = validate_and_normalize([(0, 0, 0), (10, 5, 1)])
-        cfg = AugmentConfig(reflect=True, reflect_prob=1.0, stroke_removal=False, jitter=False)
+        cfg = AugmentConfig(**{**self.OFF, "reflect_prob": 1.0})
         out = augment(sk, np.random.default_rng(0), cfg, 64)
         np.testing.assert_allclose(out.xy[:, 0], [63.0, 53.0])
         np.testing.assert_allclose(out.xy[:, 1], sk.xy[:, 1])
 
     def test_single_stroke_never_removed(self):
         sk = validate_and_normalize([(0, 0, 0), (10, 10, 1)])
-        cfg = AugmentConfig(reflect=False, stroke_removal=True, removal_prob=1.0, jitter=False)
+        cfg = AugmentConfig(**{**self.OFF, "removal_prob": 1.0})
         out = augment(sk, np.random.default_rng(0), cfg, 64)
         assert out.n == sk.n
 
     def test_stroke_removal_drops_one_stroke(self):
         sk = multi_stroke_sketch()
-        cfg = AugmentConfig(reflect=False, stroke_removal=True, removal_prob=1.0, jitter=False)
+        cfg = AugmentConfig(**{**self.OFF, "removal_prob": 1.0})
         out = augment(sk, np.random.default_rng(1), cfg, 64)
         assert out.n == sk.n - 2
         assert out.s[-1] == 1
 
     def test_jitter_moves_points(self):
         sk = multi_stroke_sketch()
-        cfg = AugmentConfig(reflect=False, stroke_removal=False, jitter=True, jitter_sigma=1.0)
+        cfg = AugmentConfig(**{**self.OFF, "jitter_sigma": 1.0})
         out = augment(sk, np.random.default_rng(2), cfg, 64)
         assert out.n == sk.n
         assert np.abs(out.xy - sk.xy).max() > 0
@@ -377,6 +437,18 @@ class TestLoadModel:
         with pytest.raises(ShapeMismatchError, match=f"{group} {named}"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("group", ["params", "adam_m", "adam_v"])
+    def test_non_finite_tensor_named(self, tmp_path, group, value):
+        # a NaN parameter used to load and give a label and an accuracy
+        state = init_model_state(tiny_config("cnn_only_binary"))
+        tensors = {"params": state.params["cnn.fc.b"].data, "adam_m": state.m["cnn.fc.b"], "adam_v": state.v["cnn.fc.b"]}
+        tensors[group][0] = value
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(state, path)
+        with pytest.raises(MalformedDocumentError, match=f"{group} 'cnn.fc.b'"):
+            load_model(path)
+
 
 class TestExperimentConfig:
     def test_json_round_trip(self):
@@ -386,12 +458,29 @@ class TestExperimentConfig:
         assert back == cfg
 
     def test_paper_scale_round_trip(self):
-        cfg = paper_scale_config(6, seed=4, finetune=True)
+        cfg = paper_scale_config(6, seed=4, lr=5e-5)
         d = json.loads(json.dumps(cfg.to_json_dict()))
-        assert d["version"] == 2
+        assert d["version"] == 3
         assert ExperimentConfig.from_json_dict(d) == cfg
 
-    @pytest.mark.parametrize("version", [1, 99, None])
+    def test_settable_value_count(self):
+        # one per leaf field; a new knob changes this count, and with it this test
+        sections = pipeline._SECTIONS
+
+        def leaves(cls):
+            return sum(leaves(sections[f.name]) if f.name in sections else 1 for f in dataclasses.fields(cls))
+
+        assert leaves(ExperimentConfig) == 21
+
+    @pytest.mark.parametrize("key", ["reflect", "stroke_removal", "jitter"])
+    def test_removed_augment_switch_named(self, key):
+        # v2 stored a switch beside each amount; v3 keeps only the amounts
+        d = desk_config(2).to_json_dict()
+        d["augment"][key] = True
+        with pytest.raises(InvalidConfigError, match=f"'augment'.*'{key}'"):
+            ExperimentConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("version", [1, 2, 99, None])
     def test_other_versions_rejected(self, version):
         d = desk_config(2).to_json_dict()
         if version is None:
