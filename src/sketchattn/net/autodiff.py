@@ -3,12 +3,19 @@
 Every operation computes its numpy result eagerly and states its backward
 as one vjp per operand. op() wraps the result and, given a tape (inference
 passes None) and an operand that requires gradients, records one closure
-that adds each vjp of the output's gradient into its operand; it is the
-one place a closure is recorded, the fused bidirectional LSTM layer
+that passes the output's gradient through each vjp into its operand; it is
+the one place a closure is recorded, the fused bidirectional LSTM layer
 included, whose seven vjps share one BPTT pass over both directions.
 backward() replays the closures in exact reverse recording order, which
 is a valid reverse topological order because tensors are created before
-they are consumed.
+they are consumed, and releases each closure once it has run, so an op's
+captured operands and its output's gradient die as the pass moves on.
+
+A vjp returns either a new array that nothing else keeps or a view of its
+argument g. An operand's first gradient is taken as it comes when it is a
+new array laid out like the operand's data; any other first result, and
+every later one, is added into a zero buffer. Either way the gradient
+holds the same values, up to the sign of a zero.
 
 The op set covers exactly what the sketch pipeline runs (a fused
 bidirectional LSTM layer, a linear head, a small channels-last CNN on
@@ -31,11 +38,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
 
     @property
     def shape(self):
@@ -62,15 +64,24 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate gradients of a scalar loss into every recorded operand."""
+    """Accumulate gradients of a scalar loss into every recorded operand.
+
+    Each closure leaves its slot on the tape as it runs (the slot stays, so
+    len(tape) still counts the recorded ops), which frees what it captured:
+    the op's operands and output, and with them the output's gradient once
+    no later closure holds that tensor.
+    """
     if tape._consumed:
         raise TapeConsumedError("backward already ran on this tape")
     tape._consumed = True
     if loss.data.size != 1:
         raise ShapeMismatchError("backward expects a scalar loss")
-    loss.ensure_grad()
-    loss.grad += np.ones_like(loss.data)
-    for fn in reversed(tape._ops):
+    if loss.grad is None:
+        loss.grad = np.zeros_like(loss.data)
+    loss.grad += 1.0
+    ops = tape._ops
+    for i in range(len(ops) - 1, -1, -1):
+        fn, ops[i] = ops[i], None
         fn()
 
 
@@ -85,25 +96,51 @@ def parameter(data) -> Tensor:
 def op(tape: Tape | None, data, *edges) -> Tensor:
     """Wrap a forward result as a tensor and record its backward closure.
 
-    Each edge is an (operand, vjp) pair: vjp maps the output's gradient to
-    the operand's (any shape that broadcasts onto it). The one closure,
+    Each edge is an (operand, vjp) pair: vjp maps the output's gradient g
+    to the operand's (any shape that broadcasts onto it), as a new array
+    that the op keeps no reference to, or as a view of g. The one closure,
     recorded only on a tape and when some operand requires a gradient
     (else the output requires none), skips an output the loss never
     reached and runs only the vjps of operands that require one.
+
+    An operand with no gradient yet takes the vjp's result as its gradient
+    when that result owns its memory, shares none with g and has the
+    operand's dtype, shape and strides; otherwise, and for every later
+    contribution, the result is added into the operand's gradient, which
+    starts as zeros. A handed-over result may hold -0.0 where the sum
+    0.0 + -0.0 held 0.0.
     """
     out = Tensor(data, tape is not None and any(t.requires_grad for t, _ in edges))
     if out.requires_grad:
 
         def bwd():
-            if out.grad is None:
+            g = out.grad
+            if g is None:
                 return
             for t, vjp in edges:
                 if t.requires_grad:
-                    t.ensure_grad()
-                    t.grad += vjp(out.grad)
+                    d = vjp(g)
+                    if t.grad is not None:
+                        t.grad += d
+                    elif _owned_like(d, t.data) and not np.may_share_memory(d, g):
+                        t.grad = d
+                    else:
+                        t.grad = np.zeros_like(t.data)
+                        t.grad += d
 
         tape.record(bwd)
     return out
+
+
+def _owned_like(d, data: np.ndarray) -> bool:
+    """Whether d is an array that owns its memory, laid out like data."""
+    return (
+        isinstance(d, np.ndarray)
+        and d.base is None
+        and d.dtype == data.dtype
+        and d.shape == data.shape
+        and d.strides == data.strides
+    )
 
 
 def mul_const(tape: Tape | None, a: Tensor, c) -> Tensor:
@@ -251,13 +288,21 @@ def dropout(tape: Tape | None, a: Tensor, p: float, rng: np.random.Generator) ->
     return mul_const(tape, a, mask)
 
 
+def _shift(n: int, d: int) -> tuple[slice, slice]:
+    """(target, source) slices of an axis of length n that move index i to
+    i + d, clipped to [0, n)."""
+    return slice(max(d, 0), max(min(n, n + d), 0)), slice(max(-d, 0), max(min(n, n - d), 0))
+
+
 def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 same-padding 2D convolution for odd kernels, channels-last.
 
     x: (B, H, W, C), w: (O, C, k, k), b: (O,) -> (B, H, W, O). One im2col
     GEMM, its columns copied from the padded window view in (C, k, k)
-    order and kept for dw; dx is one GEMM per kernel tap, whose contiguous
-    (B, H, W, C) slab is added into the padded gradient at the tap's shift.
+    order and kept for dw. dx runs one (B*H*W, O) @ (O, C) GEMM per kernel
+    tap, in tap order, into one reused slab, and adds the part of each
+    slab that lands inside the image at the tap's shift; what fell on the
+    padding is never stored. dx is a new contiguous (B, H, W, C) array.
     """
     B, H, W, C = x.data.shape
     O = w.data.shape[0]
@@ -271,12 +316,18 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data += b.data
 
     def dx(g):
-        taps = g.reshape(1, B * H * W, O) @ w.data.transpose(2, 3, 0, 1).reshape(k * k, O, C)
-        dxp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
+        g_mat = g.reshape(B * H * W, O)
+        w_taps = w.data.transpose(2, 3, 0, 1).reshape(k * k, O, C)
+        slab = np.empty((B * H * W, C))
+        tap = slab.reshape(B, H, W, C)
+        d = np.zeros((B, H, W, C))
         for u in range(k):
+            row_to, row_from = _shift(H, u - pad)
             for v in range(k):
-                dxp[:, u : u + H, v : v + W] += taps[u * k + v].reshape(B, H, W, C)
-        return dxp[:, pad : pad + H, pad : pad + W]
+                col_to, col_from = _shift(W, v - pad)
+                np.matmul(g_mat, w_taps[u * k + v], out=slab)
+                d[:, row_to, col_to] += tap[:, row_from, col_from]
+        return d
 
     return op(
         tape,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    EmptyDatasetError,
     InvalidConfigError,
     LabelOutOfRangeError,
     NonFiniteLossError,
@@ -438,8 +439,14 @@ def _accuracy(state, config, prepared, labels) -> float:
     return correct / len(prepared)
 
 
+def _require_items(dataset: Dataset, name: str) -> None:
+    if not dataset.items:
+        raise EmptyDatasetError(f"the {name} split has no items")
+
+
 def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prepared: list[VectorSketch] | None = None) -> float:
     """Top-1 accuracy on a dataset split; eval mode, no augmentation."""
+    _require_items(dataset, dataset.split)
     if prepared is None:
         prepared = [prepare_sketch(it.sketch, config) for it in dataset.items]
     labels = np.array([it.label for it in dataset.items], dtype=np.int64)
@@ -477,16 +484,19 @@ def train(
     Writes per-epoch checkpoints, a best-validation checkpoint, and a
     JSON-lines metrics file when out_dir is given. Aborts with
     NonFiniteLossError (after dumping diagnostics) if the loss leaves the
-    reals.
+    reals. A split that is given but has no items raises EmptyDatasetError.
     """
+    for name, ds in (("train", train_ds), ("valid", valid_ds), ("test", test_ds)):
+        if ds is not None:
+            _require_items(ds, name)
     state = init_model_state(config)
     state.config["categories"] = list(train_ds.categories)
     prepared_train = [prepare_sketch(it.sketch, config) for it in train_ds.items]
     labels_train = np.array([it.label for it in train_ds.items], dtype=np.int64)
-    prepared_valid = [prepare_sketch(it.sketch, config) for it in valid_ds.items] if valid_ds else None
-    labels_valid = np.array([it.label for it in valid_ds.items], dtype=np.int64) if valid_ds else None
-    prepared_test = [prepare_sketch(it.sketch, config) for it in test_ds.items] if test_ds else None
-    labels_test = np.array([it.label for it in test_ds.items], dtype=np.int64) if test_ds else None
+    prepared_valid = [prepare_sketch(it.sketch, config) for it in valid_ds.items] if valid_ds is not None else None
+    labels_valid = np.array([it.label for it in valid_ds.items], dtype=np.int64) if valid_ds is not None else None
+    prepared_test = [prepare_sketch(it.sketch, config) for it in test_ds.items] if test_ds is not None else None
+    labels_test = np.array([it.label for it in test_ds.items], dtype=np.int64) if test_ds is not None else None
 
     if log:
         log(f"training {config.variant}: {state.num_params()} parameters, "

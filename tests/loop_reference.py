@@ -10,7 +10,11 @@ from before both directions of a layer advanced as one stacked recurrence
 backward op over reversed prefixes, and a concat), and the channels-first
 CNN ops and forward pass, kept from before activations became (B, H, W, C)
 (im2col through a transposed copy, a k*k col2im scatter, an argmax max
-pool, relu before the pool).
+pool, relu before the pool). Three more are kept from before the backward
+pass freed memory as it went: ``accumulating_op``, the tape op that adds
+every vjp result into a zero buffer; ``conv2d_dx_tap_stack``, the NHWC
+conv dx that stacked all k*k tap products before adding them into a padded
+buffer; and the random walk that drew and clipped one step per point.
 
 tests/test_loop_reference.py checks the numpy versions in the package
 against these loops and ops. The raster oracle cannot catch a segment
@@ -344,3 +348,49 @@ def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg
         x = maxpool2d(tape, x, pool)
     x = global_avg_pool(tape, x)
     return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])
+
+
+def accumulating_op(tape: Tape | None, data, *edges) -> Tensor:
+    """autodiff.op adding every vjp result, the first included, into a
+    gradient that starts as zeros."""
+    out = Tensor(data, tape is not None and any(t.requires_grad for t, _ in edges))
+    if out.requires_grad:
+
+        def bwd():
+            if out.grad is None:
+                return
+            for t, vjp in edges:
+                if t.requires_grad:
+                    if t.grad is None:
+                        t.grad = np.zeros_like(t.data)
+                    t.grad += vjp(out.grad)
+
+        tape.record(bwd)
+    return out
+
+
+def conv2d_dx_tap_stack(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Channels-last conv2d dx of a (B, H, W, O) output gradient: one batched
+    GEMM, (B*H*W, O) @ (k*k, O, C), whose k*k slabs are added into a padded
+    buffer at their shifts; the interior is returned."""
+    B, H, W, O = g.shape
+    C, k = w.shape[1], w.shape[2]
+    pad = k // 2
+    taps = g.reshape(1, B * H * W, O) @ w.transpose(2, 3, 0, 1).reshape(k * k, O, C)
+    dxp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
+    for u in range(k):
+        for v in range(k):
+            dxp[:, u : u + H, v : v + W] += taps[u * k + v].reshape(B, H, W, C)
+    return dxp[:, pad : pad + H, pad : pad + W]
+
+
+def random_sketch(rng, n_points, width=64.0, height=64.0, stroke_break_prob=0.15) -> VectorSketch:
+    """ingest.random_sketch drawing and clipping one step per point."""
+    xy = np.empty((n_points, 2))
+    xy[0] = rng.uniform([2.0, 2.0], [width - 3.0, height - 3.0])
+    for i in range(1, n_points):
+        step = rng.normal(0.0, max(width, height) / 12.0, size=2)
+        xy[i] = np.clip(xy[i - 1] + step, 0.0, [width - 1.0, height - 1.0])
+    s = (rng.random(n_points) < stroke_break_prob).astype(np.float64)
+    s[-1] = 1.0
+    return geometry.validate_and_normalize(np.column_stack([xy, s]))

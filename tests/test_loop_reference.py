@@ -1,7 +1,8 @@
 """The vectorised sketch constructor, stroke slices, segment table, RDP
-simplification and raster coverage, the stacked bidirectional LSTM layer
-and the channels-last CNN agree bit for bit with the loops and the
-channels-first ops in loop_reference.py (CNN gradients to within 1e-12).
+simplification and raster coverage, the stacked bidirectional LSTM layer,
+the channels-last CNN and the one-draw random walk agree bit for bit with
+the loops and the channels-first ops in loop_reference.py (CNN gradients
+to within 1e-12), and conv2d's per-tap dx with the stacked-tap one.
 
 Rows come from a small coordinate grid (signed zero included), so
 consecutive duplicates, duplicate runs across stroke ends, one-point
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import loop_reference as ref
 from sketchattn import raster
 from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
-from sketchattn.ingest import synth_dataset
+from sketchattn.ingest import random_sketch, synth_dataset
 from sketchattn.net import autodiff as ad
 from sketchattn.net.model import CnnConfig, cnn_forward_batch, init_cnn_params
 from sketchattn.pipeline import _rasterize_batch, desk_config, prepare_sketch
@@ -334,6 +335,26 @@ def test_conv2d_matches_channels_first(k, C, O, B, H, W, seed):
     _close(grads[0], ref_grads[0], "x")
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 5, 7]),
+    C=st.integers(1, 8),
+    O=st.integers(1, 8),
+    B=st.integers(1, 3),
+    H=st.integers(1, 9),
+    W=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_dx_matches_tap_stack(k, C, O, B, H, W, seed):
+    # per-tap GEMMs added at clipped shifts give the stacked taps' bits,
+    # kernels wider than the image included
+    rng = np.random.default_rng(seed)
+    x, w, b = rng.normal(size=(B, H, W, C)), rng.normal(size=(O, C, k, k)), rng.normal(size=O)
+    upstream = rng.normal(size=(B, H, W, O))
+    _, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
+    assert grads[0].tobytes() == ref.conv2d_dx_tap_stack(upstream, w).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     f=st.integers(1, 3),
@@ -442,3 +463,18 @@ def test_cnn_matches_channels_first_on_drawn_shapes(stages, extra, B, seed):
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, size=(B, H, W, 1)) * (rng.random((B, H, W, 1)) < 0.4)
     _same_cnn(images, CnnConfig(stages=tuple(stages), num_classes=3), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    lengths=st.lists(st.integers(1, 900), min_size=1, max_size=3),
+    size=st.sampled_from([(64.0, 64.0), (224.0, 224.0), (32, 48), (6, 6)]),
+    p=st.sampled_from([0.0, 0.15, 1.0]),
+)
+def test_random_walk_matches_loop(seed, lengths, size, p):
+    # walks share one rng, so each must leave it where the loop did
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in lengths:
+        _same_sketch(random_sketch(rng, n, *size, p), ref.random_sketch(ref_rng, n, *size, p))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sketchattn.errors import (
+    EmptyDatasetError,
     InvalidConfigError,
     LabelOutOfRangeError,
     MalformedDocumentError,
@@ -12,7 +13,7 @@ from sketchattn.errors import (
     VersionMismatchError,
 )
 from sketchattn.geometry import validate_and_normalize
-from sketchattn.ingest import synth_dataset, synth_generate
+from sketchattn.ingest import Dataset, synth_dataset, synth_generate
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape
 from sketchattn.net.model import CnnConfig, RnnConfig
@@ -335,6 +336,24 @@ class TestTrainEvaluate:
         ds = synth_dataset(1, 0, "test", ("line", "circle", "zigzag"))
         with pytest.raises(LabelOutOfRangeError):
             evaluate(init_model_state(cfg), cfg, ds)
+
+    def test_empty_train_split_raises_before_writing(self, tmp_path):
+        empty = Dataset(["square_cw", "square_ccw"], [], "train")
+        with pytest.raises(EmptyDatasetError, match="train split"):
+            train(tiny_config(), empty, out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_empty_valid_or_test_split_raises(self, split):
+        ds = synth_dataset(1, seed=5, split="train", categories=("square_cw", "square_ccw"))
+        empty = Dataset(ds.categories, [], split)
+        with pytest.raises(EmptyDatasetError, match=f"{split} split"):
+            train(tiny_config(), ds, **{f"{split}_ds": empty})
+
+    def test_evaluate_on_empty_split_raises(self):
+        cfg = tiny_config()
+        with pytest.raises(EmptyDatasetError, match="test split"):
+            evaluate(init_model_state(cfg), cfg, Dataset(["square_cw", "square_ccw"], [], "test"))
 
     def test_checkpoints_and_metrics_written(self, tmp_path):
         cfg = tiny_config(epochs=2)
