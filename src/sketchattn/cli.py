@@ -8,6 +8,7 @@ nonzero with one machine-readable JSON error line on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -126,22 +127,9 @@ def cmd_synth(args) -> int:
 
 def _experiment_config(args, num_classes: int) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json_dict(read_json(args.config)) if args.config else desk_config(num_classes)
-    overrides = {}
-    if args.variant:
-        overrides["variant"] = args.variant
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.lr is not None:
-        overrides["lr"] = args.lr
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if overrides:
-        cfg = ExperimentConfig(**{**cfg.__dict__, **overrides})
-    if cfg.cnn.num_classes != num_classes:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "cnn": CnnConfig(stages=cfg.cnn.stages, num_classes=num_classes)})
-    return cfg
+    flags = ("variant", "epochs", "seed", "lr", "batch_size")
+    overrides = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    return dataclasses.replace(cfg, **overrides, cnn=dataclasses.replace(cfg.cnn, num_classes=num_classes))
 
 
 def cmd_train(args) -> int:
@@ -167,11 +155,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state, cfg = load_model(args.checkpoint)
     ds = load_dataset(args.data, "test")
-    trained_on = state.config.get("categories")
-    if trained_on is not None and list(ds.categories) != list(trained_on):
-        raise CategoryMismatchError(
-            f"dataset categories {list(ds.categories)} != checkpoint categories {list(trained_on)}"
-        )
+    if list(ds.categories) != state.categories:
+        raise CategoryMismatchError(f"dataset categories {list(ds.categories)} != checkpoint categories {state.categories}")
     acc = evaluate(state, cfg, ds)
     print(json.dumps({"accuracy": acc, "items": len(ds)}))
     return 0
@@ -179,15 +164,12 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     state, cfg = load_model(args.checkpoint)
-    categories = state.config.get("categories")
     sketch = prepare_sketch(_load_input_sketch(args.input), cfg)
     logits, _attention, amap = forward_classify(state, cfg, sketch)
     label = int(np.argmax(logits))
     if args.out_map:
         write_pgm(amap.intensities, args.out_map)
-    result = {"label": label}
-    if categories and 0 <= label < len(categories):
-        result["category"] = categories[label]
+    result = {"label": label, "category": state.categories[label]}
     if args.out_map:
         result["attention_map"] = str(args.out_map)
     print(json.dumps(result))
@@ -284,7 +266,6 @@ def cmd_gradcheck(args) -> int:
         tolerance=tolerance,
         max_entries_per_param=args.max_entries,
         rng=np.random.default_rng((args.seed, 99)),
-        corrupt=args.corrupt,
     )
     print(report.format())
     return 0 if report.passed else 1
@@ -352,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     g.add_argument("--profile", choices=sorted(_PROFILES), required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--corrupt", help="test hook: perturb this parameter's analytic gradient")
     g.add_argument("--max-entries", type=int, default=8)
     g.set_defaults(func=cmd_gradcheck)
     return p

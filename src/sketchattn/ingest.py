@@ -315,16 +315,31 @@ def _field(record, key: str, kind: type, where: str):
     return value
 
 
-def load_internal(path) -> Dataset:
-    payload = _read_document(path, DATASET_FORMAT)
-    categories = _field(payload, "categories", list, str(path))
+def _categories(record, where: str) -> list[str]:
+    """record["categories"], which must be a list of distinct names."""
+    categories = _field(record, "categories", list, where)
     if not all(isinstance(c, str) for c in categories):
-        raise MalformedDocumentError(f"{path}: 'categories' is not a list of strings")
+        raise MalformedDocumentError(f"{where}: 'categories' is not a list of strings")
+    if len(set(categories)) != len(categories):
+        repeated = next(c for k, c in enumerate(categories) if c in categories[:k])
+        raise MalformedDocumentError(f"{where}: 'categories' names {repeated!r} more than once")
+    return categories
+
+
+def load_internal(path) -> Dataset:
+    """A dataset document; each item's category must be the one its label
+    indexes (a label outside the list raises LabelOutOfRangeError)."""
+    payload = _read_document(path, DATASET_FORMAT)
+    categories = _categories(payload, str(path))
     items = []
     for k, rec in enumerate(_field(payload, "items", list, str(path))):
         where = f"{path}: item {k}"
         label = _field(rec, "label", int, where)
         category = _field(rec, "category", str, where)
+        if 0 <= label < len(categories) and category != categories[label]:
+            raise MalformedDocumentError(
+                f"{where}: 'category' {category!r} is not {categories[label]!r}, the name of label {label}"
+            )
         try:
             sketch = validate_and_normalize(_field(rec, "points", list, where))
         except SketchError as exc:

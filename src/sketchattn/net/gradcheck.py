@@ -63,16 +63,12 @@ def grad_check(
     tolerance: float = 1e-5,
     max_entries_per_param: int | None = None,
     rng: np.random.Generator | None = None,
-    corrupt: str | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients of fn's scalar output against central
     differences, entry by entry.
 
     max_entries_per_param caps the probed entries per tensor (sampled
-    deterministically from rng) to keep large checks affordable. corrupt
-    names a parameter whose analytic gradient gets perturbed before the
-    comparison; it exists so harness self-tests can confirm that a broken
-    gradient is actually flagged.
+    deterministically from rng) to keep large checks affordable.
     """
     if max_entries_per_param is not None and max_entries_per_param < 1:
         raise InvalidConfigError(f"max_entries_per_param must be >= 1, got {max_entries_per_param}")
@@ -82,10 +78,6 @@ def grad_check(
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for name, p in params.items()}
     for p in params.values():
         p.grad = None
-    if corrupt is not None:
-        if corrupt not in analytic:
-            raise InvalidConfigError(f"no parameter named {corrupt!r}; the parameters are {list(params)}")
-        analytic[corrupt] = analytic[corrupt] + 1e-2
 
     entries = []
     for name, p in params.items():

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import MalformedDocumentError, ShapeMismatchError
-from ..ingest import _field, _read_document
+from ..errors import MalformedDocumentError
+from ..ingest import _categories, _field, _read_document
 from .autodiff import Tensor
 
 CHECKPOINT_FORMAT = "sketchattn-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # the Adam constants of Kingma and Ba; only the learning rate is configured
 BETA1 = 0.9
@@ -28,44 +28,29 @@ EPS = 1e-8
 
 @dataclass
 class ModelState:
-    """Learnable parameters plus Adam moment buffers and the step counter."""
+    """A model as training leaves it: learnable parameters, Adam's moment
+    buffers and step counter, the experiment config document, and the
+    categories its logits index."""
 
     params: dict[str, Tensor]
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
-    seed: int = 0
     config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, p in self.params.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-            if name not in self.v:
-                self.v[name] = np.zeros_like(p.data)
+    categories: list[str] = field(default_factory=list)
 
     def num_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
-    def grads(self) -> dict[str, np.ndarray]:
-        """Current gradients; parameters untouched by the tape give zeros."""
-        return {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in self.params.items()
-        }
-
-
-def adam_step(state: ModelState, gradients: dict[str, np.ndarray], lr: float) -> ModelState:
-    """Standard bias-corrected Adam update; increments the step counter."""
+def adam_step(state: ModelState, lr: float) -> ModelState:
+    """Standard bias-corrected Adam update on the gradients the tape left
+    in each parameter (zeros where none reached it), which it then clears;
+    increments the step counter."""
     t = state.step + 1
     for name, p in state.params.items():
-        g = np.asarray(gradients[name], dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeMismatchError(f"gradient shape {g.shape} != parameter {name} shape {p.data.shape}")
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
         state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
         state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / (1.0 - BETA1**t)
@@ -95,9 +80,9 @@ def save_checkpoint(state: ModelState, path) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "seed": state.seed,
         "step": state.step,
         "config": state.config,
+        "categories": state.categories,
         "params": {name: _encode(p.data) for name, p in state.params.items()},
         "adam_m": {name: _encode(a) for name, a in state.m.items()},
         "adam_v": {name: _encode(a) for name, a in state.v.items()},
@@ -107,16 +92,20 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    """A checkpoint; a malformed field or tensor record raises a typed error naming it.
-    The Adam moments stay as read (no zero fill) for pipeline.load_model to check."""
+    """A checkpoint; a malformed field or tensor record raises a typed error
+    naming it. pipeline.load_model checks the categories and tensors against
+    the config."""
     payload = _read_document(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     where = str(path)
     params, m, v = (
         {name: _decode(rec, f"{where}: {key} {name!r}") for name, rec in _field(payload, key, dict, where).items()}
         for key in ("params", "adam_m", "adam_v")
     )
-    params = {name: Tensor(a, requires_grad=True) for name, a in params.items()}
-    step, seed = (_field(payload, key, int, where) for key in ("step", "seed"))
-    state = ModelState(params=params, step=step, seed=seed, config=payload.get("config", {}))
-    state.m, state.v = m, v
-    return state
+    return ModelState(
+        params={name: Tensor(a, requires_grad=True) for name, a in params.items()},
+        m=m,
+        v=v,
+        step=_field(payload, "step", int, where),
+        config=payload.get("config", {}),
+        categories=_categories(payload, where),
+    )

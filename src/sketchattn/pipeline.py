@@ -27,6 +27,7 @@ from .errors import (
     EmptyDatasetError,
     InvalidConfigError,
     LabelOutOfRangeError,
+    MalformedDocumentError,
     NonFiniteLossError,
     ShapeMismatchError,
     VersionMismatchError,
@@ -180,8 +181,7 @@ class ExperimentConfig:
         if d.get("version") != CONFIG_VERSION:
             raise VersionMismatchError(f"unsupported {CONFIG_FORMAT} version {d.get('version')}")
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        # training adds the category list to the config it stores in checkpoints
-        unknown = sorted(d.keys() - known - {"format", "version", "categories"})
+        unknown = sorted(d.keys() - known - {"format", "version"})
         if unknown:
             raise InvalidConfigError(f"config has unknown key {unknown[0]!r}")
         kw = {k: v for k, v in d.items() if k in known}
@@ -209,20 +209,18 @@ def desk_config(
     chirality labeled: mirroring a clockwise traversal produces a
     counter-clockwise one, which would make those labels contradictory.
     """
-    kw = dict(
-        variant=variant,
-        rnn=RnnConfig(hidden_size=32, num_layers=2, dropout_prob=0.2),
-        cnn=CnnConfig(stages=((3, 8, 2), (3, 16, 2), (3, 32, 2)), num_classes=num_classes),
-        raster=RasterConfig(width=64, height=64, epsilon=1.0),
-        simplify=SimplifyConfig(epsilon=2.0, max_points=448, escalation_factor=1.5),
-        augment=AugmentConfig(reflect_prob=0.0),
-        batch_size=16,
-        epochs=epochs,
-        lr=1e-3,
-        seed=seed,
-    )
-    kw.update(overrides)
-    return ExperimentConfig(**kw)
+    return ExperimentConfig(**{
+        "variant": variant,
+        "rnn": RnnConfig(hidden_size=32, dropout_prob=0.2),
+        "cnn": CnnConfig(stages=((3, 8, 2), (3, 16, 2), (3, 32, 2)), num_classes=num_classes),
+        "raster": RasterConfig(width=64, height=64),
+        "augment": AugmentConfig(reflect_prob=0.0),
+        "batch_size": 16,
+        "epochs": epochs,
+        "lr": 1e-3,
+        "seed": seed,
+        **overrides,
+    })
 
 
 def paper_scale_config(
@@ -231,21 +229,14 @@ def paper_scale_config(
     seed: int = 0,
     **overrides,
 ) -> ExperimentConfig:
-    """Full-scale profile: 224x224 canvas, hidden 512, batch 48, lr 1e-4."""
-    kw = dict(
-        variant=variant,
-        rnn=RnnConfig(hidden_size=512, num_layers=2, dropout_prob=0.5),
-        cnn=CnnConfig(stages=((3, 16, 2), (3, 32, 2), (3, 64, 2)), num_classes=num_classes),
-        raster=RasterConfig(width=224, height=224, epsilon=1.0),
-        simplify=SimplifyConfig(epsilon=2.0, max_points=448, escalation_factor=1.5),
-        augment=AugmentConfig(),
-        batch_size=48,
-        epochs=10,
-        lr=PAPER_LR,
-        seed=seed,
-    )
-    kw.update(overrides)
-    return ExperimentConfig(**kw)
+    """Full-scale profile, the config defaults: 224x224 canvas, hidden 512,
+    batch 48, lr 1e-4."""
+    return ExperimentConfig(**{
+        "variant": variant,
+        "cnn": CnnConfig(num_classes=num_classes),
+        "seed": seed,
+        **overrides,
+    })
 
 
 @dataclass(frozen=True)
@@ -291,7 +282,8 @@ def init_model_state(config: ExperimentConfig) -> ModelState:
     if config.uses_rnn:
         params.update(init_rnn_params(rng, config.rnn))
     params.update(init_cnn_params(rng, config.cnn))
-    return ModelState(params=params, seed=config.seed, config=config.to_json_dict())
+    m, v = ({name: np.zeros_like(p.data) for name, p in params.items()} for _ in range(2))
+    return ModelState(params, m, v, config=config.to_json_dict())
 
 
 def prepare_sketch(sketch: VectorSketch, config: ExperimentConfig) -> VectorSketch:
@@ -454,10 +446,15 @@ def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prep
 
 
 def load_model(path) -> tuple[ModelState, ExperimentConfig]:
-    """Load a checkpoint whose parameters and Adam moments match its config
-    in names and shapes."""
+    """Load a checkpoint whose categories, parameters and Adam moments match
+    its config in number, names and shapes."""
     state = load_checkpoint(path)
     config = ExperimentConfig.from_json_dict(state.config)
+    if len(state.categories) != config.cnn.num_classes:
+        raise MalformedDocumentError(
+            f"{path}: 'categories' names {len(state.categories)} categories, "
+            f"its config classifies into {config.cnn.num_classes}"
+        )
     expected = {name: p.data.shape for name, p in init_model_state(config).params.items()}
     params = {name: p.data for name, p in state.params.items()}
     for group, arrays in (("parameter", params), ("adam_m", state.m), ("adam_v", state.v)):
@@ -489,8 +486,13 @@ def train(
     for name, ds in (("train", train_ds), ("valid", valid_ds), ("test", test_ds)):
         if ds is not None:
             _require_items(ds, name)
+    if len(train_ds.categories) != config.cnn.num_classes:
+        raise InvalidConfigError(
+            f"config classifies into {config.cnn.num_classes} classes, "
+            f"the train split names {len(train_ds.categories)} categories"
+        )
     state = init_model_state(config)
-    state.config["categories"] = list(train_ds.categories)
+    state.categories = list(train_ds.categories)
     prepared_train = [prepare_sketch(it.sketch, config) for it in train_ds.items]
     labels_train = np.array([it.label for it in train_ds.items], dtype=np.int64)
     prepared_valid = [prepare_sketch(it.sketch, config) for it in valid_ds.items] if valid_ds is not None else None
@@ -539,8 +541,7 @@ def train(
                         json.dump(dump, f, indent=2)
                 raise NonFiniteLossError(json.dumps(dump))
             backward(tape, loss)
-            adam_step(state, state.grads(), config.lr)
-            state.zero_grads()
+            adam_step(state, config.lr)
             loss_sum += float(loss.data) * len(sel)
             correct += int((logits.data.argmax(axis=1) == y).sum())
             step += 1

@@ -3,7 +3,9 @@
 The package's op set holds only what the pipeline runs. The step-by-step
 reference LSTM in tests/test_net.py needs per-gate adds, products and
 tanh, so those live here; OP_CASES checks each against finite
-differences like the package's ops.
+differences like the package's ops. wrong_gradient is the exception: its
+vjp is wrong on purpose, so gradcheck's self-tests have a broken gradient
+to catch.
 """
 
 import numpy as np
@@ -46,3 +48,9 @@ def matmul(tape, a, b):
 def tanh(tape, a):
     t = np.tanh(a.data)
     return ad.op(tape, t, (a, lambda g: g * (1.0 - t * t)))
+
+
+def wrong_gradient(tape, loss, p, error=1e-2):
+    """Pass a scalar loss through unchanged while the vjp claims that every
+    entry of p adds `error` to its gradient."""
+    return ad.op(tape, loss.data, (loss, lambda g: g), (p, lambda g: np.full(p.data.shape, error) * g))

@@ -1,11 +1,16 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from sketchattn.cli import main
 from sketchattn.ingest import load_internal, load_sketch, save_sketch, synth_generate
+
+import tape_ops as ops
 
 
 def run(capsys, *argv):
@@ -296,6 +301,20 @@ class TestMalformedDocuments:
         assert _one_error(err)["error"] == "InvalidStrokeStateError"
 
 
+@pytest.fixture()
+def broken_nlr(monkeypatch):
+    """The nlr gradcheck profile with a deliberately wrong attention gradient."""
+    from sketchattn import cli
+
+    nlr = cli._PROFILES["nlr"]
+
+    def profile(seed):
+        fn, params = nlr(seed)
+        return (lambda tape: ops.wrong_gradient(tape, fn(tape), params["attention"])), params
+
+    monkeypatch.setitem(cli._PROFILES, "nlr", profile)
+
+
 class TestGradcheckCommand:
     def test_nlr_profile_passes(self, capsys):
         code, stdout, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "0")
@@ -314,29 +333,15 @@ class TestGradcheckCommand:
         code, stdout, _ = run(capsys, "gradcheck", "--profile", "full", "--seed", "1")
         assert code == 0
 
-    def test_corrupted_gradient_fails_with_name(self, capsys):
-        code, stdout, _ = run(
-            capsys, "gradcheck", "--profile", "nlr", "--seed", "0", "--corrupt", "attention"
-        )
+    def test_corrupted_gradient_fails_with_name(self, broken_nlr, capsys):
+        code, stdout, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "0")
         assert code == 1
         assert "attention" in stdout and "FAIL" in stdout
 
-    def test_corrupt_unknown_parameter_named(self, capsys):
-        # used to end in {"error": "KeyError", ...}
-        code, stdout, err = run(capsys, "gradcheck", "--profile", "cnn", "--seed", "0", "--corrupt", "nosuch")
-        assert code == 1 and stdout == ""
-        lines = err.strip().splitlines()
-        assert len(lines) == 1
-        info = json.loads(lines[0])
-        assert info["error"] == "InvalidConfigError"
-        assert "'nosuch'" in info["detail"] and "'cnn.conv0.w'" in info["detail"] and "'cnn.fc.b'" in info["detail"]
-
     @pytest.mark.parametrize("entries", ["0", "-1"])
-    def test_max_entries_must_probe_something(self, capsys, entries):
+    def test_max_entries_must_probe_something(self, broken_nlr, capsys, entries):
         # 0 used to probe nothing and print PASS for a corrupted gradient
-        code, stdout, err = run(
-            capsys, "gradcheck", "--profile", "nlr", "--corrupt", "attention", "--max-entries", entries
-        )
+        code, stdout, err = run(capsys, "gradcheck", "--profile", "nlr", "--max-entries", entries)
         assert code == 1 and stdout == ""
         info = _one_error(err)
         assert info["error"] == "InvalidConfigError"
@@ -574,6 +579,33 @@ class TestCheckpointBoundaries:
         assert info["error"] == "CategoryMismatchError"
         assert str(cats) in info["detail"] and str(ds.categories) in info["detail"]
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "categories, named",
+        [
+            (5, "not a list"),
+            (["square_cw", 7], "not a list of strings"),
+            (["square_cw", "square_cw"], "'square_cw' more than once"),
+            (["square_cw"], "names 1 categories"),
+            (["square_cw", "square_ccw", "line"], "names 3 categories"),
+        ],
+        ids=["number", "non_string", "repeated", "too_few", "too_many"],
+    )
+    def test_checkpoint_categories_checked(self, trained, tmp_path, sketch_file, capsys, command, categories, named):
+        # a number used to end in a TypeError traceback, and too few names
+        # in a predicted label with no category
+        _, out_dir, valid_file = trained
+        payload = json.loads((out_dir / "best.ckpt.json").read_text())
+        payload["categories"] = categories
+        ckpt = tmp_path / "categories.ckpt.json"
+        ckpt.write_text(json.dumps(payload))
+        data = ["--data", str(valid_file)] if command == "eval" else ["--input", str(sketch_file)]
+        code, stdout, err = run(capsys, command, "--checkpoint", str(ckpt), *data)
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "MalformedDocumentError"
+        assert "'categories'" in info["detail"] and named in info["detail"]
+
     @staticmethod
     def _edited_checkpoint(out_dir, tmp_path, edit):
         payload = json.loads((out_dir / "best.ckpt.json").read_text())
@@ -701,3 +733,28 @@ class TestCheckpointBoundaries:
         info = json.loads(lines[0])
         assert info["error"] == "InvalidConfigError"
         assert "rnn" in info["detail"] and "extra_field" in info["detail"]
+
+
+class TestTrainAcrossProcesses:
+    def test_two_processes_write_identical_files(self, tmp_path):
+        # byte identity holds for one BLAS build at one thread count, so
+        # both runs pin the thread count
+        import sketchattn
+        from sketchattn.ingest import save_internal, synth_dataset
+
+        data = tmp_path / "train.json"
+        save_internal(synth_dataset(4, 0, "train"), data)
+        src = os.path.dirname(os.path.dirname(sketchattn.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            subprocess.run(
+                [sys.executable, "-m", "sketchattn.cli", "train", "--train", str(data), "--out", str(out),
+                 "--epochs", "1", "--seed", "0"],
+                env=env, check=True, capture_output=True,
+            )
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        assert {"metrics.jsonl", "epoch_000.ckpt.json", "best.ckpt.json"} <= set(names)
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name

@@ -405,6 +405,22 @@ class TestDocumentErrors:
         with pytest.raises(InvalidStrokeStateError, match="item 1"):
             load_internal(path)
 
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            (_dataset_document(category="circle"), "item 0: 'category' 'circle' is not 'line'"),
+            ({**_dataset_document(), "categories": ["line", "line"]}, "'categories' names 'line' more than once"),
+        ],
+        ids=["category_not_its_label", "categories_repeated"],
+    )
+    def test_categories_and_labels_agree(self, tmp_path, document, named):
+        # both used to load: an item tagged "circle" under label 0 ("line"),
+        # and a list that names one category twice
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(MalformedDocumentError, match=named):
+            load_internal(path)
+
     def test_truncated_json(self, tmp_path):
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(_dataset_document())[:-3])
@@ -438,8 +454,8 @@ _points = st.one_of(
     st.lists(st.lists(st.integers(0, 3) | st.floats(0, 1) | _json_values, max_size=4), max_size=4),
     _json_values,
 )
-_item_records = st.fixed_dictionaries(
-    {"label": st.integers(0, 1), "category": st.text(max_size=3), "points": _points}
+_item_records = st.sampled_from([(0, "a"), (1, "b")]).flatmap(
+    lambda named: st.fixed_dictionaries({"label": st.just(named[0]), "category": st.just(named[1]), "points": _points})
 )
 _junk_records = st.fixed_dictionaries(
     {"label": st.integers(-1, 3) | _json_values, "category": st.text(max_size=3) | _json_values, "points": _points}

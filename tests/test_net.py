@@ -685,37 +685,64 @@ class TestCrossEntropy:
             assert abs(t.grad[i].sum()) < 1e-12
 
 
+def fresh_state(params, **kw):
+    """A ModelState with zero Adam moments, as init_model_state builds it."""
+    m, v = ({k: np.zeros_like(p.data) for k, p in params.items()} for _ in range(2))
+    return ModelState(params, m, v, **kw)
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         params = {"w": ad.parameter(np.array([1.0, -2.0, 3.0]))}
-        state = ModelState(params=params)
+        state = fresh_state(params)
         before = params["w"].data.copy()
         g = np.array([0.5, -0.25, 1.0])
-        adam_step(state, {"w": g}, lr=1e-3)
+        params["w"].grad = g
+        adam_step(state, lr=1e-3)
         update = params["w"].data - before
         np.testing.assert_allclose(update, -1e-3 * np.sign(g), rtol=1e-6)
         assert np.all(np.abs(update) >= 1e-3 * (1 - 1e-6))
         assert np.all(np.abs(update) <= 1e-3)
         assert state.step == 1
+        assert params["w"].grad is None  # consumed
 
     def test_zero_gradient_leaves_parameters_moments_decay(self):
         params = {"w": ad.parameter(np.array([1.0, 2.0]))}
-        state = ModelState(params=params)
-        adam_step(state, {"w": np.array([4.0, -4.0])}, lr=0.0)
+        state = fresh_state(params)
+        params["w"].grad = np.array([4.0, -4.0])
+        adam_step(state, lr=0.0)
         m_before = state.m["w"].copy()
-        adam_step(state, {"w": np.zeros(2)}, lr=1e-3)
+        adam_step(state, lr=1e-3)  # no gradient reached w: it counts as zeros
         np.testing.assert_allclose(state.m["w"], 0.9 * m_before, rtol=1e-12)
         # parameters still move on the decayed first moment; a zero moment
         # and zero gradient must leave them untouched
-        state2 = ModelState(params={"w": ad.parameter(np.array([1.0, 2.0]))})
+        state2 = fresh_state({"w": ad.parameter(np.array([1.0, 2.0]))})
         before = state2.params["w"].data.copy()
-        adam_step(state2, {"w": np.zeros(2)}, lr=1e-3)
+        adam_step(state2, lr=1e-3)
         np.testing.assert_array_equal(state2.params["w"].data, before)
 
-    def test_shape_mismatch(self):
-        state = ModelState(params={"w": ad.parameter(np.zeros((2, 2)))})
-        with pytest.raises(ShapeMismatchError):
-            adam_step(state, {"w": np.zeros(3)}, lr=1e-3)
+    def test_three_steps_match_hand_written_adam(self):
+        # a new gradient at each step pins beta1, beta2 and eps; the
+        # microscopic entry makes eps matter against sqrt(v_hat)
+        w = np.array([0.5, -1.5, 2.0, 1e-3])
+        grads = [
+            np.array([0.3, -2.0, 1e-6, 0.0]),
+            np.array([-0.1, 0.5, 2e-6, 4.0]),
+            np.array([0.2, 0.25, -3e-6, -1.0]),
+        ]
+        p = ad.parameter(w.copy())
+        state = fresh_state({"w": p})
+        m, v = np.zeros(4), np.zeros(4)
+        for t, g in enumerate(grads, start=1):
+            p.grad = g.copy()
+            adam_step(state, lr=0.01)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            w = w - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            np.testing.assert_allclose(state.m["w"], m, rtol=1e-14)
+            np.testing.assert_allclose(state.v["w"], v, rtol=1e-14)
+            np.testing.assert_allclose(p.data, w, rtol=1e-14)
+        assert state.step == 3
 
     def test_paper_learning_rates_available(self):
         # fine-tuning needs pre-trained CNN weights, which the repository
@@ -728,6 +755,23 @@ class TestAdam:
         assert paper_scale_config(6).batch_size == 48
         with pytest.raises(TypeError):
             paper_scale_config(6, finetune=True)
+        # the profile is the config defaults; a changed default fails here
+        assert paper_scale_config(6).to_json_dict() == {
+            "format": "sketchattn-config",
+            "version": 3,
+            "variant": "sketch_r2cnn",
+            "rnn": {"hidden_size": 512, "num_layers": 2, "dropout_prob": 0.5},
+            "cnn": {"stages": [[3, 16, 2], [3, 32, 2], [3, 64, 2]], "num_classes": 6},
+            "raster": {"width": 224, "height": 224, "epsilon": 1.0},
+            "simplify": {"epsilon": 2.0, "max_points": 448, "escalation_factor": 1.5},
+            "augment": {"reflect_prob": 0.5, "removal_prob": 0.3, "jitter_sigma": 1.0},
+            "batch_size": 48,
+            "epochs": 10,
+            "lr": 1e-4,
+            "seed": 0,
+            "early_stop_train_acc": None,
+            "early_stop_valid_acc": None,
+        }
 
 
 class TestModelStateAndCheckpoints:
@@ -756,18 +800,20 @@ class TestModelStateAndCheckpoints:
                 np.testing.assert_allclose(blk.T @ blk, np.eye(16), atol=1e-10)
 
     def test_num_params_reported(self):
-        state = ModelState(params={"a": ad.parameter(np.zeros((3, 4))), "b": ad.parameter(np.zeros(5))})
+        state = fresh_state({"a": ad.parameter(np.zeros((3, 4))), "b": ad.parameter(np.zeros(5))})
         assert state.num_params() == 17
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         cfg = CnnConfig(stages=((3, 4, 2),), num_classes=2)
-        state = ModelState(params=init_cnn_params(rng, cfg), seed=9, config={"k": 1})
-        adam_step(state, {k: rng.normal(size=p.data.shape) for k, p in state.params.items()}, lr=1e-3)
+        state = fresh_state(init_cnn_params(rng, cfg), config={"k": 1}, categories=["a", "b"])
+        for p in state.params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        adam_step(state, lr=1e-3)
         path = tmp_path / "ck.json"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
-        assert back.step == 1 and back.seed == 9 and back.config == {"k": 1}
+        assert back.step == 1 and back.config == {"k": 1} and back.categories == ["a", "b"]
         for k in state.params:
             np.testing.assert_array_equal(back.params[k].data, state.params[k].data)
             np.testing.assert_array_equal(back.m[k], state.m[k])
@@ -776,7 +822,7 @@ class TestModelStateAndCheckpoints:
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         rng = np.random.default_rng(16)
         cfg = CnnConfig(stages=((3, 4, 2),), num_classes=2)
-        state = ModelState(params=init_cnn_params(rng, cfg))
+        state = fresh_state(init_cnn_params(rng, cfg))
         save_checkpoint(state, tmp_path / "a.json")
         save_checkpoint(state, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -784,7 +830,7 @@ class TestModelStateAndCheckpoints:
     def test_checkpoint_version_mismatch(self, tmp_path):
         import json
 
-        state = ModelState(params={"w": ad.parameter(np.zeros(2))})
+        state = fresh_state({"w": ad.parameter(np.zeros(2))})
         path = tmp_path / "ck.json"
         save_checkpoint(state, path)
         payload = json.loads(path.read_text())
@@ -793,6 +839,21 @@ class TestModelStateAndCheckpoints:
         from sketchattn.errors import VersionMismatchError
 
         with pytest.raises(VersionMismatchError):
+            load_checkpoint(path)
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        # v1 stored the seed beside the config and the categories inside it
+        import json
+
+        from sketchattn.errors import VersionMismatchError
+
+        path = tmp_path / "ck.json"
+        save_checkpoint(fresh_state({"w": ad.parameter(np.zeros(2))}), path)
+        payload = json.loads(path.read_text())
+        payload.pop("categories")
+        payload.update(version=1, seed=0, config={"categories": ["a", "b"]})
+        path.write_text(json.dumps(payload))
+        with pytest.raises(VersionMismatchError, match="version 1"):
             load_checkpoint(path)
 
 
@@ -804,7 +865,11 @@ class TestGradCheckHarness:
         def fn(tape):
             return ops.add(tape, ad.sum_all(tape, ops.mul(tape, theta, theta)), ad.sum_all(tape, phi))
 
-        rep = grad_check(fn, {"theta": theta, "phi": phi}, tolerance=1e-6, corrupt="phi")
+        def broken(tape):
+            return ops.wrong_gradient(tape, fn(tape), phi)
+
+        assert grad_check(fn, {"theta": theta, "phi": phi}, tolerance=1e-6).passed
+        rep = grad_check(broken, {"theta": theta, "phi": phi}, tolerance=1e-6)
         assert not rep.passed
         assert rep.worst.name == "phi"
 

@@ -288,7 +288,7 @@ class TestTrainEvaluate:
     def test_lr_zero_leaves_parameters(self, monkeypatch):
         # a config's lr must be > 0, so the optimizer is stepped at 0 directly
         step = pipeline.adam_step
-        monkeypatch.setattr(pipeline, "adam_step", lambda state, grads, lr: step(state, grads, 0.0))
+        monkeypatch.setattr(pipeline, "adam_step", lambda state, lr: step(state, 0.0))
         cfg = tiny_config(epochs=2)
         ds = synth_dataset(4, seed=1, split="train", categories=("square_cw", "square_ccw"))
         ref = init_model_state(cfg)
@@ -336,6 +336,13 @@ class TestTrainEvaluate:
         ds = synth_dataset(1, 0, "test", ("line", "circle", "zigzag"))
         with pytest.raises(LabelOutOfRangeError):
             evaluate(init_model_state(cfg), cfg, ds)
+
+    def test_categories_must_match_classes(self, tmp_path):
+        # the checkpoint would name fewer categories than the model has logits
+        ds = synth_dataset(1, seed=5, split="train", categories=("square_cw", "square_ccw"))
+        with pytest.raises(InvalidConfigError, match="2 classes.*1 categories"):
+            train(tiny_config(), Dataset(["square_cw"], ds.items[:1], "train"), out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
 
     def test_empty_train_split_raises_before_writing(self, tmp_path):
         empty = Dataset(["square_cw", "square_ccw"], [], "train")
@@ -410,20 +417,45 @@ class TestTrainEvaluate:
         assert (tmp_path / "nonfinite_dump.json").exists()
 
 
+def _saved(state, path, categories=("square_cw", "square_ccw")):
+    """Save state as training would: with the categories it classifies into."""
+    state.categories = list(categories)
+    save_checkpoint(state, path)
+    return path
+
+
 class TestLoadModel:
     @staticmethod
     def _checkpoint(tmp_path, edit=None):
         state = init_model_state(tiny_config())
         if edit is not None:
             edit(state.params)
-        path = tmp_path / "model.ckpt.json"
-        save_checkpoint(state, path)
-        return path
+        return _saved(state, tmp_path / "model.ckpt.json")
 
     def test_round_trip(self, tmp_path):
         state, cfg = load_model(self._checkpoint(tmp_path))
         assert cfg == tiny_config()
         assert state.params.keys() == init_model_state(cfg).params.keys()
+        assert state.categories == ["square_cw", "square_ccw"]
+
+    @pytest.mark.parametrize(
+        "categories, named",
+        [
+            (5, "not a list"),
+            (["square_cw", 7], "not a list of strings"),
+            (["square_cw", "square_cw"], "'square_cw' more than once"),
+            (["square_cw"], "names 1 categories, its config classifies into 2"),
+            (["a", "b", "c"], "names 3 categories"),
+        ],
+        ids=["number", "non_string", "repeated", "too_few", "too_many"],
+    )
+    def test_categories_checked(self, tmp_path, categories, named):
+        path = self._checkpoint(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["categories"] = categories
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MalformedDocumentError, match=f"'categories'.*{named}"):
+            load_model(path)
 
     def test_missing_parameter_named(self, tmp_path):
         path = self._checkpoint(tmp_path, lambda params: params.pop("cnn.fc.b"))
@@ -447,12 +479,11 @@ class TestLoadModel:
         ids=["missing", "reshaped", "unknown"],
     )
     def test_moments_match_parameters(self, tmp_path, group, edit, named):
-        # ModelState fills a missing moment with zeros and adam_step would
-        # broadcast a reshaped one, so the file's moments are checked as read
+        # adam_step would fail on a missing moment and broadcast a reshaped
+        # one, so the file's moments are checked as read
         state = init_model_state(tiny_config())
         edit(state.m if group == "adam_m" else state.v)
-        path = tmp_path / "model.ckpt.json"
-        save_checkpoint(state, path)
+        path = _saved(state, tmp_path / "model.ckpt.json")
         with pytest.raises(ShapeMismatchError, match=f"{group} {named}"):
             load_model(path)
 
@@ -463,8 +494,7 @@ class TestLoadModel:
         state = init_model_state(tiny_config("cnn_only_binary"))
         tensors = {"params": state.params["cnn.fc.b"].data, "adam_m": state.m["cnn.fc.b"], "adam_v": state.v["cnn.fc.b"]}
         tensors[group][0] = value
-        path = tmp_path / "model.ckpt.json"
-        save_checkpoint(state, path)
+        path = _saved(state, tmp_path / "model.ckpt.json")
         with pytest.raises(MalformedDocumentError, match=f"{group} 'cnn.fc.b'"):
             load_model(path)
 
@@ -509,7 +539,8 @@ class TestExperimentConfig:
         with pytest.raises(VersionMismatchError, match=f"version {version}"):
             ExperimentConfig.from_json_dict(d)
 
-    @pytest.mark.parametrize("key", ["beta_one", "beta1", "canvas_pad", "eval_test_each_epoch"])
+    # categories belong to the checkpoint since it reached v2, not to its config
+    @pytest.mark.parametrize("key", ["beta_one", "beta1", "canvas_pad", "eval_test_each_epoch", "categories"])
     def test_unknown_top_level_key_named(self, key):
         d = desk_config(2).to_json_dict()
         d[key] = 0.5
