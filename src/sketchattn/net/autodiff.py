@@ -17,6 +17,10 @@ new array laid out like the operand's data; any other first result, and
 every later one, is added into a zero buffer. Either way the gradient
 holds the same values, up to the sign of a zero.
 
+An op keeps what its vjps need and no more: conv2d streams its im2col
+columns through a workspace of about 1 MiB per call and keeps only the
+padded input, from which dw rebuilds them chunk by chunk.
+
 The op set covers exactly what the sketch pipeline runs (a fused
 bidirectional LSTM layer, a linear head, a small channels-last CNN on
 (B, H, W, C) activations, softmax cross entropy); it is not a
@@ -294,26 +298,57 @@ def _shift(n: int, d: int) -> tuple[slice, slice]:
     return slice(max(d, 0), max(min(n, n + d), 0)), slice(max(-d, 0), max(min(n, n - d), 0))
 
 
+# float64 entries (1 MiB) of one conv2d call's im2col workspace; a chunk
+# is as many whole images as fit, and at least one
+_COL_BUDGET = 1 << 17
+
+
+def _im2col_chunks(win: np.ndarray):
+    """Yield (rows, cols): each chunk of whole images as a row slice of the
+    (B*H*W, k*k*C) im2col matrix and its columns, copied from the window
+    view win (B, H, W, k, k, C) into one workspace reused across chunks."""
+    B, H, W, k, _, C = win.shape
+    n = max(1, _COL_BUDGET // (H * W * k * k * C))
+    work = np.empty((min(n, B), H, W, k, k, C))
+    for lo in range(0, B, n):
+        hi = min(lo + n, B)
+        cols = work[: hi - lo]
+        np.copyto(cols, win[lo:hi])
+        yield slice(lo * H * W, hi * H * W), cols.reshape((hi - lo) * H * W, k * k * C)
+
+
 def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Stride-1 same-padding 2D convolution for odd kernels, channels-last.
 
-    x: (B, H, W, C), w: (O, C, k, k), b: (O,) -> (B, H, W, O). One im2col
-    GEMM, its columns copied from the padded window view in (C, k, k)
-    order and kept for dw. dx runs one (B*H*W, O) @ (O, C) GEMM per kernel
-    tap, in tap order, into one reused slab, and adds the part of each
-    slab that lands inside the image at the tap's shift; what fell on the
-    padding is never stored. dx is a new contiguous (B, H, W, C) array.
+    x: (B, H, W, C), w: (O, C, k, k), b: (O,) -> (B, H, W, O). im2col in
+    (k, k, C) column order, the order of the padded NHWC window view, with
+    w reshaped to match: the columns of each chunk of whole images are
+    copied into a workspace of about _COL_BUDGET entries and multiplied
+    into their rows of the output. The tape keeps the padded input, not
+    the columns; dw rebuilds them chunk by chunk into its own workspace
+    and sums the chunks' GEMMs in chunk order. dx runs one
+    (B*H*W, O) @ (O, C) GEMM per kernel tap, in tap order, into one reused
+    slab, and adds the part of each slab that lands inside the image at
+    the tap's shift; what fell on the padding is never stored. dx is a new
+    contiguous (B, H, W, C) array.
     """
     B, H, W, C = x.data.shape
     O = w.data.shape[0]
     k = w.data.shape[2]
     pad = k // 2
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (B, H, W, C, k, k)
-    cols = np.ascontiguousarray(win).reshape(B * H * W, C * k * k)
-    w_mat = w.data.reshape(O, C * k * k).T
-    out_data = (cols @ w_mat).reshape(B, H, W, O)
+    win = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)  # (B, H, W, k, k, C)
+    w_mat = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0)).reshape(k * k * C, O)
+    out_mat = np.empty((B * H * W, O))
+    for rows, cols in _im2col_chunks(win):
+        np.matmul(cols, w_mat, out=out_mat[rows])
+    out_data = out_mat.reshape(B, H, W, O)
     out_data += b.data
+
+    def dw(g):
+        g_mat = g.reshape(B * H * W, O)
+        d = sum(cols.T @ g_mat[rows] for rows, cols in _im2col_chunks(win))
+        return np.ascontiguousarray(d.reshape(k, k, C, O).transpose(3, 2, 0, 1))
 
     def dx(g):
         g_mat = g.reshape(B * H * W, O)
@@ -333,7 +368,7 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         tape,
         out_data,
         (b, lambda g: g.reshape(B * H * W, O).sum(axis=0)),
-        (w, lambda g: (cols.T @ g.reshape(B * H * W, O)).T.reshape(O, C, k, k)),
+        (w, dw),
         (x, dx),
     )
 
@@ -357,7 +392,7 @@ def maxpool2d(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
         for cell in cells:
             first = np.equal(x.data[cell], out_data)
             first &= free
-            np.copyto(dx[cell], g, where=first)
+            dx[cell] = np.where(first, g, 0.0)
             free ^= first
         return dx
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CategoryMismatchError,
     EmptyDatasetError,
     InvalidConfigError,
     LabelOutOfRangeError,
@@ -481,11 +482,17 @@ def train(
     Writes per-epoch checkpoints, a best-validation checkpoint, and a
     JSON-lines metrics file when out_dir is given. Aborts with
     NonFiniteLossError (after dumping diagnostics) if the loss leaves the
-    reals. A split that is given but has no items raises EmptyDatasetError.
+    reals. A split that is given but has no items raises EmptyDatasetError,
+    and a valid or test split whose category list is not the train split's
+    raises CategoryMismatchError, both before training starts.
     """
     for name, ds in (("train", train_ds), ("valid", valid_ds), ("test", test_ds)):
         if ds is not None:
             _require_items(ds, name)
+            if list(ds.categories) != list(train_ds.categories):
+                raise CategoryMismatchError(
+                    f"{name} split categories {list(ds.categories)} != train split categories {list(train_ds.categories)}"
+                )
     if len(train_ds.categories) != config.cnn.num_classes:
         raise InvalidConfigError(
             f"config classifies into {config.cnn.num_classes} classes, "

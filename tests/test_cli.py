@@ -579,6 +579,25 @@ class TestCheckpointBoundaries:
         assert info["error"] == "CategoryMismatchError"
         assert str(cats) in info["detail"] and str(ds.categories) in info["detail"]
 
+    def test_train_rejects_reordered_valid_categories(self, trained, tmp_path, capsys):
+        # train used to exit 0 with a valid_acc scored against the wrong
+        # labels, and pick best.ckpt.json by it
+        from sketchattn.ingest import save_internal, synth_dataset
+
+        base, _, _ = trained
+        valid = tmp_path / "valid.json"
+        save_internal(synth_dataset(2, 5, "valid", ("square_ccw", "square_cw")), valid)
+        out_dir = tmp_path / "run"
+        code, stdout, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--valid", str(valid),
+            "--out", str(out_dir), "--epochs", "1",
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "CategoryMismatchError"
+        assert "valid split categories ['square_ccw', 'square_cw']" in info["detail"]
+        assert not list(out_dir.glob("*.ckpt.json"))
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize(
         "categories, named",

@@ -1,8 +1,11 @@
 """The vectorised sketch constructor, stroke slices, segment table, RDP
 simplification and raster coverage, the stacked bidirectional LSTM layer,
-the channels-last CNN and the one-draw random walk agree bit for bit with
-the loops and the channels-first ops in loop_reference.py (CNN gradients
-to within 1e-12), and conv2d's per-tap dx with the stacked-tap one.
+the max and average pools and the one-draw random walk agree bit for bit
+with the loops and the channels-first ops in loop_reference.py, and
+conv2d's per-tap dx with the stacked-tap one. The channels-last conv2d
+and CNN agree with the channels-first ones to within 1e-12 (the bias
+gradient bit for bit): conv2d's chunked (k, k, C) im2col sums each dot
+product in another order, and two calls on one input give the same bits.
 
 Rows come from a small coordinate grid (signed zero included), so
 consecutive duplicates, duplicate runs across stroke ends, one-point
@@ -311,6 +314,24 @@ def _op_bits(op, channels_first, x, *operands, upstream):
     return (back(out.data) if out.data.ndim == 4 else out.data), grads
 
 
+def _same_conv(x, w, b, upstream):
+    """conv2d against the NCHW reference (out, dx and dw to within 1e-12,
+    db bit for bit) and against a second call of itself, bit for bit."""
+    out, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
+    ref_out, ref_grads = _op_bits(ref.conv2d, True, x, w, b, upstream=upstream)
+    again, again_grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
+    names = ["out", "x", "w", "b"]
+    for name, got, expected, repeat in zip(names, [out, *grads], [ref_out, *ref_grads], [again, *again_grads]):
+        assert got.tobytes() == repeat.tobytes(), name
+        if name == "b":
+            # db sums the output gradient in the reference's order
+            assert got.tobytes() == expected.tobytes(), name
+        else:
+            # (k, k, C) columns and chunked GEMMs reorder the forward and dw
+            # dot products; dx's per-tap product is a GEMV at C=1
+            _close(got, expected, name)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     k=st.sampled_from([1, 3, 5]),
@@ -320,19 +341,31 @@ def _op_bits(op, channels_first, x, *operands, upstream):
     H=st.integers(1, 9),
     W=st.integers(1, 9),
     seed=st.integers(0, 2**16),
+    per_chunk=st.integers(0, 3),
+    spare=st.floats(0.0, 0.99),
 )
-def test_conv2d_matches_channels_first(k, C, O, B, H, W, seed):
+def test_conv2d_matches_channels_first(k, C, O, B, H, W, seed, per_chunk, spare):
+    # the im2col budget fits per_chunk whole images and a drawn part of
+    # another, so chunk boundaries fall between images, the last chunk may
+    # be short, and a budget below one image still takes one per chunk
     rng = np.random.default_rng(seed)
     x, w, b = rng.normal(size=(B, H, W, C)), rng.normal(size=(O, C, k, k)), rng.normal(size=O)
     upstream = rng.normal(size=(B, H, W, O))
-    out, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
-    ref_out, ref_grads = _op_bits(ref.conv2d, True, x, w, b, upstream=upstream)
-    assert out.tobytes() == ref_out.tobytes()
-    # dw and db reduce the same operands in the same order; dx's per-tap
-    # product is a GEMV at C=1, which may round differently
-    assert grads[1].tobytes() == ref_grads[1].tobytes()
-    assert grads[2].tobytes() == ref_grads[2].tobytes()
-    _close(grads[0], ref_grads[0], "x")
+    image = H * W * k * k * C
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_COL_BUDGET", int((per_chunk + spare) * image))
+        _same_conv(x, w, b, upstream)
+
+
+@pytest.mark.parametrize("C", [1, 8])
+def test_conv2d_matches_channels_first_across_chunks_at_desk_size(C):
+    # five 64x64 images under the default budget: chunks of three and two
+    # at C=1, one image each at C=8
+    B, H, W, O, k = 5, 64, 64, 8, 3
+    assert ad._COL_BUDGET // (H * W * k * k * C) < B
+    rng = np.random.default_rng(C)
+    x, w, b = rng.normal(size=(B, H, W, C)), rng.normal(size=(O, C, k, k)), rng.normal(size=O)
+    _same_conv(x, w, b, rng.normal(size=(B, H, W, O)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,14 +451,15 @@ def _cnn_bits(forward, images, params, cfg, upstream):
 
 
 def _same_cnn(images, cfg, seed):
-    """The NHWC CNN on (B, H, W, 1) images against the NCHW one on the same bytes."""
+    """The NHWC CNN on (B, H, W, 1) images against the NCHW one on the same
+    bytes: logits and every gradient to within 1e-12."""
     rng = np.random.default_rng(seed)
     params = init_cnn_params(rng, cfg)
     upstream = rng.normal(size=(images.shape[0], cfg.num_classes))
     logits, grads, dimage = _cnn_bits(cnn_forward_batch, images, params, cfg, upstream)
     B, H, W, _ = images.shape
     ref_logits, ref_grads, ref_dimage = _cnn_bits(ref.cnn_forward_batch, images.reshape(B, 1, H, W), params, cfg, upstream)
-    assert logits.tobytes() == ref_logits.tobytes()
+    _close(logits, ref_logits, "logits")
     for name in ref_grads:
         _close(grads[name], ref_grads[name], name)
     _close(dimage, ref_dimage.reshape(B, H, W, 1), "images")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sketchattn.errors import (
+    CategoryMismatchError,
     EmptyDatasetError,
     InvalidConfigError,
     LabelOutOfRangeError,
@@ -342,6 +343,16 @@ class TestTrainEvaluate:
         ds = synth_dataset(1, seed=5, split="train", categories=("square_cw", "square_ccw"))
         with pytest.raises(InvalidConfigError, match="2 classes.*1 categories"):
             train(tiny_config(), Dataset(["square_cw"], ds.items[:1], "train"), out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_reordered_valid_or_test_categories_raise_before_writing(self, tmp_path, split):
+        # used to score valid_acc/test_acc against labels that mean other
+        # categories, and to pick best.ckpt.json by that score
+        ds = synth_dataset(2, seed=5, split="train", categories=("square_cw", "square_ccw"))
+        other = synth_dataset(2, seed=6, split=split, categories=("square_ccw", "square_cw"))
+        with pytest.raises(CategoryMismatchError, match=rf"{split} split categories \['square_ccw', 'square_cw'\]"):
+            train(tiny_config(), ds, **{f"{split}_ds": other}, out_dir=str(tmp_path / "run"))
         assert not (tmp_path / "run").exists()
 
     def test_empty_train_split_raises_before_writing(self, tmp_path):
