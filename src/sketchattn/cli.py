@@ -16,11 +16,12 @@ import sys
 import numpy as np
 
 from .errors import CategoryMismatchError, InvalidConfigError, MalformedDocumentError, SketchError
-from .geometry import VectorSketch, normalize_to_canvas
+from .geometry import CANVAS_MARGIN, VectorSketch, normalize_to_canvas
 from .ingest import (
     SYNTH_CATEGORIES,
     load_dataset,
     load_sketch,
+    number_list,
     parse_quickdraw_line,
     random_sketch,
     read_json,
@@ -74,17 +75,6 @@ def _load_input_sketch(path: str) -> VectorSketch:
     return load_sketch(path)
 
 
-def _load_attention(path) -> np.ndarray:
-    """An attention file: a JSON list of numbers, one per sketch point."""
-    values = read_json(path)
-    if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise MalformedDocumentError(f"{path}: attention is not a flat list of numbers")
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise MalformedDocumentError(f"{path}: attention value out of range: {exc}") from exc
-
-
 def cmd_rasterize(args) -> int:
     if (args.attention == "file") != (args.attention_file is not None):
         raise InvalidConfigError("--attention file and --attention-file go together: give both or neither")
@@ -97,7 +87,8 @@ def cmd_rasterize(args) -> int:
     elif args.attention == "ramp":
         attention = order_ramp(sketch.n)
     else:
-        attention = _load_attention(args.attention_file)
+        # a JSON list of numbers, one per sketch point
+        attention = number_list(read_json(args.attention_file), MalformedDocumentError, f"{args.attention_file}: attention")
     amap = rasterize_forward(sketch, attention, config)
     write_pgm(amap.intensities, args.out)
     if args.json_grid:
@@ -282,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--width", type=int, default=224)
     r.add_argument("--height", type=int, default=224)
     r.add_argument("--eps", type=float, default=1.0)
-    r.add_argument("--pad", type=float, default=4.0)
+    r.add_argument("--pad", type=float, default=CANVAS_MARGIN)
     r.add_argument("--no-normalize", action="store_true")
     r.add_argument("--out", required=True)
     r.add_argument("--json-grid")

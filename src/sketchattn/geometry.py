@@ -3,10 +3,13 @@ transform, and point-to-segment distance.
 
 A sketch is an ordered sequence of points (x, y, s). The binary state s
 marks stroke structure: s=0 means a line segment connects the point to its
-successor, s=1 means the point ends its stroke. Every producer builds its
-sketch through :func:`validate_and_normalize` from an (n, 3) array; a
-sketch is immutable after construction and every operation is a pure
-function.
+successor, s=1 means the point ends its stroke. A sketch is built through
+:func:`validate_and_normalize` from an (n, 3) array, with two exceptions
+that rearrange an existing sketch's arrays and construct
+:class:`VectorSketch` directly: :func:`normalize_to_canvas` (which may map
+distinct points onto one, e.g. a sketch without extent onto the canvas
+center) and ``pipeline.randomize_stroke_order``. A sketch is immutable
+after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .errors import (
     MalformedPointsError,
     NonFiniteCoordinateError,
 )
+
+CANVAS_MARGIN = 4.0  # pixels kept clear on every side of a canvas
 
 
 class VectorSketch:
@@ -98,7 +103,7 @@ def validate_and_normalize(points) -> VectorSketch:
     return VectorSketch(xy[keep], kept_s)
 
 
-def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: float = 4.0) -> VectorSketch:
+def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: float = CANVAS_MARGIN) -> VectorSketch:
     """Uniformly scale and center a sketch into [pad, dim-1-pad] per axis.
 
     Aspect ratio is preserved. An axis whose extent is zero, or under

@@ -82,7 +82,7 @@ def parse_quickdraw_line(text: str, label: int = 0) -> LabeledSketch:
     for stroke in drawing:
         if not isinstance(stroke, (list, tuple)) or len(stroke) != 2:
             raise MalformedLineError("stroke is not an [xs, ys] pair")
-        xs, ys = (_coordinates(values) for values in stroke)
+        xs, ys = (number_list(values, MalformedLineError, "stroke coordinates") for values in stroke)
         if len(xs) != len(ys):
             raise RaggedStrokeError(f"stroke has {len(xs)} xs but {len(ys)} ys")
         rows = np.column_stack([xs, ys, np.zeros(len(xs))])
@@ -91,14 +91,16 @@ def parse_quickdraw_line(text: str, label: int = 0) -> LabeledSketch:
     return LabeledSketch(validate_and_normalize(np.concatenate(strokes)), label, category)
 
 
-def _coordinates(values) -> list[float]:
-    """One stroke's xs or ys: a JSON list of numbers (a boolean is not one)."""
+def number_list(values, error: type[SketchError], what: str) -> np.ndarray:
+    """A JSON list of numbers as a float64 array; anything else raises error,
+    naming what. A boolean is not a number, and an integer beyond the float
+    range is an error."""
     if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise MalformedLineError("stroke coordinates are not a list of numbers")
+        raise error(f"{what}: not a list of numbers")
     try:
-        return [float(v) for v in values]
+        return np.array([float(v) for v in values], dtype=np.float64)
     except OverflowError as exc:  # an integer literal beyond the float range
-        raise MalformedLineError(f"stroke coordinate out of range: {exc}") from exc
+        raise error(f"{what}: value out of range: {exc}") from exc
 
 
 def load_dataset(path, split: str = "train") -> Dataset:
@@ -106,7 +108,8 @@ def load_dataset(path, split: str = "train") -> Dataset:
 
     Directory mode treats every *.ndjson file as one category (file stem =
     category name); categories are sorted by name and items keep file line
-    order, so repeated loads produce identical datasets.
+    order, so repeated loads produce identical datasets. A line's error
+    keeps its type and is prefixed with <file>:<line>.
     """
     if os.path.isdir(path):
         files = sorted(f for f in os.listdir(path) if f.endswith(".ndjson"))
@@ -115,11 +118,15 @@ def load_dataset(path, split: str = "train") -> Dataset:
         categories = [os.path.splitext(f)[0] for f in files]
         items: list[LabeledSketch] = []
         for label, fname in enumerate(files):
-            with open(os.path.join(path, fname)) as f:
-                for line in f:
+            fpath = os.path.join(path, fname)
+            with open(fpath) as f:
+                for lineno, line in enumerate(f, 1):
                     line = line.strip()
                     if line:
-                        parsed = parse_quickdraw_line(line, label)
+                        try:
+                            parsed = parse_quickdraw_line(line, label)
+                        except SketchError as exc:
+                            raise type(exc)(f"{fpath}:{lineno}: {exc}") from exc
                         items.append(LabeledSketch(parsed.sketch, label, categories[label]))
         if not items:
             raise EmptyDatasetError(f"no sketches parsed under {path}")

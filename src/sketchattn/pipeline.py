@@ -34,7 +34,7 @@ from .errors import (
     VersionMismatchError,
     require_finite,
 )
-from .geometry import VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
+from .geometry import CANVAS_MARGIN, VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
 from .ingest import Dataset
 from .net import autodiff as ad
 from .net.autodiff import Tape, Tensor, backward, cross_entropy_logits
@@ -73,10 +73,6 @@ class AugmentConfig:
         require_finite(jitter_sigma=self.jitter_sigma)
         if self.jitter_sigma < 0:
             raise InvalidConfigError(f"'jitter_sigma' must be >= 0, got {self.jitter_sigma!r}")
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.reflect_prob > 0 or self.removal_prob > 0 or self.jitter_sigma > 0
 
 
 _SECTIONS = {
@@ -163,6 +159,9 @@ class ExperimentConfig:
                     "the canvas is too small for the stages"
                 )
             h, w = h // pool, w // pool
+        if min(self.raster.width, self.raster.height) <= 2 * CANVAS_MARGIN:
+            raise InvalidConfigError(f"raster {self.raster.width}x{self.raster.height} (width x height): 'width' and "
+                                     f"'height' must exceed {2 * CANVAS_MARGIN:g}, twice the canvas margin")
 
     @property
     def uses_rnn(self) -> bool:
@@ -196,14 +195,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"config: {exc}") from exc
 
 
-def desk_config(
-    num_classes: int,
-    variant: str = "sketch_r2cnn",
-    seed: int = 0,
-    epochs: int = 30,
-    **overrides,
-) -> ExperimentConfig:
-    """Desk-scale profile: 64x64 canvas, hidden 32, batch 16.
+def desk_config(num_classes: int, **overrides) -> ExperimentConfig:
+    """Desk-scale profile: 64x64 canvas, hidden 32, batch 16, 30 epochs.
 
     Trains in minutes on one CPU core. Horizontal reflection is off here
     (reflect_prob 0) because the synthetic square_cw/square_ccw pair is
@@ -211,33 +204,21 @@ def desk_config(
     counter-clockwise one, which would make those labels contradictory.
     """
     return ExperimentConfig(**{
-        "variant": variant,
         "rnn": RnnConfig(hidden_size=32, dropout_prob=0.2),
         "cnn": CnnConfig(stages=((3, 8, 2), (3, 16, 2), (3, 32, 2)), num_classes=num_classes),
         "raster": RasterConfig(width=64, height=64),
         "augment": AugmentConfig(reflect_prob=0.0),
         "batch_size": 16,
-        "epochs": epochs,
+        "epochs": 30,
         "lr": 1e-3,
-        "seed": seed,
         **overrides,
     })
 
 
-def paper_scale_config(
-    num_classes: int,
-    variant: str = "sketch_r2cnn",
-    seed: int = 0,
-    **overrides,
-) -> ExperimentConfig:
+def paper_scale_config(num_classes: int, **overrides) -> ExperimentConfig:
     """Full-scale profile, the config defaults: 224x224 canvas, hidden 512,
     batch 48, lr 1e-4."""
-    return ExperimentConfig(**{
-        "variant": variant,
-        "cnn": CnnConfig(num_classes=num_classes),
-        "seed": seed,
-        **overrides,
-    })
+    return ExperimentConfig(**{"cnn": CnnConfig(num_classes=num_classes), **overrides})
 
 
 @dataclass(frozen=True)
@@ -247,19 +228,10 @@ class EpochRecord:
     train_acc: float
     valid_acc: float | None
     test_acc: float | None
-    wall_clock_s: float
 
     def to_json_line(self) -> str:
-        # wall clock deliberately excluded: metrics files must be byte
-        # reproducible across runs of the same seed
-        rec = {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_acc": self.train_acc,
-            "valid_acc": self.valid_acc,
-            "test_acc": self.test_acc,
-        }
-        return json.dumps(rec, sort_keys=True)
+        # no wall clock here: metrics files are byte reproducible per seed
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 @dataclass
@@ -288,9 +260,9 @@ def init_model_state(config: ExperimentConfig) -> ModelState:
 
 
 def prepare_sketch(sketch: VectorSketch, config: ExperimentConfig) -> VectorSketch:
-    """Simplify and normalize into the raster canvas."""
+    """Simplify and normalize into the raster canvas, inside its margin."""
     sk = simplify_sketch(sketch, config.simplify)
-    return normalize_to_canvas(sk, config.raster.width, config.raster.height)
+    return normalize_to_canvas(sk, config.raster.width, config.raster.height, CANVAS_MARGIN)
 
 
 def augment(
@@ -379,21 +351,16 @@ def _forward_batch(
     sketches: list[VectorSketch],
     tape: Tape | None,
     dropout_rng: np.random.Generator | None = None,
-    order_rng: np.random.Generator | None = None,
 ):
     """Shared batched forward pass for every variant.
 
     Returns (logits Tensor (B, C), attention Tensor (B, T), maps). The
     attention is the RNN's output, or the fixed ones (cnn_only_binary) or
     order ramp (order_encoded_cnn) of the baselines, padded with zeros.
-    Given rngs, it is a training step: dropout_rng drives the RNN's dropout
-    and order_rng the random_stroke_order_r2cnn stroke shuffle. Inference
-    passes no tape.
+    Given dropout_rng, it is a training step that drives the RNN's
+    dropout. Inference passes no tape.
     """
     cfg_r = config.raster
-    if config.variant == "random_stroke_order_r2cnn" and order_rng is not None:
-        sketches = [randomize_stroke_order(sk, order_rng) for sk in sketches]
-
     if config.uses_rnn:
         inputs, lengths = _batch_inputs(sketches, cfg_r.width)
         attn = rnn_attention_batch(tape, inputs, lengths, state.params, config.rnn, dropout_rng)
@@ -421,8 +388,17 @@ def forward_classify(state: ModelState, config: ExperimentConfig, sketch: Vector
     return logits.data[0].copy(), attention, maps[0]
 
 
-def _accuracy(state, config, prepared, labels) -> float:
-    """Eval-mode top-1 accuracy over prepared sketches."""
+def _require_items(dataset: Dataset, name: str) -> None:
+    if not dataset.items:
+        raise EmptyDatasetError(f"the {name} split has no items")
+
+
+def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prepared: list[VectorSketch] | None = None) -> float:
+    """Eval-mode top-1 accuracy on a split, no augmentation; prepared: its items through prepare_sketch."""
+    _require_items(dataset, dataset.split)
+    if prepared is None:
+        prepared = [prepare_sketch(it.sketch, config) for it in dataset.items]
+    labels = np.array([it.label for it in dataset.items], dtype=np.int64)
     if labels.max() >= config.cnn.num_classes:
         raise LabelOutOfRangeError(f"labels must lie in [0, {config.cnn.num_classes})")
     correct = 0
@@ -430,20 +406,6 @@ def _accuracy(state, config, prepared, labels) -> float:
         logits, _, _ = _forward_batch(state, config, prepared[lo : lo + config.batch_size], None)
         correct += int((logits.data.argmax(axis=1) == labels[lo : lo + config.batch_size]).sum())
     return correct / len(prepared)
-
-
-def _require_items(dataset: Dataset, name: str) -> None:
-    if not dataset.items:
-        raise EmptyDatasetError(f"the {name} split has no items")
-
-
-def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prepared: list[VectorSketch] | None = None) -> float:
-    """Top-1 accuracy on a dataset split; eval mode, no augmentation."""
-    _require_items(dataset, dataset.split)
-    if prepared is None:
-        prepared = [prepare_sketch(it.sketch, config) for it in dataset.items]
-    labels = np.array([it.label for it in dataset.items], dtype=np.int64)
-    return _accuracy(state, config, prepared, labels)
 
 
 def load_model(path) -> tuple[ModelState, ExperimentConfig]:
@@ -479,20 +441,23 @@ def train(
 ) -> tuple[ModelState, Metrics]:
     """Train a variant; deterministic given the config seed.
 
-    Writes per-epoch checkpoints, a best-validation checkpoint, and a
-    JSON-lines metrics file when out_dir is given. Aborts with
-    NonFiniteLossError (after dumping diagnostics) if the loss leaves the
-    reals. A split that is given but has no items raises EmptyDatasetError,
-    and a valid or test split whose category list is not the train split's
-    raises CategoryMismatchError, both before training starts.
+    The one place for training-time transforms: each train item is
+    augmented, then, for random_stroke_order_r2cnn, stroke-shuffled. Valid
+    and test splits are scored by evaluate. Writes per-epoch checkpoints, a
+    best-validation checkpoint, and a JSON-lines metrics file when out_dir
+    is given. Aborts with NonFiniteLossError (after dumping diagnostics) if
+    the loss leaves the reals. A split that is given but has no items raises
+    EmptyDatasetError, and a valid or test split whose category list is not
+    the train split's raises CategoryMismatchError, both before training
+    starts.
     """
-    for name, ds in (("train", train_ds), ("valid", valid_ds), ("test", test_ds)):
-        if ds is not None:
-            _require_items(ds, name)
-            if list(ds.categories) != list(train_ds.categories):
-                raise CategoryMismatchError(
-                    f"{name} split categories {list(ds.categories)} != train split categories {list(train_ds.categories)}"
-                )
+    held_out = {name: ds for name, ds in (("valid", valid_ds), ("test", test_ds)) if ds is not None}
+    for name, ds in {"train": train_ds, **held_out}.items():
+        _require_items(ds, name)
+        if list(ds.categories) != list(train_ds.categories):
+            raise CategoryMismatchError(
+                f"{name} split categories {list(ds.categories)} != train split categories {list(train_ds.categories)}"
+            )
     if len(train_ds.categories) != config.cnn.num_classes:
         raise InvalidConfigError(
             f"config classifies into {config.cnn.num_classes} classes, "
@@ -502,10 +467,7 @@ def train(
     state.categories = list(train_ds.categories)
     prepared_train = [prepare_sketch(it.sketch, config) for it in train_ds.items]
     labels_train = np.array([it.label for it in train_ds.items], dtype=np.int64)
-    prepared_valid = [prepare_sketch(it.sketch, config) for it in valid_ds.items] if valid_ds is not None else None
-    labels_valid = np.array([it.label for it in valid_ds.items], dtype=np.int64) if valid_ds is not None else None
-    prepared_test = [prepare_sketch(it.sketch, config) for it in test_ds.items] if test_ds is not None else None
-    labels_test = np.array([it.label for it in test_ds.items], dtype=np.int64) if test_ds is not None else None
+    prepared = {name: [prepare_sketch(it.sketch, config) for it in ds.items] for name, ds in held_out.items()}
 
     if log:
         log(f"training {config.variant}: {state.num_params()} parameters, "
@@ -523,18 +485,18 @@ def train(
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
             sel = order[lo : lo + config.batch_size]
+            order_rng = np.random.default_rng((config.seed, 4, epoch, step))
             sketches = []
             for d in sel:
-                sk = prepared_train[d]
-                if config.augment.any_enabled:
-                    aug_rng = np.random.default_rng((config.seed, 2, epoch, int(d)))
-                    sk = augment(sk, aug_rng, config.augment, config.raster.width)
+                aug_rng = np.random.default_rng((config.seed, 2, epoch, int(d)))
+                sk = augment(prepared_train[d], aug_rng, config.augment, config.raster.width)
+                if config.variant == "random_stroke_order_r2cnn":
+                    sk = randomize_stroke_order(sk, order_rng)
                 sketches.append(sk)
             y = labels_train[sel]
             tape = Tape()
             dropout_rng = np.random.default_rng((config.seed, 3, epoch, step))
-            order_rng = np.random.default_rng((config.seed, 4, epoch, step))
-            logits, _, _ = _forward_batch(state, config, sketches, tape, dropout_rng, order_rng)
+            logits, _, _ = _forward_batch(state, config, sketches, tape, dropout_rng)
             loss = cross_entropy_logits(tape, logits, y)
             if not np.isfinite(loss.data):
                 dump = {
@@ -555,15 +517,10 @@ def train(
 
         train_acc = correct / len(prepared_train)
         train_loss = loss_sum / len(prepared_train)
-        valid_acc = None
-        if prepared_valid is not None:
-            valid_acc = _accuracy(state, config, prepared_valid, labels_valid)
-        test_acc = None
-        if prepared_test is not None:
-            test_acc = _accuracy(state, config, prepared_test, labels_test)
+        acc = {name: evaluate(state, config, ds, prepared[name]) for name, ds in held_out.items()}
+        valid_acc, test_acc = acc.get("valid"), acc.get("test")
         wall = time.perf_counter() - t0
-        rec = EpochRecord(epoch, train_loss, train_acc, valid_acc, test_acc, wall)
-        metrics.records.append(rec)
+        metrics.records.append(EpochRecord(epoch, train_loss, train_acc, valid_acc, test_acc))
         if log:
             log(f"epoch {epoch:3d} loss {train_loss:.4f} train {train_acc:.3f} "
                 f"valid {valid_acc if valid_acc is not None else '-'} "

@@ -1,0 +1,60 @@
+"""Print a sha256 for every file a short training run of each variant writes.
+
+    python tests/artifact_digest.py --src src
+
+Trains each of the four variants for 2 epochs at the desk profile, with one
+BLAS thread, on seeded train, valid and test splits, and prints one line
+per output file: its sha256 and its path as ``<variant>/<file>``. The train
+split mixes the single-stroke synthetic shapes with multi-stroke random
+walks, so stroke removal and the stroke-order shuffle both act. Run it on
+two source trees and diff the outputs to check that a change keeps every
+metrics file and checkpoint byte-identical.
+
+Not a test module: pytest does not collect it.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads: GEMMs split across threads may round differently
+
+import argparse
+import hashlib
+import sys
+import tempfile
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", required=True, help="directory that holds the sketchattn package")
+    args = p.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+
+    import numpy as np
+
+    from sketchattn.ingest import Dataset, LabeledSketch, random_sketch, synth_dataset
+    from sketchattn.pipeline import VARIANTS, desk_config, train
+
+    shapes = synth_dataset(4, 0, "train")
+    cats = shapes.categories
+    rng = np.random.default_rng(5)
+    walks = [
+        LabeledSketch(random_sketch(rng, int(rng.integers(20, 40)), 255.0, 255.0, 0.2), k % len(cats), cats[k % len(cats)])
+        for k in range(12)
+    ]
+    train_ds = Dataset(cats, shapes.items + walks, "train")
+    valid_ds = synth_dataset(2, 0, "valid")
+    test_ds = synth_dataset(2, 0, "test")
+    with tempfile.TemporaryDirectory() as tmp:
+        for variant in VARIANTS:
+            out = os.path.join(tmp, variant)
+            cfg = desk_config(len(cats), variant=variant, epochs=2)
+            train(cfg, train_ds, valid_ds, test_ds, out_dir=out)
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as f:
+                    print(f"{hashlib.sha256(f.read()).hexdigest()}  {variant}/{name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -537,6 +537,26 @@ class TestTrainEvalPredict:
         assert "cnn stage 4" in info["detail"]
         assert not out_dir.exists()
 
+    def test_config_file_canvas_inside_the_margin_rejected(self, trained, tmp_path, capsys):
+        # used to write config.json, then exit with an InvalidCanvasError
+        # from the first prepare_sketch
+        base, _, _ = trained
+        from sketchattn.pipeline import desk_config
+
+        doc = desk_config(2).to_json_dict()
+        doc["raster"].update(width=8, height=8)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run9"
+        code, stdout, err = run(
+            capsys, "train", "--train", str(base / "train.json"), "--out", str(out_dir), "--config", str(cfg_file)
+        )
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "raster 8x8" in info["detail"] and "'width' and 'height'" in info["detail"]
+        assert not (out_dir / "config.json").exists()
+
     def test_predict_emits_category_and_map(self, trained, tmp_path, capsys):
         base, out_dir, _ = trained
         sk_file = tmp_path / "item.json"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from sketchattn.ingest import (
     load_dataset,
     load_internal,
     load_sketch,
+    number_list,
     parse_quickdraw_line,
     random_sketch,
     save_internal,
@@ -138,6 +140,23 @@ class TestQuickdrawFuzz:
             pass
 
 
+class TestNumberList:
+    # the one check behind stroke coordinates and attention files
+    @pytest.mark.parametrize("error", [MalformedLineError, MalformedDocumentError])
+    @pytest.mark.parametrize(
+        "values", [[1, True], [1.5, "2"], [[1.0]], {"a": 1}, None, [10**400]],
+        ids=["boolean", "string", "nested", "object", "null", "int_past_float_range"],
+    )
+    def test_rejected_with_the_callers_error_type(self, values, error):
+        with pytest.raises(error, match="^where: "):
+            number_list(values, error, "where")
+
+    def test_numbers_become_float64(self):
+        out = number_list([1, 2.5, -3, 2**60 + 1], MalformedLineError, "where")
+        assert out.dtype == np.float64
+        assert out.tolist() == [1.0, 2.5, -3.0, float(2**60 + 1)]
+
+
 class TestLoadDataset:
     def _write_dir(self, tmp_path):
         lines_a = [
@@ -166,6 +185,24 @@ class TestLoadDataset:
         ds = load_dataset(self._write_dir(tmp_path), "train")
         by_cat = {it.category_name: it.label for it in ds.items}
         assert by_cat == {"alpha": 0, "beta": 1}
+
+    @pytest.mark.parametrize(
+        "bad, error, detail",
+        [
+            ({"word": "gamma", "drawing": [[[0, 1, 2], [0, 1]]]}, RaggedStrokeError, "stroke has 3 xs but 2 ys"),
+            ({"word": "gamma", "drawing": [[[0, True], [0, 1]]]}, MalformedLineError, "not a list of numbers"),
+            ({"word": "gamma", "drawing": [[[0, 1], [0, float("nan")]]]}, NonFiniteCoordinateError, "NaN"),
+        ],
+        ids=["ragged", "boolean", "nan"],
+    )
+    def test_bad_line_named_by_file_and_line(self, tmp_path, bad, error, detail):
+        # directory-mode errors used to name neither file nor line
+        d = self._write_dir(tmp_path)
+        good = json.dumps({"word": "gamma", "drawing": [[[0, 10], [0, 0]]]})
+        (d / "gamma.ndjson").write_text(f"{good}\n\n{json.dumps(bad)}\n")
+        where = os.path.join(str(d), "gamma.ndjson") + ":3: "
+        with pytest.raises(error, match=re.escape(where) + ".*" + re.escape(detail)):
+            load_dataset(d, "train")
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises((OSError, EmptyDatasetError)):

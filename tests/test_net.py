@@ -266,7 +266,7 @@ def _desk_step(variant):
     state = init_model_state(cfg)
     sketches = [prepare_sketch(it.sketch, cfg) for it in ds.items[:16]]
     tape = Tape()
-    logits, _, _ = _forward_batch(state, cfg, sketches, tape, np.random.default_rng(0), np.random.default_rng(1))
+    logits, _, _ = _forward_batch(state, cfg, sketches, tape, np.random.default_rng(0))
     loss = cross_entropy_logits(tape, logits, np.array([it.label for it in ds.items[:16]]))
     return state.params, tape, loss
 

@@ -7,14 +7,15 @@ import pytest
 from sketchattn.errors import (
     CategoryMismatchError,
     EmptyDatasetError,
+    InvalidCanvasError,
     InvalidConfigError,
     LabelOutOfRangeError,
     MalformedDocumentError,
     ShapeMismatchError,
     VersionMismatchError,
 )
-from sketchattn.geometry import validate_and_normalize
-from sketchattn.ingest import Dataset, synth_dataset, synth_generate
+from sketchattn.geometry import CANVAS_MARGIN, normalize_to_canvas, validate_and_normalize
+from sketchattn.ingest import Dataset, LabeledSketch, random_sketch, synth_dataset, synth_generate
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape
 from sketchattn.net.model import CnnConfig, RnnConfig
@@ -82,21 +83,6 @@ class TestForwardClassify:
         sk = prepare_sketch(synth_generate("zigzag", 1).sketch, cfg)
         _, attention, amap = forward_classify(state, cfg, sk)
         assert attention[0] == 1.0 and attention[-1] == 0.0
-
-    def test_stroke_order_shuffled_iff_an_order_rng_is_given(self):
-        from sketchattn.pipeline import _forward_batch
-
-        cfg = tiny_config("random_stroke_order_r2cnn")
-        state = init_model_state(cfg)
-        sk = prepare_sketch(multi_stroke_sketch(), cfg)
-        _, drawn, _ = forward_classify(state, cfg, sk)
-        _, again, _ = _forward_batch(state, cfg, [sk], Tape())
-        np.testing.assert_array_equal(again.data[0], drawn)
-        moved = randomize_stroke_order(sk, np.random.default_rng(2))
-        assert not np.array_equal(moved.xy, sk.xy)
-        _, shuffled, _ = _forward_batch(state, cfg, [sk], Tape(), order_rng=np.random.default_rng(2))
-        np.testing.assert_array_equal(shuffled.data[0], forward_classify(state, cfg, moved)[1])
-        assert not np.array_equal(shuffled.data[0], drawn)
 
     def test_gradient_reaches_rnn_parameters(self):
         cfg = tiny_config()
@@ -193,14 +179,8 @@ class TestAugment:
     def test_all_amounts_zero_leave_rng_untouched(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        cfg = AugmentConfig(**self.OFF)
-        assert not cfg.any_enabled
-        augment(multi_stroke_sketch(), rng, cfg, 64)
+        augment(multi_stroke_sketch(), rng, AugmentConfig(**self.OFF), 64)
         assert rng.bit_generator.state == before
-
-    @pytest.mark.parametrize("amount", ["reflect_prob", "removal_prob", "jitter_sigma"])
-    def test_each_nonzero_amount_enables(self, amount):
-        assert AugmentConfig(**{**self.OFF, amount: 0.5}).any_enabled
 
     def test_double_reflection_is_identity(self):
         sk = multi_stroke_sketch()
@@ -409,6 +389,37 @@ class TestTrainEvaluate:
         state, metrics = train(cfg, ds)
         assert len(metrics.records) == 1
 
+    @staticmethod
+    def _with_and_without_stroke_shuffle(tmp_path, ds):
+        """(metrics.jsonl bytes, parameters) of sketch_r2cnn, then of
+        random_stroke_order_r2cnn, each trained on ds with a valid split."""
+        runs = []
+        for variant in ("sketch_r2cnn", "random_stroke_order_r2cnn"):
+            out = tmp_path / variant
+            state, _ = train(tiny_config(variant, epochs=2), ds, ds, out_dir=str(out))
+            runs.append(((out / "metrics.jsonl").read_bytes(), state.params))
+        return runs
+
+    def test_stroke_shuffle_leaves_single_stroke_training_unchanged(self, tmp_path):
+        # every synthetic shape is one stroke, which has one order
+        ds = synth_dataset(3, seed=9, split="train", categories=("square_cw", "square_ccw"))
+        (metrics, params), (shuffled_metrics, shuffled_params) = self._with_and_without_stroke_shuffle(tmp_path, ds)
+        assert shuffled_metrics == metrics
+        for name, p in params.items():
+            np.testing.assert_array_equal(shuffled_params[name].data, p.data)
+
+    def test_stroke_shuffle_changes_multi_stroke_training(self, tmp_path):
+        rng = np.random.default_rng(9)
+        cats = ["square_cw", "square_ccw"]
+        items = [
+            LabeledSketch(random_sketch(rng, 24, 64.0, 64.0, stroke_break_prob=0.3), k % 2, cats[k % 2])
+            for k in range(6)
+        ]
+        ds = Dataset(cats, items, "train")
+        (metrics, params), (shuffled_metrics, shuffled_params) = self._with_and_without_stroke_shuffle(tmp_path, ds)
+        assert shuffled_metrics != metrics
+        assert any(not np.array_equal(shuffled_params[name].data, p.data) for name, p in params.items())
+
     def test_nonfinite_loss_aborts_with_dump(self, tmp_path, monkeypatch):
         from sketchattn import pipeline as pl
         from sketchattn.errors import NonFiniteLossError
@@ -616,8 +627,8 @@ class TestExperimentConfig:
         m = Metrics()
         from sketchattn.pipeline import EpochRecord
 
-        m.records.append(EpochRecord(0, 1.0, 0.5, None, None, 0.1))
-        m.records.append(EpochRecord(1, 0.5, 0.8, None, None, 0.1))
+        m.records.append(EpochRecord(0, 1.0, 0.5, None, None))
+        m.records.append(EpochRecord(1, 0.5, 0.8, None, None))
         assert m.final.epoch == 1
 
 
@@ -706,4 +717,28 @@ class TestPoolingFitsTheCanvas:
         cfg = desk_config(6, raster=RasterConfig(16, 16, 1.0), cnn=CnnConfig(stages=((3, 4, 2),) * 4, num_classes=6))
         logits, _, _ = forward_classify(init_model_state(cfg), cfg, prepare_sketch(synth_generate("line", 0).sketch, cfg))
         assert np.isfinite(logits).all()
-        desk_config(2, raster=RasterConfig(3, 1, 1.0), cnn=CnnConfig(stages=((3, 2, 1), (1, 2, 1)), num_classes=2))
+        desk_config(2, raster=RasterConfig(9, 9, 1.0), cnn=CnnConfig(stages=((3, 2, 3), (1, 2, 3)), num_classes=2))
+
+
+class TestCanvasMargin:
+    # a canvas of 2 * CANVAS_MARGIN px or less on a side used to be
+    # accepted; then every prepare_sketch raised InvalidCanvasError
+    @pytest.mark.parametrize("width, height", [(8, 8), (64, 8), (8, 64), (9, 9), (9, 64), (64, 9)])
+    def test_config_accepts_exactly_what_the_canvas_step_accepts(self, width, height):
+        sketch = synth_generate("line", 0).sketch
+        raster, cnn = RasterConfig(width, height, 1.0), CnnConfig(stages=((3, 2, 1),), num_classes=2)
+        try:
+            normalize_to_canvas(sketch, width, height, CANVAS_MARGIN)
+        except InvalidCanvasError:
+            with pytest.raises(InvalidConfigError, match=rf"raster {width}x{height} \(width x height\): 'width' and 'height'"):
+                desk_config(2, raster=raster, cnn=cnn)
+        else:
+            assert width > 2 * CANVAS_MARGIN and height > 2 * CANVAS_MARGIN
+            cfg = desk_config(2, raster=raster, cnn=cnn)
+            forward_classify(init_model_state(cfg), cfg, prepare_sketch(sketch, cfg))
+
+    def test_from_json_dict_rejects(self):
+        d = desk_config(6).to_json_dict()
+        d["raster"].update(width=8, height=8)
+        with pytest.raises(InvalidConfigError, match="'width' and 'height' must exceed 8"):
+            ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
