@@ -22,9 +22,9 @@ from .ingest import (
     load_dataset,
     load_sketch,
     number_list,
-    parse_quickdraw_line,
     random_sketch,
     read_json,
+    read_quickdraw,
     save_internal,
     save_sketch,
     synth_dataset,
@@ -64,14 +64,9 @@ GRADCHECK_STEPS = {"nlr": 1e-4, "rnn": 1e-4, "cnn": 1e-5, "full": 1e-5}
 
 
 def _load_input_sketch(path: str) -> VectorSketch:
-    """Internal one-sketch JSON, or the first line of a QuickDraw ndjson."""
+    """Internal one-sketch JSON, or the first sketch of a QuickDraw ndjson."""
     if str(path).endswith(".ndjson"):
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    return parse_quickdraw_line(line).sketch
-        raise SketchError(f"no sketch lines in {path}")
+        return read_quickdraw(path)[0]
     return load_sketch(path)
 
 

@@ -17,7 +17,8 @@ class NonFiniteCoordinateError(SketchError):
 
 
 class MalformedPointsError(SketchError):
-    """Sketch points are not an (n, 3) array of numbers."""
+    """Sketch points are not an (n, 3) array of numbers, or a sketch's xy
+    and s arrays are not of shapes (n, 2) and (n,)."""
 
 
 class InvalidStrokeStateError(SketchError):
@@ -50,7 +51,8 @@ class VersionMismatchError(SketchError):
 
 
 class LengthMismatchError(SketchError):
-    """Attention length does not match the sketch point count."""
+    """Per-item values do not match their items in number: attention
+    values and sketch points, or prepared sketches and dataset items."""
 
 
 class NonFiniteAttentionError(SketchError):

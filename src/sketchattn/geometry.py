@@ -1,15 +1,14 @@
-"""The vector sketch type, its one validating constructor, the canvas
-transform, and point-to-segment distance.
+"""The vector sketch type, the canvas transform, and point-to-segment distance.
 
 A sketch is an ordered sequence of points (x, y, s). The binary state s
 marks stroke structure: s=0 means a line segment connects the point to its
-successor, s=1 means the point ends its stroke. A sketch is built through
-:func:`validate_and_normalize` from an (n, 3) array, with two exceptions
-that rearrange an existing sketch's arrays and construct
-:class:`VectorSketch` directly: :func:`normalize_to_canvas` (which may map
-distinct points onto one, e.g. a sketch without extent onto the canvas
-center) and ``pipeline.randomize_stroke_order``. A sketch is immutable
-after construction and every operation is a pure function.
+successor, s=1 means the point ends its stroke. :class:`VectorSketch`'s
+constructor is the one way to build a sketch, and it enforces the
+invariants every consumer relies on: at least one point, finite
+coordinates, states in {0, 1}, no point that repeats its in-stroke
+predecessor, and a final state of 1. :func:`validate_and_normalize` reads
+JSON rows or an (n, 3) array into it. A sketch is immutable after
+construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -30,20 +29,36 @@ CANVAS_MARGIN = 4.0  # pixels kept clear on every side of a canvas
 class VectorSketch:
     """Ordered point sequence grouped into strokes by end-of-stroke states.
 
-    Invariants (enforced by :func:`validate_and_normalize`):
-    the final point has s=1, all coordinates are finite, and no two
-    consecutive points within a stroke share identical (x, y).
+    Built from xy (n, 2) and s (n,), copied and frozen. A shape other than
+    that raises MalformedPointsError, no points EmptySketchError, a NaN or
+    infinite coordinate NonFiniteCoordinateError, and a state other than 0
+    or 1 InvalidStrokeStateError. A point that repeats its predecessor's
+    (x, y) within a stroke (predecessor state 0) is merged into it, and the
+    kept point takes the state of the last point of its run, so a duplicate
+    that ends a stroke still ends it. The final state is forced to 1.
     """
 
     __slots__ = ("xy", "s")
 
     def __init__(self, xy: np.ndarray, s: np.ndarray):
-        xy = np.array(xy, dtype=np.float64, order="C")  # own copies, frozen below
-        s = np.array(s, dtype=np.int8, order="C")
+        xy = np.array(xy, dtype=np.float64, order="C")  # own copy, frozen below
+        s = np.asarray(s)
         if xy.ndim != 2 or xy.shape[1] != 2 or s.shape != (xy.shape[0],):
-            raise ValueError("VectorSketch needs xy of shape (n, 2) and s of shape (n,)")
+            raise MalformedPointsError(
+                f"a sketch needs xy of shape (n, 2) and s of shape (n,), got {xy.shape} and {s.shape}"
+            )
         if xy.shape[0] == 0:
             raise EmptySketchError("a sketch needs at least one point")
+        if not np.isfinite(xy).all():
+            raise NonFiniteCoordinateError("sketch contains NaN or infinite coordinates")
+        if not ((s == 0) | (s == 1)).all():
+            raise InvalidStrokeStateError("stroke states must be 0 or 1")
+        s = s.astype(np.int8)  # a copy
+        repeats = (s[:-1] == 0) & (xy[1:] == xy[:-1]).all(axis=1)
+        if repeats.any():
+            s = s[np.append(~repeats, True)]  # each run keeps its last state...
+            xy = xy[np.insert(~repeats, 0, True)]  # ...at its first point
+        s[-1] = 1
         xy.flags.writeable = False
         s.flags.writeable = False
         self.xy = xy
@@ -81,26 +96,10 @@ def _point_array(points) -> np.ndarray:
 
 
 def validate_and_normalize(points) -> VectorSketch:
-    """Build a VectorSketch from an (n, 3) array-like of (x, y, s) rows.
-
-    JSON rows and ndarrays alike. A point that repeats its predecessor's
-    (x, y) within a stroke (predecessor state 0) is merged into it, and
-    the kept point takes the state of the last point of its run, so a
-    duplicate that ends a stroke still ends it. The final state is forced
-    to 1.
-    """
+    """Build a VectorSketch from an (n, 3) array-like of (x, y, s) rows,
+    JSON rows and ndarrays alike."""
     arr = _point_array(points)
-    xy, s = arr[:, :2], arr[:, 2]
-    if not np.all(np.isfinite(xy)):
-        raise NonFiniteCoordinateError("sketch contains NaN or infinite coordinates")
-    if not np.all((s == 0) | (s == 1)):
-        raise InvalidStrokeStateError("stroke states must be 0 or 1")
-    keep = np.ones(len(arr), dtype=bool)
-    keep[1:] = (s[:-1] != 0) | np.any(xy[1:] != xy[:-1], axis=1)
-    ends_run = np.append(keep[1:], True)
-    kept_s = s[ends_run].astype(np.int8)
-    kept_s[-1] = 1
-    return VectorSketch(xy[keep], kept_s)
+    return VectorSketch(arr[:, :2], arr[:, 2])
 
 
 def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: float = CANVAS_MARGIN) -> VectorSketch:
@@ -108,7 +107,8 @@ def normalize_to_canvas(sketch: VectorSketch, width: int, height: int, pad: floa
 
     Aspect ratio is preserved. An axis whose extent is zero, or under
     2^-1000 of its target (the scale would overflow), sets no scale; when
-    neither axis sets one, every point maps to the canvas center.
+    neither axis sets one, every point maps to the canvas center. In-stroke
+    neighbours that land on one point merge, as in every VectorSketch.
     Idempotent. pad must be finite and non-negative.
     """
     if not (np.isfinite(pad) and pad >= 0):

@@ -67,7 +67,7 @@ def parse_quickdraw_line(text: str, label: int = 0) -> LabeledSketch:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise MalformedLineError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedLineError("line is not a JSON object")
@@ -103,33 +103,48 @@ def number_list(values, error: type[SketchError], what: str) -> np.ndarray:
         raise error(f"{what}: value out of range: {exc}") from exc
 
 
+def read_quickdraw(path) -> list[VectorSketch]:
+    """Every sketch of a QuickDraw ndjson file, in line order.
+
+    Each line is decoded as UTF-8 and every non-blank line is parsed. A
+    line's error keeps its type and is prefixed with <file>:<line>; a line
+    that is not UTF-8 raises MalformedLineError, and a file without a
+    sketch line EmptyDatasetError.
+    """
+    sketches = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                text = raw.decode("utf-8")
+                if text.strip():
+                    sketches.append(parse_quickdraw_line(text).sketch)
+            except UnicodeDecodeError as exc:
+                raise MalformedLineError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            except SketchError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    if not sketches:
+        raise EmptyDatasetError(f"no sketch lines in {path}")
+    return sketches
+
+
 def load_dataset(path, split: str = "train") -> Dataset:
     """Load a dataset from an ndjson directory or an internal-format file.
 
     Directory mode treats every *.ndjson file as one category (file stem =
-    category name); categories are sorted by name and items keep file line
-    order, so repeated loads produce identical datasets. A line's error
-    keeps its type and is prefixed with <file>:<line>.
+    category name), read by :func:`read_quickdraw`; categories are sorted
+    by name and items keep file line order, so repeated loads produce
+    identical datasets.
     """
     if os.path.isdir(path):
         files = sorted(f for f in os.listdir(path) if f.endswith(".ndjson"))
         if not files:
             raise EmptyDatasetError(f"no .ndjson files under {path}")
         categories = [os.path.splitext(f)[0] for f in files]
-        items: list[LabeledSketch] = []
-        for label, fname in enumerate(files):
-            fpath = os.path.join(path, fname)
-            with open(fpath) as f:
-                for lineno, line in enumerate(f, 1):
-                    line = line.strip()
-                    if line:
-                        try:
-                            parsed = parse_quickdraw_line(line, label)
-                        except SketchError as exc:
-                            raise type(exc)(f"{fpath}:{lineno}: {exc}") from exc
-                        items.append(LabeledSketch(parsed.sketch, label, categories[label]))
-        if not items:
-            raise EmptyDatasetError(f"no sketches parsed under {path}")
+        items = [
+            LabeledSketch(sketch, label, categories[label])
+            for label, fname in enumerate(files)
+            for sketch in read_quickdraw(os.path.join(path, fname))
+        ]
         return Dataset(categories, items, split)
 
     ds = load_internal(path)
@@ -205,10 +220,8 @@ def synth_generate(category: str, seed, matched_jitter: bool = False) -> Labeled
     center = np.array([_CANVAS_CENTER, _CANVAS_CENTER])
     pts = (pts - center) @ (scale * rot).T + center + shift
 
-    s = np.zeros(len(pts))
-    s[-1] = 1.0
     label = SYNTH_CATEGORIES.index(category)
-    return LabeledSketch(validate_and_normalize(np.column_stack([pts, s])), label, category)
+    return LabeledSketch(VectorSketch(pts, np.zeros(len(pts))), label, category)  # one stroke
 
 
 _SHAPE_FAMILY = {c: c for c in SYNTH_CATEGORIES}
@@ -266,9 +279,7 @@ def random_sketch(
         x = min(max(x + dx, 0.0), width - 1.0)
         y = min(max(y + dy, 0.0), height - 1.0)
         walk.append((x, y))
-    s = (rng.random(n_points) < stroke_break_prob).astype(np.float64)
-    s[-1] = 1.0
-    return validate_and_normalize(np.column_stack([np.array(walk), s]))
+    return VectorSketch(walk, rng.random(n_points) < stroke_break_prob)
 
 
 # --- internal persistence -------------------------------------------------
@@ -300,18 +311,23 @@ def read_json(path):
     with open(path) as f:
         try:
             return json.load(f)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise MalformedDocumentError(f"{path}: not a JSON document: {exc}") from exc
 
 
-def _read_document(path, fmt: str, version: int = FORMAT_VERSION) -> dict:
-    """A JSON document of the given format and version."""
-    payload = read_json(path)
+def check_document(payload, fmt: str, version: int, where) -> dict:
+    """payload, which must be a JSON object whose header names the given
+    format and version; where names the document in the error."""
     if not isinstance(payload, dict) or payload.get("format") != fmt:
-        raise VersionMismatchError(f"{path} is not a {fmt} file")
+        raise VersionMismatchError(f"{where} is not a {fmt} document")
     if payload.get("version") != version:
         raise VersionMismatchError(f"unsupported {fmt} version {payload.get('version')}")
     return payload
+
+
+def _read_document(path, fmt: str, version: int = FORMAT_VERSION) -> dict:
+    """A JSON document file of the given format and version."""
+    return check_document(read_json(path), fmt, version, path)
 
 
 def _field(record, key: str, kind: type, where: str):

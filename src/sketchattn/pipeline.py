@@ -28,14 +28,14 @@ from .errors import (
     EmptyDatasetError,
     InvalidConfigError,
     LabelOutOfRangeError,
+    LengthMismatchError,
     MalformedDocumentError,
     NonFiniteLossError,
     ShapeMismatchError,
-    VersionMismatchError,
     require_finite,
 )
-from .geometry import CANVAS_MARGIN, VectorSketch, normalize_to_canvas, stroke_slices, validate_and_normalize
-from .ingest import Dataset
+from .geometry import CANVAS_MARGIN, VectorSketch, normalize_to_canvas, stroke_slices
+from .ingest import Dataset, check_document
 from .net import autodiff as ad
 from .net.autodiff import Tape, Tensor, backward, cross_entropy_logits
 from .net.model import (
@@ -176,10 +176,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict) or d.get("format", CONFIG_FORMAT) != CONFIG_FORMAT:
-            raise InvalidConfigError("not an experiment config document")
-        if d.get("version") != CONFIG_VERSION:
-            raise VersionMismatchError(f"unsupported {CONFIG_FORMAT} version {d.get('version')}")
+        check_document(d, CONFIG_FORMAT, CONFIG_VERSION, "config")
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         unknown = sorted(d.keys() - known - {"format", "version"})
         if unknown:
@@ -277,21 +274,19 @@ def augment(
     sketch never loses its stroke. A step draws from rng only when its
     amount is non-zero; with every amount 0 this is the identity.
     """
-    xy = sketch.xy.copy()
-    s = sketch.s.copy()
+    xy, s = sketch.xy, sketch.s
     if amounts.reflect_prob > 0 and rng.random() < amounts.reflect_prob:
+        xy = xy.copy()
         xy[:, 0] = (canvas_width - 1) - xy[:, 0]
     if amounts.removal_prob > 0 and rng.random() < amounts.removal_prob:
-        slices = stroke_slices(VectorSketch(xy, s))
+        slices = stroke_slices(sketch)
         if len(slices) > 1:
-            k = int(rng.integers(len(slices)))
-            a, b = slices[k]
-            keep = np.ones(len(s), dtype=bool)
-            keep[a:b] = False
-            xy, s = xy[keep], s[keep]
+            a, b = slices[int(rng.integers(len(slices)))]
+            xy = np.concatenate([xy[:a], xy[b:]])
+            s = np.concatenate([s[:a], s[b:]])
     if amounts.jitter_sigma > 0:
         xy = xy + rng.normal(0.0, amounts.jitter_sigma, size=xy.shape)
-    return validate_and_normalize(np.column_stack([xy, s]))
+    return VectorSketch(xy, s)
 
 
 def randomize_stroke_order(sketch: VectorSketch, rng: np.random.Generator) -> VectorSketch:
@@ -394,10 +389,13 @@ def _require_items(dataset: Dataset, name: str) -> None:
 
 
 def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prepared: list[VectorSketch] | None = None) -> float:
-    """Eval-mode top-1 accuracy on a split, no augmentation; prepared: its items through prepare_sketch."""
+    """Eval-mode top-1 accuracy on a split, no augmentation; prepared: its
+    items through prepare_sketch, one per item (else LengthMismatchError)."""
     _require_items(dataset, dataset.split)
     if prepared is None:
         prepared = [prepare_sketch(it.sketch, config) for it in dataset.items]
+    if len(prepared) != len(dataset.items):
+        raise LengthMismatchError(f"{len(prepared)} prepared sketches for {len(dataset.items)} items")
     labels = np.array([it.label for it in dataset.items], dtype=np.int64)
     if labels.max() >= config.cnn.num_classes:
         raise LabelOutOfRangeError(f"labels must lie in [0, {config.cnn.num_classes})")
@@ -446,11 +444,15 @@ def train(
     and test splits are scored by evaluate. Writes per-epoch checkpoints, a
     best-validation checkpoint, and a JSON-lines metrics file when out_dir
     is given. Aborts with NonFiniteLossError (after dumping diagnostics) if
-    the loss leaves the reals. A split that is given but has no items raises
-    EmptyDatasetError, and a valid or test split whose category list is not
-    the train split's raises CategoryMismatchError, both before training
-    starts.
+    the loss leaves the reals. Training stops early once at least one
+    early-stop threshold is set and every one that is set is met. A split
+    that is given but has no items raises EmptyDatasetError, a valid or
+    test split whose category list is not the train split's raises
+    CategoryMismatchError, and a valid threshold without a valid split
+    raises InvalidConfigError, all before training starts.
     """
+    if config.early_stop_valid_acc is not None and valid_ds is None:
+        raise InvalidConfigError("'early_stop_valid_acc' is set but no valid split is given")
     held_out = {name: ds for name, ds in (("valid", valid_ds), ("test", test_ds)) if ds is not None}
     for name, ds in {"train": train_ds, **held_out}.items():
         _require_items(ds, name)
@@ -534,11 +536,8 @@ def train(
                 best_valid = ref_acc
                 save_checkpoint(state, os.path.join(out_dir, "best.ckpt.json"))
 
-        stop_train = config.early_stop_train_acc is not None and train_acc >= config.early_stop_train_acc
-        stop_valid = (
-            config.early_stop_valid_acc is None
-            or (valid_acc is not None and valid_acc >= config.early_stop_valid_acc)
-        )
-        if stop_train and stop_valid:
+        checks = ((config.early_stop_train_acc, train_acc), (config.early_stop_valid_acc, valid_acc))
+        met = [acc >= threshold for threshold, acc in checks if threshold is not None]
+        if met and all(met):
             break
     return state, metrics

@@ -30,7 +30,6 @@ from .errors import (
     InvalidConfigError,
     LengthMismatchError,
     NonFiniteAttentionError,
-    NonFiniteCoordinateError,
     ShapeMismatchError,
     require_finite,
 )
@@ -106,8 +105,6 @@ def _check_inputs(sketch: VectorSketch, attention: np.ndarray) -> np.ndarray:
         raise LengthMismatchError(f"attention length {a.shape[0]} != sketch length {sketch.n}")
     if not np.isfinite(a).all():
         raise NonFiniteAttentionError("attention contains NaN or infinite values")
-    if not np.isfinite(sketch.xy).all():  # a VectorSketch built directly is unchecked
-        raise NonFiniteCoordinateError("sketch contains NaN or infinite coordinates")
     return a
 
 

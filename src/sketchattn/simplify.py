@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, NonFiniteCoordinateError, require_finite
-from .geometry import VectorSketch, segment_projection, validate_and_normalize
+from .geometry import VectorSketch, segment_projection
 
 MAX_ESCALATIONS = 10
 # chord arithmetic squares coordinate differences, which overflows once
@@ -139,5 +139,4 @@ def simplify_sketch(sketch: VectorSketch, config: SimplifyConfig) -> VectorSketc
         eps *= config.escalation_factor
         keep = _kept(sig, shift, eps)
         rounds += 1
-    points = np.column_stack([sketch.xy[keep], sketch.s[keep]])
-    return validate_and_normalize(points[: config.max_points])
+    return VectorSketch(sketch.xy[keep][: config.max_points], sketch.s[keep][: config.max_points])

@@ -6,9 +6,11 @@ Trains each of the four variants for 2 epochs at the desk profile, with one
 BLAS thread, on seeded train, valid and test splits, and prints one line
 per output file: its sha256 and its path as ``<variant>/<file>``. The train
 split mixes the single-stroke synthetic shapes with multi-stroke random
-walks, so stroke removal and the stroke-order shuffle both act. Run it on
-two source trees and diff the outputs to check that a change keeps every
-metrics file and checkpoint byte-identical.
+walks, so stroke removal and the stroke-order shuffle both act. First it
+prints one line per split, ``prepared/<split>``: a sha256 over the ``xy``
+and ``s`` bytes of its items through ``prepare_sketch``, in item order. Run
+it on two source trees and diff the outputs to check that a change keeps
+every prepared sketch, metrics file and checkpoint byte-identical.
 
 Not a test module: pytest does not collect it.
 """
@@ -33,7 +35,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     from sketchattn.ingest import Dataset, LabeledSketch, random_sketch, synth_dataset
-    from sketchattn.pipeline import VARIANTS, desk_config, train
+    from sketchattn.pipeline import VARIANTS, desk_config, prepare_sketch, train
 
     shapes = synth_dataset(4, 0, "train")
     cats = shapes.categories
@@ -45,6 +47,13 @@ def main(argv=None) -> int:
     train_ds = Dataset(cats, shapes.items + walks, "train")
     valid_ds = synth_dataset(2, 0, "valid")
     test_ds = synth_dataset(2, 0, "test")
+    prepare_cfg = desk_config(len(cats))
+    for ds in (train_ds, valid_ds, test_ds):
+        digest = hashlib.sha256()
+        for it in ds.items:
+            sk = prepare_sketch(it.sketch, prepare_cfg)
+            digest.update(sk.xy.tobytes() + sk.s.tobytes())
+        print(f"{digest.hexdigest()}  prepared/{ds.split}")
     with tempfile.TemporaryDirectory() as tmp:
         for variant in VARIANTS:
             out = os.path.join(tmp, variant)

@@ -177,6 +177,20 @@ class TestRasterizeCommand:
         assert code == 0
         assert json.loads(stdout.strip().splitlines()[-1])["owned_pixels"] > 0
 
+    @pytest.mark.parametrize("command", ["rasterize", "simplify", "train"])
+    def test_non_utf8_ndjson_named_by_file_and_line(self, tmp_path, capsys, command):
+        # escaped as an untyped UnicodeDecodeError naming neither file nor line
+        line = json.dumps({"word": "cat", "drawing": [[[10, 100], [10, 50]]]}).encode()
+        src = tmp_path / "cat.ndjson"
+        src.write_bytes(line + b"\n\xff\xfe\n")
+        out = tmp_path / "out"
+        source = ["--train", str(tmp_path)] if command == "train" else ["--input", str(src)]
+        code, stdout, err = run(capsys, command, *source, "--out", str(out))
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "MalformedLineError"
+        assert info["detail"].startswith(f"{src}:2: not UTF-8")
+
     def test_infinite_eps_rejected(self, sketch_file, tmp_path, capsys):
         # used to end in an OverflowError traceback inside rasterize_forward
         out = tmp_path / "map.pgm"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sketchattn.errors import (
     EmptySketchError,
@@ -16,8 +16,9 @@ from sketchattn.geometry import (
     stroke_slices,
     validate_and_normalize,
 )
-from sketchattn.pipeline import _batch_inputs
+from sketchattn.pipeline import AugmentConfig, _batch_inputs, augment, randomize_stroke_order
 from sketchattn.raster import segment_table
+from sketchattn.simplify import SimplifyConfig, simplify_sketch
 
 
 def make(points):
@@ -106,8 +107,9 @@ class TestValidateAndNormalize:
         assert pts.flags.writeable and np.array_equal(pts, before)
 
     def test_constructor_copies_contiguous_caller_arrays(self):
-        # contiguous float64/int8 arrays used to be frozen in place
-        xy = np.zeros((2, 2))
+        # contiguous float64/int8 arrays used to be frozen in place; the
+        # points are distinct, or the constructor would merge them
+        xy = np.array([[0.0, 0.0], [1.0, 0.0]])
         s = np.array([0, 1], dtype=np.int8)
         sk = VectorSketch(xy, s)
         assert xy.flags.writeable and s.flags.writeable
@@ -119,6 +121,46 @@ class TestValidateAndNormalize:
         sk = make([(0, 0, 0), (1, 0, 1)])
         with pytest.raises(ValueError):
             sk.xy[0, 0] = 5.0
+
+
+def assert_invariant(sketch):
+    """No point repeats its in-stroke predecessor, and the last state is 1."""
+    repeats = (sketch.s[:-1] == 0) & np.all(sketch.xy[1:] == sketch.xy[:-1], axis=1)
+    assert not repeats.any() and sketch.s[-1] == 1
+
+
+@st.composite
+def extreme_sketches(draw):
+    """Small integer grids scaled to zero, subnormal, ordinary and huge
+    extents around a few origins: canvas maps that collapse points."""
+    n = draw(st.integers(1, 10))
+    grid = np.array(draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e150, 1e300]))
+    origin = draw(st.sampled_from([0.0, 7.0, -1e307]))
+    s = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return VectorSketch(origin + scale * grid, s)
+
+
+class TestTransformsKeepTheInvariant:
+    # normalize_to_canvas once mapped a subnormal extent onto two coincident
+    # points of one stroke, which only augment merged again
+    @given(sketch=extreme_sketches(), seed=st.integers(0, 2**16))
+    @example(sketch=make([(0, 0, 0), (1e-320, 0, 1)]), seed=0)
+    def test_no_repeated_neighbour_and_final_end(self, sketch, seed):
+        rng = np.random.default_rng(seed)
+        canvas = normalize_to_canvas(sketch, 64, 64)
+        reflect = AugmentConfig(reflect_prob=1.0, removal_prob=1.0, jitter_sigma=0.0)
+        outputs = [
+            canvas,
+            simplify_sketch(sketch, SimplifyConfig(epsilon=1.0, max_points=3)),
+            simplify_sketch(canvas, SimplifyConfig(epsilon=1e-3, max_points=448)),
+            augment(sketch, rng, reflect, 64),
+            augment(canvas, rng, reflect, 64),
+            randomize_stroke_order(sketch, rng),
+            randomize_stroke_order(canvas, rng),
+        ]
+        for out in outputs:
+            assert_invariant(out)
 
 
 def offsets(sketch, width=1.0):
@@ -239,9 +281,10 @@ class TestNormalizeToCanvas:
 
     @pytest.mark.parametrize("tiny", [5e-324, 1e-310])
     def test_subnormal_extent_is_degenerate(self, tiny):
-        # target / extent overflowed to inf; such an axis cannot set the scale
+        # target / extent overflowed to inf; such an axis cannot set the scale,
+        # and the two points, both at the center, merge into one
         out = normalize_to_canvas(make([(0, 0, 0), (tiny, tiny, 1)]), 64, 64, pad=4)
-        assert out.xy.tolist() == [[31.5, 31.5], [31.5, 31.5]]
+        assert out.xy.tolist() == [[31.5, 31.5]] and out.s.tolist() == [1]
         out = normalize_to_canvas(make([(0, 0, 0), (1, tiny, 1)]), 64, 64, pad=4)
         assert out.xy[:, 0].tolist() == [4.0, 59.0]
 

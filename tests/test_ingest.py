@@ -1,10 +1,11 @@
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sketchattn.errors import (
     EmptyDatasetError,
@@ -31,12 +32,14 @@ from sketchattn.ingest import (
     number_list,
     parse_quickdraw_line,
     random_sketch,
+    read_quickdraw,
     save_internal,
     save_sketch,
     shape_control_points,
     synth_dataset,
     synth_generate,
 )
+from sketchattn.cli import _load_input_sketch
 from sketchattn.pipeline import desk_config, forward_classify, init_model_state, prepare_sketch
 from sketchattn.raster import RasterConfig, rasterize_forward, segment_table
 
@@ -60,6 +63,11 @@ class TestParseQuickdraw:
     def test_bad_json(self):
         with pytest.raises(MalformedLineError):
             parse_quickdraw_line("{not json")
+
+    def test_json_nested_too_deep(self):
+        # nesting past the recursion limit escaped as a RecursionError
+        with pytest.raises(MalformedLineError):
+            parse_quickdraw_line("[" * 100_000)
 
     def test_ragged_stroke(self):
         with pytest.raises(RaggedStrokeError):
@@ -138,6 +146,58 @@ class TestQuickdrawFuzz:
             forward_classify(_FUZZ_STATE, _FUZZ_CONFIG, prepare_sketch(item.sketch, _FUZZ_CONFIG))
         except SketchError:
             pass
+
+
+_GOOD_LINE = json.dumps({"word": "cat", "drawing": [[[0, 10], [0, 0]]]}).encode()
+_files = st.lists(st.binary(max_size=24) | _lines.map(str.encode) | st.just(_GOOD_LINE), max_size=4).map(b"\n".join)
+
+
+class TestNdjsonByteFuzz:
+    # a file that was not UTF-8 escaped as an untyped UnicodeDecodeError,
+    # from load_dataset and from the CLI's --input alike
+    @settings(max_examples=150, deadline=None)
+    @given(data=_files)
+    @example(data=b"\xff\xfe{}")
+    @example(data=_GOOD_LINE + b"\n\x80")
+    def test_only_sketch_errors_escape(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.ndjson")
+            with open(path, "wb") as f:
+                f.write(data)
+            for load in (lambda: load_dataset(tmp), lambda: _load_input_sketch(path)):
+                try:
+                    load()
+                except SketchError:
+                    pass
+
+
+class TestReadQuickdraw:
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "x.ndjson"
+        path.write_bytes(_GOOD_LINE + b"\n\n\xff\xfe\n")
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:3: not UTF-8")):
+            read_quickdraw(path)
+
+    def test_every_line_parsed(self, tmp_path):
+        # a bad line after the first sketch is an error too
+        path = tmp_path / "x.ndjson"
+        path.write_bytes(_GOOD_LINE + b"\n{}\n")
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: ")):
+            read_quickdraw(path)
+
+    @pytest.mark.parametrize("data", [b"", b"\n  \n\t\n"], ids=["empty", "blank_lines"])
+    def test_file_without_sketch_lines(self, tmp_path, data):
+        # the CLI raised the bare SketchError base class
+        path = tmp_path / "x.ndjson"
+        path.write_bytes(data)
+        for load in (read_quickdraw, _load_input_sketch, lambda p: load_dataset(tmp_path)):
+            with pytest.raises(EmptyDatasetError, match=re.escape(str(path))):
+                load(path)
+
+    def test_lines_in_order(self, tmp_path):
+        path = tmp_path / "x.ndjson"
+        path.write_text("\n".join(json.dumps({"word": "w", "drawing": [[[0, k], [0, 0]]]}) for k in (1, 2, 3)))
+        assert [sk.xy[-1, 0] for sk in read_quickdraw(path)] == [1.0, 2.0, 3.0]
 
 
 class TestNumberList:
@@ -461,6 +521,13 @@ class TestDocumentErrors:
     def test_truncated_json(self, tmp_path):
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(_dataset_document())[:-3])
+        with pytest.raises(MalformedDocumentError):
+            load_internal(path)
+
+    def test_json_nested_too_deep(self, tmp_path):
+        # nesting past the recursion limit escaped as a RecursionError
+        path = tmp_path / "ds.json"
+        path.write_text("[" * 100_000)
         with pytest.raises(MalformedDocumentError):
             load_internal(path)
 

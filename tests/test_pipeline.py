@@ -10,6 +10,7 @@ from sketchattn.errors import (
     InvalidCanvasError,
     InvalidConfigError,
     LabelOutOfRangeError,
+    LengthMismatchError,
     MalformedDocumentError,
     ShapeMismatchError,
     VersionMismatchError,
@@ -383,6 +384,55 @@ class TestTrainEvaluate:
         _, metrics = train(cfg, ds)
         assert len(metrics.records) == 1
 
+    def test_valid_threshold_alone_stops(self):
+        # set alone, early_stop_valid_acc was ignored: all 3 epochs ran
+        cfg = tiny_config(epochs=3, early_stop_valid_acc=0.0)
+        ds = synth_dataset(3, seed=6, split="train", categories=("square_cw", "square_ccw"))
+        _, metrics = train(cfg, ds, ds)
+        assert len(metrics.records) == 1
+
+    def test_every_set_threshold_must_be_met(self):
+        cfg = tiny_config(epochs=2, early_stop_train_acc=0.0, early_stop_valid_acc=1.0)
+        ds = synth_dataset(3, seed=6, split="train", categories=("square_cw", "square_ccw"))
+        _, metrics = train(cfg, ds, ds)
+        assert len(metrics.records) == 2 and metrics.records[0].valid_acc < 1.0
+
+    def test_valid_threshold_without_valid_split_rejected(self):
+        # a valid threshold without a valid split used to never stop, silently
+        cfg = tiny_config(epochs=3, early_stop_valid_acc=0.0)
+        ds = synth_dataset(3, seed=6, split="train", categories=("square_cw", "square_ccw"))
+        with pytest.raises(InvalidConfigError, match="early_stop_valid_acc"):
+            train(cfg, ds, test_ds=ds)
+
+    def test_training_and_evaluate_see_one_prepared_sketch(self, monkeypatch):
+        # a subnormal extent prepared to two coincident points: augment merged
+        # them, so training saw 1 point while evaluate saw 2
+        sketch = validate_and_normalize([(0, 0, 0), (1e-320, 0, 1)])
+        cfg = tiny_config(epochs=1)
+        assert prepare_sketch(sketch, cfg).n == 1
+        ds = Dataset(["square_cw", "square_ccw"], [LabeledSketch(sketch, 0, "square_cw")], "train")
+        seen = []
+        rasterize = pipeline.rasterize_forward
+
+        def recording(sk, attention, config):
+            seen.append(sk.n)
+            return rasterize(sk, attention, config)
+
+        monkeypatch.setattr(pipeline, "rasterize_forward", recording)
+        state, _ = train(cfg, ds)
+        evaluate(state, cfg, ds)
+        assert seen == [1, 1]
+
+    @pytest.mark.parametrize("count, items, batch_size", [(5, 6, 48), (7, 6, 48), (17, 16, 16)])
+    def test_evaluate_rejects_prepared_of_another_length(self, count, items, batch_size):
+        # 5 or 7 raised an untyped broadcast error; 17 for 16 at batch 16
+        # returned a count out of 17
+        cfg = tiny_config(batch_size=batch_size)
+        ds = synth_dataset(items // 2, seed=8, split="test", categories=("square_cw", "square_ccw"))
+        prepared = [prepare_sketch(ds.items[k % items].sketch, cfg) for k in range(count)]
+        with pytest.raises(LengthMismatchError, match=f"{count} prepared sketches for {items} items"):
+            evaluate(init_model_state(cfg), cfg, ds, prepared)
+
     def test_random_stroke_order_variant_trains(self):
         cfg = tiny_config("random_stroke_order_r2cnn", epochs=1)
         ds = synth_dataset(3, seed=7, split="train", categories=("square_cw", "square_ccw"))
@@ -559,6 +609,17 @@ class TestExperimentConfig:
         else:
             d["version"] = version
         with pytest.raises(VersionMismatchError, match=f"version {version}"):
+            ExperimentConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("fmt", [None, "sketchattn-dataset", 3])
+    def test_missing_or_foreign_format_rejected(self, fmt):
+        # a missing format was accepted and a foreign one was an InvalidConfigError
+        d = desk_config(2).to_json_dict()
+        if fmt is None:
+            del d["format"]
+        else:
+            d["format"] = fmt
+        with pytest.raises(VersionMismatchError, match="not a sketchattn-config document"):
             ExperimentConfig.from_json_dict(d)
 
     # categories belong to the checkpoint since it reached v2, not to its config

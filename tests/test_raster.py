@@ -121,12 +121,12 @@ class TestForward:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_rejected(self, bad):
-        # a VectorSketch built directly skips validate_and_normalize; the
+        # a VectorSketch built directly once skipped the coordinate check; the
         # per-segment loop died with a bare ValueError on a NaN box, and a
-        # box test on NaN would drop the entity silently
-        sk = VectorSketch(np.array([[bad, 5.0], [10.0, 10.0], [20.0, 12.0]]), np.array([0, 0, 1]))
+        # box test on NaN would drop the entity silently. The constructor
+        # now rejects it, so no such sketch reaches the rasterizer.
         with pytest.raises(NonFiniteCoordinateError):
-            rasterize_forward(sk, np.ones(3), CFG64)
+            VectorSketch(np.array([[bad, 5.0], [10.0, 10.0], [20.0, 12.0]]), np.array([0, 0, 1]))
 
     def test_painters_order_latest_segment_owns(self):
         # two crossing strokes: the second drawn owns the crossing pixel
