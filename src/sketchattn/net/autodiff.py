@@ -6,6 +6,10 @@ passes None) and an operand that requires gradients, records one closure
 that passes the output's gradient through each vjp into its operand; it is
 the one place a closure is recorded, the fused bidirectional LSTM layer
 included, whose seven vjps share one BPTT pass over both directions.
+That layer's recurrence allocates nothing per step: it writes each step's
+gates, c, tanh(c) and h through ``out=`` into step-indexed buffers, which
+BPTT then reads in place; a call that records nothing keeps only the
+running state and the h rows its output is read from.
 backward() replays the closures in exact reverse recording order, which
 is a valid reverse topological order because tensors are created before
 they are consumed, and releases each closure once it has run, so an op's
@@ -28,6 +32,8 @@ general-purpose autodiff.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -198,10 +204,24 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
     Both directions advance as one stack on a leading axis of 2: the input
     projection is one (2, B*T, D) @ (2, D, 4H) GEMM, and each step one
     (2, B, H) @ (2, H, 4H) GEMM plus the gate arithmetic on (2, B, 4H).
+    A step allocates nothing: it writes z into one reused (2, B, 4H)
+    buffer, and the gates, c, tanh(c) and h through ``out=`` into
+    step-indexed buffers: hs (T+1, 2, B, H), whose row 0 is the zero state,
+    and, when the layer is recorded, acts (T, 2, B, 4H), cs (T+1, 2, B, H)
+    and tcs (T, 2, B, H). An unrecorded call (no tape, or no operand that
+    requires a gradient) keeps no step history: one row each of acts and
+    tcs, and one c updated in place; hs, which the output is read from, is
+    all it holds past the running state.
+
     The layer is a single tape op whose seven vjps share one hand-written
     BPTT pass over that stack into dZ, run by whichever vjp is called
-    first. Each weight gradient is then one GEMM of its direction over the
-    B*T rows in batch-major order, the order of the one-direction layer.
+    first. BPTT reads acts, cs and tcs in place: it builds the per-gate
+    factors k straight into dZ's (2, B, T, 4, H) buffer, turns tcs into
+    dc/dh = o (1 - tanh(c)^2), scales each step's k in place and
+    propagates dh and dc through four reused (2, B, H) buffers. Once dZ
+    is built it releases acts, cs and tcs; hs stays for dwh. Each weight
+    gradient is one GEMM of its direction over the B*T rows in
+    batch-major order, the order of the one-direction layer.
     """
     B, T, D = x.data.shape
     H = fw[1].data.shape[0]
@@ -215,55 +235,89 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
     xs = np.stack([x.data, reverse(x.data)]).reshape(2, B * T, D)
     xw = (xs @ wx).reshape(2, B, T, 4 * H)
     b = b[:, None, :]
-    h = np.zeros((2, B, H))
-    c = np.zeros((2, B, H))
-    acts, cs, tcs, hs = [], [], [], []
-    gi, gf, gg, go = (slice(k * H, (k + 1) * H) for k in range(4))
+    keep = tape is not None and any(t.requires_grad for t in (x, *fw, *bw))
+    rows = T if keep else 1
+    acts = np.empty((rows, 2, B, 4 * H))
+    cs = np.zeros((T + 1 if keep else 1, 2, B, H))  # row 0: the zero state
+    tcs = np.empty((rows, 2, B, H))
+    hs = np.empty((T + 1, 2, B, H))
+    hs[0] = 0.0
+    z = np.empty((2, B, 4 * H))
+    ig = np.empty((2, B, H))
+    gates = tuple(acts[..., k * H : (k + 1) * H] for k in range(4))  # i, f, g, o
+    if keep:
+        step_rows = zip(acts, *gates, cs[:-1], cs[1:], tcs)
+    else:  # one row, and c updated in place
+        step_rows = repeat((acts[0], *(gate[0] for gate in gates), cs[0], cs[0], tcs[0]), T)
+    z_g = z[..., 2 * H : 3 * H]
     # exp overflow at z < -709 saturates to inf and the sigmoid to the exact
     # limit 0.0, so the result stays correct; only the warning is suppressed
     with np.errstate(over="ignore"):
-        for t in range(T):
-            z = (xw[:, :, t] + h @ wh) + b
-            a = 1.0 / (1.0 + np.exp(-z))
-            a[..., gg] = np.tanh(z[..., gg])
-            c = a[..., gf] * c + a[..., gi] * a[..., gg]
-            tc = np.tanh(c)
-            h = a[..., go] * tc
-            acts.append(a)
-            cs.append(c)
-            tcs.append(tc)
-            hs.append(h)
-    h_run = np.stack(hs, axis=2)  # (2, B, T, H) in the order each direction ran
+        for xw_t, h_prev, h, (a, i, f, g, o, c_prev, c, tc) in zip(xw.transpose(2, 0, 1, 3), hs[:-1], hs[1:], step_rows):
+            np.matmul(h_prev, wh, out=z)
+            z += xw_t
+            z += b
+            np.negative(z, out=a)
+            np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+            np.tanh(z_g, out=g)
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=ig)
+            c += ig
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=h)
     out = np.empty((B, T, 2 * H))
-    out[..., :H] = h_run[0]
-    out[..., H:] = reverse(h_run[1])
+    out[..., :H] = hs[1:, 0].transpose(1, 0, 2)
+    out[..., H:] = reverse(hs[1:, 1].transpose(1, 0, 2))
+    saved = [acts, cs, tcs] if keep else []  # what only BPTT reads
+    del acts, cs, tcs
     dz_run = []  # dZ (2, B*T, 4H), filled by whichever vjp runs first
 
     def dz(grad):
         if dz_run:
             return dz_run[0]
-        a4 = np.stack(acts).reshape(T, 2, B, 4, H)
+        acts, cs, tcs = saved
+        del saved[:]  # released once dZ is built
+        a4 = acts.reshape(T, 2, B, 4, H)
         i, f, g, o = a4[..., 0, :], a4[..., 1, :], a4[..., 2, :], a4[..., 3, :]
-        tc = np.stack(tcs)
-        c_prev = np.stack([np.zeros((2, B, H))] + cs[:-1])
-        # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o)
-        k = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)], axis=3)
-        dc_dh = o * (1.0 - tc * tc)
-        dout = np.stack([grad[..., :H], reverse(grad[..., H:])])
-        whT = wh.transpose(0, 2, 1)
+        # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o); k is
+        # built time-major through a view of dZ's batch-major buffer
         d = np.empty((2, B, T, 4, H))
-        dh_next = np.zeros((2, B, H))
-        dc_next = np.zeros((2, B, H))
-        for t in range(T - 1, -1, -1):
-            dh = dout[:, :, t] + dh_next
-            dc = dh * dc_dh[t] + dc_next
-            d_t = d[:, :, t]
-            np.multiply(k[t, :, :, :3], dc[:, :, None, :], out=d_t[:, :, :3])
-            np.multiply(k[t, :, :, 3], dh, out=d_t[:, :, 3])
-            dh_next = d_t.reshape(2, B, 4 * H) @ whT
-            dc_next = dc * f[t]
+        k = d.transpose(2, 0, 1, 3, 4)
+        tmp = cs[:-1]  # c_{t-1}, spent once k's f factor holds it
+        np.multiply(tmp, f, out=k[..., 1, :])
+        np.subtract(1.0, f, out=tmp)
+        k[..., 1, :] *= tmp
+        np.multiply(g, i, out=k[..., 0, :])
+        np.subtract(1.0, i, out=tmp)
+        k[..., 0, :] *= tmp
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(i, tmp, out=k[..., 2, :])
+        np.multiply(tcs, o, out=k[..., 3, :])
+        np.subtract(1.0, o, out=tmp)
+        k[..., 3, :] *= tmp
+        dc_dh = tcs  # o * (1 - tanh(c)^2), in place
+        np.multiply(tcs, tcs, out=dc_dh)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        np.multiply(o, dc_dh, out=dc_dh)
+        dout = np.stack([grad[..., :H], reverse(grad[..., H:])]).transpose(2, 0, 1, 3)
+        whT = wh.transpose(0, 2, 1)
+        dh, dc = np.empty((2, B, H)), np.empty((2, B, H))
+        dh_next, dc_next = np.zeros((2, B, H)), np.zeros((2, B, H))
+        dc_gates = dc[:, :, None, :]
+        d_steps = d.reshape(2, B, T, 4 * H).transpose(2, 0, 1, 3)
+        steps = (dout, dc_dh, f, k[..., :3, :], k[..., 3, :], d_steps)
+        for dout_t, dc_dh_t, f_t, k_ifg, k_o, d_t in zip(*(a[::-1] for a in steps)):
+            np.add(dout_t, dh_next, out=dh)
+            np.multiply(dh, dc_dh_t, out=dc)
+            dc += dc_next
+            k_ifg *= dc_gates
+            k_o *= dh
+            np.matmul(d_t, whT, out=dh_next)
+            np.multiply(dc, f_t, out=dc_next)
         dz_run.append(d.reshape(2, B * T, 4 * H))
-        del acts[:], cs[:], tcs[:]  # spent: dZ is all the vjps need of them
         return dz_run[0]
 
     def dx(grad):
@@ -274,7 +328,7 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
         wx_t, wh_t, b_t = p
 
         def dwh(grad):
-            h_prev = np.concatenate([np.zeros((B, 1, H)), h_run[r, :, :-1]], axis=1).reshape(B * T, H)
+            h_prev = np.ascontiguousarray(hs[:-1, r].transpose(1, 0, 2)).reshape(B * T, H)
             return h_prev.T @ dz(grad)[r]
 
         return (

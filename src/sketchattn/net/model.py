@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfigError, ShapeMismatchError
+from ..errors import InvalidConfigError, LengthMismatchError, ShapeMismatchError
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 
@@ -111,13 +111,20 @@ def rnn_attention_batch(
     """Batched attention head over padded (B, T, INPUT_SIZE) sequences.
 
     Returns a (B, T) tensor of attentions in (0, 1); entries past each
-    item's length are forced to zero. Given an rng (training), dropout
-    runs between LSTM layers.
+    item's length are forced to zero. lengths must be a (B,) integer array
+    with every entry in [1, T], else LengthMismatchError. Given an rng
+    (training), dropout runs between LSTM layers.
     """
     B, T, D = inputs.shape
     if D != INPUT_SIZE:
         raise ShapeMismatchError(f"input feature dim {D} != {INPUT_SIZE}")
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,) or lengths.dtype.kind not in "iu" or np.any(lengths < 1) or np.any(lengths > T):
+        raise LengthMismatchError(
+            f"lengths must be a ({B},) integer array with entries in [1, {T}], "
+            f"got {lengths.dtype} {lengths.shape} {lengths.tolist()}"
+        )
+    lengths = lengths.astype(np.int64)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
 
     x = ad.constant(inputs)

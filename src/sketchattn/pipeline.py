@@ -30,6 +30,7 @@ from .errors import (
     LabelOutOfRangeError,
     LengthMismatchError,
     MalformedDocumentError,
+    NonFiniteAttentionError,
     NonFiniteLossError,
     ShapeMismatchError,
     require_finite,
@@ -429,6 +430,15 @@ def load_model(path) -> tuple[ModelState, ExperimentConfig]:
     return state, config
 
 
+def _nonfinite(out_dir: str | None, error_type: type, dump: dict) -> Exception:
+    """Write dump to out_dir/nonfinite_dump.json (given an out_dir) and
+    return an error_type whose message is the dump."""
+    if out_dir:
+        with open(os.path.join(out_dir, "nonfinite_dump.json"), "w") as f:
+            json.dump(dump, f, indent=2)
+    return error_type(json.dumps(dump))
+
+
 def train(
     config: ExperimentConfig,
     train_ds: Dataset,
@@ -443,9 +453,11 @@ def train(
     augmented, then, for random_stroke_order_r2cnn, stroke-shuffled. Valid
     and test splits are scored by evaluate. Writes per-epoch checkpoints, a
     best-validation checkpoint, and a JSON-lines metrics file when out_dir
-    is given. Aborts with NonFiniteLossError (after dumping diagnostics) if
-    the loss leaves the reals. Training stops early once at least one
-    early-stop threshold is set and every one that is set is met. A split
+    is given. Aborts with NonFiniteAttentionError if the RNN's attention
+    leaves the reals and with NonFiniteLossError if the loss does, each
+    after writing nonfinite_dump.json (epoch, step, which tensor) to
+    out_dir. Training stops early once at least one early-stop threshold
+    is set and every one that is set is met. A split
     that is given but has no items raises EmptyDatasetError, a valid or
     test split whose category list is not the train split's raises
     CategoryMismatchError, and a valid threshold without a valid split
@@ -498,19 +510,21 @@ def train(
             y = labels_train[sel]
             tape = Tape()
             dropout_rng = np.random.default_rng((config.seed, 3, epoch, step))
-            logits, _, _ = _forward_batch(state, config, sketches, tape, dropout_rng)
+            try:
+                logits, _, _ = _forward_batch(state, config, sketches, tape, dropout_rng)
+            except NonFiniteAttentionError as err:
+                dump = {"epoch": epoch, "step": step, "tensor": "attention"}
+                raise _nonfinite(out_dir, NonFiniteAttentionError, dump) from err
             loss = cross_entropy_logits(tape, logits, y)
             if not np.isfinite(loss.data):
                 dump = {
                     "epoch": epoch,
                     "step": step,
+                    "tensor": "loss",
                     "loss": float(loss.data),
                     "logits_max": float(np.abs(logits.data).max()),
                 }
-                if out_dir:
-                    with open(os.path.join(out_dir, "nonfinite_dump.json"), "w") as f:
-                        json.dump(dump, f, indent=2)
-                raise NonFiniteLossError(json.dumps(dump))
+                raise _nonfinite(out_dir, NonFiniteLossError, dump)
             backward(tape, loss)
             adam_step(state, config.lr)
             loss_sum += float(loss.data) * len(sel)

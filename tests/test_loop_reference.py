@@ -285,6 +285,60 @@ def test_bidirectional_lstm_matches_three_op_layer(B, T, D, H, lengths):
         assert g.tobytes() == e.tobytes(), name
 
 
+def _ragged_layer(rng, B, T, D, H, lengths, scale=1.0):
+    """Padded input x and the six (fw, bw) weights of one layer."""
+    x = rng.normal(size=(B, T, D))
+    for bi, n in enumerate(lengths):
+        x[bi, n:] = 0.0
+    weights = [
+        a
+        for _ in ("fw", "bw")
+        for a in (rng.normal(scale=0.5 * scale, size=(D, 4 * H)), rng.normal(scale=0.3, size=(H, 4 * H)), rng.normal(size=4 * H))
+    ]
+    return x, weights
+
+
+@pytest.mark.parametrize("requires_grad", [False, True], ids=["constants", "parameters"])
+def test_unrecorded_lstm_matches_recorded_and_three_op_layer(requires_grad):
+    # an unrecorded call (no tape, or a tape and nothing that requires a
+    # gradient) keeps no step history, and gives the same bits
+    B, T, D, H = 4, 12, 3, 8
+    lengths = np.array([12, 1, 7, 12])
+    x, weights = _ragged_layer(np.random.default_rng(31), B, T, D, H, lengths)
+    recorded = _layer_bits(ad.lstm, x, lengths, weights, np.ones((B, T, 2 * H)))[0]
+    expected = _layer_bits(ref.bidirectional_lstm, x, lengths, weights, np.ones((B, T, 2 * H)))[0]
+    tensors = [ad.Tensor(a.copy(), requires_grad) for a in [x, *weights]]
+    untaped = ad.lstm(None, tensors[0], lengths, tuple(tensors[1:4]), tuple(tensors[4:]))
+    consts = [ad.constant(a.copy()) for a in [x, *weights]]
+    tape = ad.Tape()
+    inert = ad.lstm(tape, consts[0], lengths, tuple(consts[1:4]), tuple(consts[4:]))
+    assert len(tape) == 0 and not untaped.requires_grad and not inert.requires_grad
+    for out in (untaped, inert):
+        assert out.data.tobytes() == recorded.tobytes() == expected.tobytes()
+
+
+def test_saturating_lstm_bit_exact_without_warnings():
+    # input weights scaled so that gate pre-activations pass +-709: exp(-z)
+    # overflows to inf and the sigmoid saturates to exactly 0.0, silently
+    B, T, D, H = 3, 9, 3, 4
+    lengths = np.array([9, 4, 6])
+    rng = np.random.default_rng(32)
+    x, weights = _ragged_layer(rng, B, T, D, H, lengths, scale=2000.0)
+    z0 = np.stack([x @ weights[0] + weights[2], x @ weights[3] + weights[5]])
+    assert z0.min() < -709.0 and z0.max() > 709.0
+    upstream = rng.normal(size=(B, T, 2 * H))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _layer_bits(ad.lstm, x, lengths, weights, upstream)
+        consts = [ad.constant(a) for a in [x, *weights]]
+        untaped = ad.lstm(None, consts[0], lengths, tuple(consts[1:4]), tuple(consts[4:]))
+        expected = _layer_bits(ref.bidirectional_lstm, x, lengths, weights, upstream)
+    assert untaped.data.tobytes() == got[0].tobytes()
+    for name, g, e in zip(["out", "x", "fw.wx", "fw.wh", "fw.b", "bw.wx", "bw.wh", "bw.b"], got, expected):
+        assert np.all(np.isfinite(g)), name
+        assert g.tobytes() == e.tobytes(), name
+
+
 def _nchw(a):
     return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
 

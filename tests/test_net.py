@@ -8,6 +8,7 @@ import pytest
 from sketchattn.errors import (
     InvalidConfigError,
     LabelOutOfRangeError,
+    LengthMismatchError,
     ShapeMismatchError,
     TapeConsumedError,
 )
@@ -438,6 +439,24 @@ class TestRnnAttention:
         assert params["head.w"].data.shape == (2 * cfg.hidden_size, 1)
         with pytest.raises(ShapeMismatchError, match=f"dim {width} != 3"):
             rnn_attention_batch(Tape(), np.zeros((1, 4, width)), np.array([4]), params, cfg)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[5], [5, 6], [5, 5, 5], [0, 5], [-1, 5], [2.5, 5], [5.0, 5.0], [True, True], [[5], [5]], np.array(5)],
+        ids=["too_few", "past_T", "too_many", "zero", "negative", "fractional", "float", "boolean", "2d", "scalar"],
+    )
+    def test_lengths_checked(self, lengths):
+        # B=2, T=5: each of these broadcast, indexed out of range, gave
+        # all-zero attention or was truncated before the check
+        cfg, params = small_rnn()
+        with pytest.raises(LengthMismatchError, match=r"lengths must be a \(2,\) integer array with entries in \[1, 5\]"):
+            rnn_attention_batch(None, np.zeros((2, 5, 3)), np.asarray(lengths), params, cfg)
+
+    @pytest.mark.parametrize("lengths", [[5, 1], np.array([5, 1], dtype=np.uint8), np.array([5, 1], dtype=np.int32)])
+    def test_integer_lengths_accepted(self, lengths):
+        cfg, params = small_rnn()
+        attn = rnn_attention_batch(None, np.zeros((2, 5, 3)), lengths, params, cfg)
+        assert np.all(attn.data[1, 1:] == 0.0) and np.all(attn.data[:, 0] > 0.0)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):

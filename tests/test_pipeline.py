@@ -488,6 +488,27 @@ class TestTrainEvaluate:
             train(cfg, ds, out_dir=str(tmp_path))
         assert (tmp_path / "nonfinite_dump.json").exists()
 
+    def test_nonfinite_attention_aborts_with_dump(self, tmp_path, monkeypatch):
+        # a diverged RNN stops in the rasterizer, before the loss check
+        from sketchattn import pipeline as pl
+        from sketchattn.errors import NonFiniteAttentionError
+
+        cfg = tiny_config(epochs=1)
+        ds = synth_dataset(2, seed=8, split="train", categories=("square_cw", "square_ccw"))
+        real_init = pl.init_model_state
+
+        def poisoned(config):
+            state = real_init(config)
+            state.params["rnn.l0.fw.wx"].data[0, 0] = np.nan
+            return state
+
+        monkeypatch.setattr(pl, "init_model_state", poisoned)
+        with pytest.raises(NonFiniteAttentionError) as err:
+            train(cfg, ds, out_dir=str(tmp_path))
+        dump = json.loads((tmp_path / "nonfinite_dump.json").read_text())
+        assert dump == {"epoch": 0, "step": 0, "tensor": "attention"}
+        assert json.loads(str(err.value)) == dump
+
 
 def _saved(state, path, categories=("square_cw", "square_ccw")):
     """Save state as training would: with the categories it classifies into."""
