@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import CategoryMismatchError, InvalidConfigError, MalformedDocumentError, SketchError
+from .errors import CategoryMismatchError, InvalidConfigError, MalformedDocumentError, SketchError, require_seed
 from .geometry import CANVAS_MARGIN, VectorSketch, normalize_to_canvas
 from .ingest import (
     SYNTH_CATEGORIES,
@@ -243,6 +243,7 @@ _PROFILES = {"nlr": _nlr_profile, "rnn": _rnn_profile, "cnn": _cnn_profile, "ful
 
 
 def cmd_gradcheck(args) -> int:
+    require_seed(args.seed)
     tolerance = GRADCHECK_TOLERANCES[args.profile]
     fn, params = _PROFILES[args.profile](args.seed)
     report = grad_check(

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the finiteness check
-the config classes share."""
+"""Exception types shared across the package, and the finiteness and seed
+checks the config classes share."""
 
 import math
+import numbers
 
 
 class SketchError(Exception):
@@ -73,6 +74,14 @@ def require_finite(**values) -> None:
             finite = False
         if not finite:
             raise InvalidConfigError(f"{name!r} must be finite, got {value!r}")
+
+
+def require_seed(seed) -> None:
+    """Raise InvalidConfigError unless seed is what numpy seeds from: a
+    non-negative integer, or a tuple or list of them."""
+    for v in seed if isinstance(seed, (tuple, list)) else (seed,):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            raise InvalidConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
 
 
 class ShapeMismatchError(SketchError):

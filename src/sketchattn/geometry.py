@@ -13,6 +13,8 @@ construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import (
@@ -73,6 +75,17 @@ class VectorSketch:
 
     def __repr__(self) -> str:
         return f"VectorSketch(n={self.n}, strokes={len(stroke_slices(self))})"
+
+
+def ragged_points(sketches: list[VectorSketch]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ragged layout of several sketches: xy (N, 2) and s (N,), their
+    points concatenated in order, and offsets (len(sketches) + 1,), so
+    sketch k holds points offsets[k]:offsets[k + 1]. Every sketch ends
+    with s == 1, so no stroke spans two sketches. At least one sketch."""
+    offsets = np.array([0, *itertools.accumulate(sk.n for sk in sketches)], dtype=np.intp)
+    if len(sketches) == 1:  # one sketch is laid out already; its arrays are read-only
+        return sketches[0].xy, sketches[0].s, offsets
+    return np.concatenate([sk.xy for sk in sketches]), np.concatenate([sk.s for sk in sketches]), offsets
 
 
 def _point_array(points) -> np.ndarray:

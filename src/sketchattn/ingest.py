@@ -25,6 +25,7 @@ from .errors import (
     RaggedStrokeError,
     SketchError,
     VersionMismatchError,
+    require_seed,
 )
 from .geometry import VectorSketch, validate_and_normalize
 
@@ -200,6 +201,7 @@ def synth_generate(category: str, seed, matched_jitter: bool = False) -> Labeled
     """
     if category not in SYNTH_CATEGORIES:
         raise ValueError(f"unknown synthetic category {category!r}")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     rotation = rng.uniform(-0.3, 0.3)
     scale = rng.uniform(0.8, 1.1)
@@ -247,6 +249,7 @@ def synth_dataset(
         raise ValueError(f"split must be one of {SPLITS}")
     if per_class < 1:
         raise InvalidConfigError(f"per_class must be >= 1, got {per_class}")
+    require_seed(seed)
     unknown = [c for c in categories if c not in SYNTH_CATEGORIES]
     if unknown:
         raise InvalidConfigError(f"unknown synthetic category {unknown[0]!r}; known: {', '.join(SYNTH_CATEGORIES)}")

@@ -34,6 +34,7 @@ from .errors import (
     NonFiniteLossError,
     ShapeMismatchError,
     require_finite,
+    require_seed,
 )
 from .geometry import CANVAS_MARGIN, VectorSketch, normalize_to_canvas, stroke_slices
 from .ingest import Dataset, check_document
@@ -49,7 +50,7 @@ from .net.model import (
 )
 from .net.optim import ModelState, adam_step, load_checkpoint, save_checkpoint
 from .raster import AttentionMap, RasterConfig, order_ramp, rasterize_backward, rasterize_forward
-from .simplify import SimplifyConfig, simplify_sketch
+from .simplify import SimplifyConfig, simplify_sketch, simplify_split
 
 VARIANTS = ("sketch_r2cnn", "cnn_only_binary", "order_encoded_cnn", "random_stroke_order_r2cnn")
 
@@ -145,6 +146,7 @@ class ExperimentConfig:
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"config {name!r} must be >= 1, got {getattr(self, name)}")
+        require_seed(self.seed)
         require_finite(lr=self.lr)
         if self.lr <= 0:
             raise InvalidConfigError(f"config 'lr' must be > 0, got {self.lr!r}")
@@ -261,6 +263,12 @@ def prepare_sketch(sketch: VectorSketch, config: ExperimentConfig) -> VectorSket
     """Simplify and normalize into the raster canvas, inside its margin."""
     sk = simplify_sketch(sketch, config.simplify)
     return normalize_to_canvas(sk, config.raster.width, config.raster.height, CANVAS_MARGIN)
+
+
+def prepare_split(sketches: list[VectorSketch], config: ExperimentConfig) -> list[VectorSketch]:
+    """prepare_sketch of every sketch, with one simplify pass over them all."""
+    width, height = config.raster.width, config.raster.height
+    return [normalize_to_canvas(sk, width, height, CANVAS_MARGIN) for sk in simplify_split(sketches, config.simplify)]
 
 
 def augment(
@@ -391,10 +399,10 @@ def _require_items(dataset: Dataset, name: str) -> None:
 
 def evaluate(state: ModelState, config: ExperimentConfig, dataset: Dataset, prepared: list[VectorSketch] | None = None) -> float:
     """Eval-mode top-1 accuracy on a split, no augmentation; prepared: its
-    items through prepare_sketch, one per item (else LengthMismatchError)."""
+    items through prepare_split, one per item (else LengthMismatchError)."""
     _require_items(dataset, dataset.split)
     if prepared is None:
-        prepared = [prepare_sketch(it.sketch, config) for it in dataset.items]
+        prepared = prepare_split([it.sketch for it in dataset.items], config)
     if len(prepared) != len(dataset.items):
         raise LengthMismatchError(f"{len(prepared)} prepared sketches for {len(dataset.items)} items")
     labels = np.array([it.label for it in dataset.items], dtype=np.int64)
@@ -479,9 +487,9 @@ def train(
         )
     state = init_model_state(config)
     state.categories = list(train_ds.categories)
-    prepared_train = [prepare_sketch(it.sketch, config) for it in train_ds.items]
+    prepared_train = prepare_split([it.sketch for it in train_ds.items], config)
     labels_train = np.array([it.label for it in train_ds.items], dtype=np.int64)
-    prepared = {name: [prepare_sketch(it.sketch, config) for it in ds.items] for name, ds in held_out.items()}
+    prepared = {name: prepare_split([it.sketch for it in ds.items], config) for name, ds in held_out.items()}
 
     if log:
         log(f"training {config.variant}: {state.num_params()} parameters, "

@@ -6,6 +6,13 @@ lies within epsilon of the edge that replaced it, hence within epsilon of
 the simplified polyline. The infinite-line variant lacks that guarantee
 for points projecting past a chord endpoint. A degenerate chord (closed
 stroke, identical anchors) degrades to point distance to the anchor.
+
+A whole split is simplified at once: :func:`simplify_split` lays its
+sketches out ragged (``geometry.ragged_points``) and runs one RDP pass
+over every stroke of a chunk of whole sketches, then escalates epsilon
+per sketch by thresholding what that pass recorded.
+:func:`simplify_sketch` is its one-item case, as :func:`rdp_stroke` is
+the one-stroke case.
 """
 
 from __future__ import annotations
@@ -15,13 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, NonFiniteCoordinateError, require_finite
-from .geometry import VectorSketch, segment_projection
+from .geometry import VectorSketch, ragged_points, segment_projection
 
 MAX_ESCALATIONS = 10
+# one RDP pass takes whole sketches of about this many points (at least
+# one sketch), which bounds its transient arrays on a large split
+_POINT_BUDGET = 2**16
 # chord arithmetic squares coordinate differences, which overflows once
 # coordinates pass ~1e154; strokes beyond this bound are measured after an
 # exact power-of-two rescale
 _RESCALE_ABOVE = 2.0**500
+# so every finite chord d² stays below 2^1006; a threshold capped at
+# (2^510)² rejects all of them just as a larger or infinite eps² would
+_EPS_CAP = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -51,14 +64,14 @@ def _significance(xy: np.ndarray, ends: np.ndarray, epsilon: float) -> tuple[np.
     base epsilon never keeps it, else min(its split d², its parent's
     significance). A stroke whose coordinates pass _RESCALE_ABOVE is
     measured after the exact power-of-two rescale ``shift``; see
-    :func:`_kept`.
+    :func:`_threshold`.
     """
     starts = np.concatenate(([0], ends))[:-1]
     sizes = ends - starts
     peak = np.maximum.reduceat(np.maximum(np.abs(xy[:, 0]), np.abs(xy[:, 1])), starts)
     shift = np.repeat(np.where(peak > _RESCALE_ABOVE, -np.frexp(peak)[1], 0), sizes)
     work = np.ldexp(xy, shift[:, None])
-    eps_sq = _square(np.ldexp(epsilon, shift))
+    eps_sq = _threshold(epsilon, shift)
 
     interior = np.ones(len(xy), dtype=bool)
     interior[starts] = interior[ends - 1] = False
@@ -93,15 +106,17 @@ def _significance(xy: np.ndarray, ends: np.ndarray, epsilon: float) -> tuple[np.
     return sig, shift
 
 
-def _square(eps: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # past the float range eps² is inf, as in float arithmetic
-        return eps * eps
+def _threshold(epsilon, shift: np.ndarray) -> np.ndarray:
+    """ldexp(epsilon, shift)² per point, with ldexp(epsilon, shift)
+    capped at _EPS_CAP, which keeps the square finite and moves no
+    comparison with a significance."""
+    return np.square(np.minimum(np.ldexp(epsilon, shift), _EPS_CAP))
 
 
-def _kept(sig: np.ndarray, shift: np.ndarray, epsilon: float) -> np.ndarray:
-    """Points RDP keeps at ``epsilon``: stroke ends (also where eps² is
-    inf), and points whose significance passes ldexp(epsilon, shift)²."""
-    return (sig > _square(np.ldexp(epsilon, shift))) | (sig == np.inf)
+def _kept(sig: np.ndarray, shift: np.ndarray, epsilon) -> np.ndarray:
+    """Points RDP keeps at ``epsilon`` (one, or one per point): those whose
+    significance passes the threshold, so every stroke end (+inf)."""
+    return sig > _threshold(epsilon, shift)
 
 
 def rdp_stroke(points, epsilon: float) -> np.ndarray:
@@ -109,8 +124,12 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
 
     The first and last points are always retained. Ties in the maximum
     deviation go to the earliest point, which makes the algorithm
-    idempotent. Non-finite coordinates raise NonFiniteCoordinateError.
+    idempotent. Non-finite coordinates raise NonFiniteCoordinateError, an
+    epsilon that is not finite and positive InvalidConfigError.
     """
+    require_finite(epsilon=epsilon)
+    if epsilon <= 0:
+        raise InvalidConfigError(f"epsilon must be > 0, got {epsilon!r}")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("rdp_stroke expects an (n, 2) point array")
@@ -122,21 +141,55 @@ def rdp_stroke(points, epsilon: float) -> np.ndarray:
     return pts[_kept(sig, shift, eps)]
 
 
-def simplify_sketch(sketch: VectorSketch, config: SimplifyConfig) -> VectorSketch:
-    """RDP per stroke, escalating epsilon until the point cap is met.
+def simplify_split(sketches: list[VectorSketch], config: SimplifyConfig) -> list[VectorSketch]:
+    """RDP per stroke, escalating epsilon per sketch until its point cap is met.
 
-    Epsilon is multiplied by the escalation factor up to MAX_ESCALATIONS
-    times; if the cap is still exceeded the point sequence is truncated at
-    max_points (whole trailing strokes drop first, then trailing points of
-    the stroke at the cut). RDP runs once: each round is a threshold on
-    the significance it recorded.
+    A sketch's epsilon is multiplied by the escalation factor up to
+    MAX_ESCALATIONS times; if the cap is still exceeded its point sequence
+    is truncated at max_points (whole trailing strokes drop first, then
+    trailing points of the stroke at the cut). RDP runs once per chunk of
+    whole sketches of about _POINT_BUDGET points: each round is a
+    threshold on the significance it recorded, counted per sketch.
+    Returns one sketch per input, in order.
     """
-    sig, shift = _significance(sketch.xy, np.flatnonzero(sketch.s == 1) + 1, config.epsilon)
+    out = []
+    first = 0
+    while first < len(sketches):
+        last, points = first + 1, sketches[first].n
+        while last < len(sketches) and points + sketches[last].n <= _POINT_BUDGET:
+            points += sketches[last].n
+            last += 1
+        out.extend(_simplify_chunk(sketches[first:last], config))
+        first = last
+    return out
+
+
+def _simplify_chunk(sketches: list[VectorSketch], config: SimplifyConfig) -> list[VectorSketch]:
+    xy, s, offsets = ragged_points(sketches)
+    starts = offsets[:-1]
+    sig, shift = _significance(xy, np.flatnonzero(s == 1) + 1, config.epsilon)
     eps = config.epsilon
     keep = _kept(sig, shift, eps)
-    rounds = 0
-    while np.count_nonzero(keep) > config.max_points and rounds < MAX_ESCALATIONS:
+    counts = np.add.reduceat(keep, starts)
+    for _ in range(MAX_ESCALATIONS):
+        over = counts > config.max_points
+        n_over = np.count_nonzero(over)
+        if not n_over:
+            break
         eps *= config.escalation_factor
-        keep = _kept(sig, shift, eps)
-        rounds += 1
-    return VectorSketch(sketch.xy[keep][: config.max_points], sketch.s[keep][: config.max_points])
+        kept = _kept(sig, shift, eps)
+        # a sketch over the cap takes this round's points, one under it keeps its own
+        keep = kept if n_over == len(over) else np.where(np.repeat(over, np.diff(offsets)), kept, keep)
+        counts = np.add.reduceat(keep, starts)
+    xy, s = xy[keep], s[keep]
+    out, a = [], 0
+    for n in counts.tolist():
+        b = a + min(n, config.max_points)
+        out.append(VectorSketch(xy[a:b], s[a:b]))
+        a += n
+    return out
+
+
+def simplify_sketch(sketch: VectorSketch, config: SimplifyConfig) -> VectorSketch:
+    """Simplify one sketch: :func:`simplify_split`'s one-item case."""
+    return simplify_split([sketch], config)[0]

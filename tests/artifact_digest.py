@@ -8,9 +8,12 @@ per output file: its sha256 and its path as ``<variant>/<file>``. The train
 split mixes the single-stroke synthetic shapes with multi-stroke random
 walks, so stroke removal and the stroke-order shuffle both act. First it
 prints one line per split, ``prepared/<split>``: a sha256 over the ``xy``
-and ``s`` bytes of its items through ``prepare_sketch``, in item order. Run
-it on two source trees and diff the outputs to check that a change keeps
-every prepared sketch, metrics file and checkpoint byte-identical.
+and ``s`` bytes of its items through ``prepare_split``, in item order, as
+training prepares them. Run it on two source trees and diff the outputs to
+check that a change keeps every prepared sketch, metrics file and
+checkpoint byte-identical. Exits 1 if an item of ``prepare_split`` differs
+from the same item through ``prepare_sketch``, so the diff covers the
+one-item path too.
 
 Not a test module: pytest does not collect it.
 """
@@ -35,7 +38,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     from sketchattn.ingest import Dataset, LabeledSketch, random_sketch, synth_dataset
-    from sketchattn.pipeline import VARIANTS, desk_config, prepare_sketch, train
+    from sketchattn.pipeline import VARIANTS, desk_config, prepare_sketch, prepare_split, train
 
     shapes = synth_dataset(4, 0, "train")
     cats = shapes.categories
@@ -48,11 +51,17 @@ def main(argv=None) -> int:
     valid_ds = synth_dataset(2, 0, "valid")
     test_ds = synth_dataset(2, 0, "test")
     prepare_cfg = desk_config(len(cats))
+    differs = []
     for ds in (train_ds, valid_ds, test_ds):
         digest = hashlib.sha256()
-        for it in ds.items:
-            sk = prepare_sketch(it.sketch, prepare_cfg)
+        prepared = prepare_split([it.sketch for it in ds.items], prepare_cfg)
+        for sk, it in zip(prepared, ds.items):
             digest.update(sk.xy.tobytes() + sk.s.tobytes())
+            one = prepare_sketch(it.sketch, prepare_cfg)
+            if sk.xy.tobytes() != one.xy.tobytes() or sk.s.tobytes() != one.s.tobytes():
+                differs.append(ds.split)
+        if len(prepared) != len(ds.items):
+            differs.append(ds.split)
         print(f"{digest.hexdigest()}  prepared/{ds.split}")
     with tempfile.TemporaryDirectory() as tmp:
         for variant in VARIANTS:
@@ -62,6 +71,9 @@ def main(argv=None) -> int:
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), "rb") as f:
                     print(f"{hashlib.sha256(f.read()).hexdigest()}  {variant}/{name}")
+    if differs:
+        print(f"prepare_split differs from prepare_sketch in split(s) {sorted(set(differs))}", file=sys.stderr)
+        return 1
     return 0
 
 

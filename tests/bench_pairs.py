@@ -11,10 +11,11 @@ faults, read from ``getrusage(RUSAGE_CHILDREN)`` before and after the run.
 
 For every metric it prints the median and the quartiles of each side, in
 how many pairs the change beat the parent, in the direction the change
-tree's ``BENCHMARK.json`` gives (lower, for metrics it does not list), and
+tree's ``BENCHMARK.json`` gives (lower, for metrics it does not list),
 whether the gap between the medians exceeds the parent's interquartile
-range. The exit status is 1 if any run failed or reported
-``correct: false``.
+range, and a verdict (see ``verdict``) against that metric's ``bound``
+there. The exit status is 1 if any run failed or reported
+``correct: false``, whatever the verdicts.
 
 Not a test module: pytest does not collect it.
 """
@@ -49,14 +50,44 @@ def run_once(tree: str, workload: str, seconds: float, seed: int) -> dict:
     return {"correct": record["correct"], "metrics": metrics}
 
 
-def directions(tree: str) -> dict:
-    """metric name -> 'lower' or 'higher', from the tree's BENCHMARK.json."""
+def end_to_end(tree: str) -> dict:
+    """metric name -> (better: 'lower' or 'higher', bound), from the tree's
+    BENCHMARK.json end-to-end metrics."""
     try:
         with open(os.path.join(tree, "BENCHMARK.json")) as f:
             spec = json.load(f)
     except FileNotFoundError:
         return {}
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    return {m["name"]: (m["better"], m.get("bound")) for m in spec.get("end_to_end", [])}
+
+
+def verdict(before, after, better: str = "lower", bound: float | None = None) -> str:
+    """One metric's verdict over pairs (before[k], after[k]) of parent and
+    change runs:
+
+    - ``gain``: the change wins at least 9 of 10 pairs and its median
+      beats the parent's by more than the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound``, a fraction of the parent's median;
+    - ``unresolved``: the parent's interquartile range is wider than that
+      bound, so a move within it cannot be told from noise;
+    - ``same`` otherwise, and ``unbounded`` for a metric without a bound
+      that is not a gain.
+    """
+    before, after = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
+    sign = 1.0 if better == "higher" else -1.0
+    wins = int(np.sum(sign * (after - before) > 0))
+    q1, median, q3 = np.percentile(before, [25, 50, 75])
+    gap = sign * (np.median(after) - median)  # > 0: the change is better
+    if wins >= 0.9 * len(before) and gap > q3 - q1:
+        return "gain"
+    if bound is None:
+        return "unbounded"
+    if gap < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    return "same"
 
 
 def main(argv=None) -> int:
@@ -82,23 +113,24 @@ def main(argv=None) -> int:
             runs[side].append(record["metrics"])
             print(f"pair {k} {side}: correct={record['correct']}", file=sys.stderr, flush=True)
 
-    better = directions(args.change)
+    spec = end_to_end(args.change)
     names = sorted(set().union(*(m.keys() for side in runs.values() for m in side)))
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s: "
-          "median [q1, q3] parent -> change, change wins")
+          "median [q1, q3] parent -> change, change wins, verdict")
     for name in names:
         pairs = [(a[name], b[name]) for a, b in zip(runs["parent"], runs["change"]) if name in a and name in b]
         if not pairs:
             continue
         before, after = np.array(pairs, dtype=float).T
-        sign = 1.0 if better.get(name, "lower") == "higher" else -1.0
+        better, bound = spec.get(name, ("lower", None))
+        sign = 1.0 if better == "higher" else -1.0
         wins = int(np.sum(sign * (after - before) > 0))
         q_b, q_a = np.percentile(before, [25, 50, 75]), np.percentile(after, [25, 50, 75])
         change = 100.0 * (q_a[1] - q_b[1]) / q_b[1] if q_b[1] else float("nan")
         beyond_iqr = abs(q_a[1] - q_b[1]) > q_b[2] - q_b[0]
         print(f"{name:24s} {q_b[1]:12.4g} [{q_b[0]:.4g}, {q_b[2]:.4g}] -> "
               f"{q_a[1]:12.4g} [{q_a[0]:.4g}, {q_a[2]:.4g}] {change:+6.1f}%  wins {wins}/{len(pairs)}"
-              f"  gap {'>' if beyond_iqr else '<='} parent IQR")
+              f"  gap {'>' if beyond_iqr else '<='} parent IQR  {verdict(before, after, better, bound)}")
     if not ok:
         print("a run failed or reported correct: false", file=sys.stderr)
     return 0 if ok else 1

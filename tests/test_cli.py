@@ -72,6 +72,16 @@ class TestSynthAndSimplify:
         assert named in info["detail"]
         assert not out.exists()
 
+    def test_synth_negative_seed_rejected(self, tmp_path, capsys):
+        # used to print numpy's untyped ValueError
+        out = tmp_path / "ds.json"
+        code, stdout, err = run(capsys, "synth", "--out", str(out), "--per-class", "2", "--seed", "-1")
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "'seed'" in info["detail"]
+        assert not out.exists()
+
     def test_simplify_collinear(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         from sketchattn.geometry import validate_and_normalize
@@ -361,6 +371,15 @@ class TestGradcheckCommand:
         assert info["error"] == "InvalidConfigError"
         assert "max_entries_per_param" in info["detail"]
 
+    @pytest.mark.parametrize("profile", ["nlr", "rnn", "cnn", "full"])
+    def test_negative_seed_rejected(self, capsys, profile):
+        # every profile seeds numpy from (seed, k), which used to raise an untyped ValueError
+        code, stdout, err = run(capsys, "gradcheck", "--profile", profile, "--seed", "-1")
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "'seed'" in info["detail"]
+
     def test_same_seed_same_report(self, capsys):
         code1, out1, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "3")
         code2, out2, _ = run(capsys, "gradcheck", "--profile", "nlr", "--seed", "3")
@@ -489,6 +508,25 @@ class TestTrainEvalPredict:
         assert repr(key) in info["detail"]
         assert section is None or repr(section) in info["detail"]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_rejected_before_writing(self, trained, tmp_path, capsys, source):
+        # used to write config.json, then exit with numpy's untyped ValueError
+        base, out_dir, _ = trained
+        args = ["--seed", "-1"]
+        if source == "config":
+            doc = json.loads((out_dir / "config.json").read_text())
+            doc["seed"] = -1
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(doc))
+            args = ["--config", str(cfg_file)]
+        run_dir = tmp_path / "run_neg"
+        code, stdout, err = run(capsys, "train", "--train", str(base / "train.json"), "--out", str(run_dir), *args)
+        assert code == 1 and stdout == ""
+        info = _one_error(err)
+        assert info["error"] == "InvalidConfigError"
+        assert "'seed'" in info["detail"]
+        assert not (run_dir / "config.json").exists()
 
     def test_zero_epochs_flag_rejected(self, trained, tmp_path, capsys):
         # used to write config.json, then die with an IndexError in metrics.final

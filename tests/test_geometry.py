@@ -12,6 +12,7 @@ from sketchattn.errors import (
 from sketchattn.geometry import (
     VectorSketch,
     normalize_to_canvas,
+    ragged_points,
     segment_projection,
     stroke_slices,
     validate_and_normalize,
@@ -369,3 +370,14 @@ class TestSegments:
     def test_stroke_slices(self):
         sk = make([(0, 0, 0), (1, 0, 1), (2, 0, 1), (3, 0, 0), (4, 0, 1)])
         assert stroke_slices(sk) == [(0, 2), (2, 3), (3, 5)]
+
+
+def test_ragged_points_concatenates_whole_sketches():
+    a = validate_and_normalize([(0, 0, 0), (1, 0, 1)])
+    b = validate_and_normalize([(5, 5, 1)])
+    xy, s, offsets = ragged_points([a, b, a])
+    assert offsets.tolist() == [0, 2, 3, 5]
+    assert xy.tolist() == [[0, 0], [1, 0], [5, 5], [0, 0], [1, 0]]
+    assert s.tolist() == [0, 1, 1, 0, 1]
+    for k, sk in enumerate([a, b, a]):
+        assert xy[offsets[k] : offsets[k + 1]].tolist() == sk.xy.tolist()

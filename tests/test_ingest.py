@@ -341,6 +341,15 @@ class TestSynthetic:
         with pytest.raises(InvalidConfigError, match="per_class"):
             synth_dataset(per_class, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, (-1, 0)])
+    def test_negative_seed_rejected(self, seed):
+        # numpy used to refuse it with an untyped "expected non-negative integer"
+        with pytest.raises(InvalidConfigError, match="'seed'"):
+            synth_generate("line", seed)
+        if isinstance(seed, int):
+            with pytest.raises(InvalidConfigError, match="'seed'"):
+                synth_dataset(2, seed=seed)
+
     def test_dataset_unknown_category_named(self):
         with pytest.raises(InvalidConfigError, match="'nope'"):
             synth_dataset(2, seed=0, categories=("line", "nope"))

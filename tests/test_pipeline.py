@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sketchattn.errors import (
     CategoryMismatchError,
@@ -34,11 +35,14 @@ from sketchattn.pipeline import (
     load_model,
     paper_scale_config,
     prepare_sketch,
+    prepare_split,
     randomize_stroke_order,
     train,
 )
 from sketchattn.raster import RasterConfig, rasterize_forward
 from sketchattn.simplify import SimplifyConfig
+
+from sketch_strategies import assert_same_bytes, simplify_configs, splits
 
 TINY = dict(
     rnn=RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0),
@@ -165,6 +169,36 @@ class TestRasterizeBatch:
         assert np.all(attn.grad[1, 2:] == 0.0)
         for b, sk in enumerate(sketches):
             assert attn.grad[b, : sk.n].sum() == pytest.approx(maps[b].owned_pixel_count, abs=1e-9)
+
+
+class TestPrepareSplit:
+    @given(splits(), simplify_configs, st.sampled_from([16, 64, 224]), st.sampled_from([16, 64, 224]))
+    def test_equals_per_item_prepare(self, sketches, simplify_config, width, height):
+        cfg = tiny_config(simplify=simplify_config, raster=RasterConfig(width=width, height=height, epsilon=1.0))
+        assert_same_bytes(prepare_split(sketches, cfg), [prepare_sketch(sk, cfg) for sk in sketches])
+
+    def test_train_and_evaluate_prepare_whole_splits(self, monkeypatch):
+        # each split used to go through prepare_sketch item by item
+        cfg = tiny_config(epochs=1, simplify=SimplifyConfig(max_points=20))
+        rng = np.random.default_rng(4)
+        shapes = synth_dataset(3, seed=6, split="train", categories=("square_cw", "square_ccw"))
+        walks = [LabeledSketch(random_sketch(rng, 60, 64.0, 64.0), k % 2, shapes.categories[k % 2]) for k in range(4)]
+        ds = Dataset(shapes.categories, shapes.items + walks, "train")
+        per_item = [prepare_sketch(it.sketch, cfg) for it in ds.items]
+
+        def refuse(*args):
+            raise AssertionError("a split was prepared item by item")
+
+        calls = []
+        simplify_split = pipeline.simplify_split
+        monkeypatch.setattr(pipeline, "prepare_sketch", refuse)
+        monkeypatch.setattr(pipeline, "simplify_sketch", refuse)
+        monkeypatch.setattr(pipeline, "simplify_split", lambda sks, c: calls.append(len(sks)) or simplify_split(sks, c))
+        state, _ = train(cfg, ds, valid_ds=ds, test_ds=ds)
+        assert calls == [len(ds)] * 3
+        acc = evaluate(state, cfg, ds)
+        assert calls == [len(ds)] * 4
+        assert acc == evaluate(state, cfg, ds, per_item)
 
 
 class TestAugment:
@@ -742,6 +776,9 @@ class TestRealConfigValues:
             (AugmentConfig, "removal_prob", NAN),
             (AugmentConfig, "jitter_sigma", -1.0),
             (AugmentConfig, "jitter_sigma", INF),
+            # a negative seed used to be accepted here and fail later, in
+            # numpy, with an untyped ValueError
+            (ExperimentConfig, "seed", -1),
         ],
     )
     def test_rejected_by_name(self, cls, field, value):
@@ -750,7 +787,13 @@ class TestRealConfigValues:
 
     @pytest.mark.parametrize(
         "section, field, value",
-        [(None, "lr", -0.001), (None, "lr", NAN), ("simplify", "epsilon", NAN), ("augment", "removal_prob", 1.5)],
+        [
+            (None, "lr", -0.001),
+            (None, "lr", NAN),
+            (None, "seed", -1),
+            ("simplify", "epsilon", NAN),
+            ("augment", "removal_prob", 1.5),
+        ],
     )
     def test_config_document_rejected_by_name(self, section, field, value):
         d = tiny_config().to_json_dict()

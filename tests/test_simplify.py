@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sketchattn import simplify
 from sketchattn.errors import InvalidConfigError, NonFiniteCoordinateError
-from sketchattn.geometry import validate_and_normalize
-from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
+from sketchattn.geometry import VectorSketch, validate_and_normalize
+from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch, simplify_split
+
+import loop_reference as ref
+from sketch_strategies import assert_same_bytes, simplify_configs, splits
 
 
 def dist_point_to_polyline(p, poly):
@@ -103,6 +108,13 @@ class TestRdpStroke:
             rdp_stroke([[0.0, 0.0], [bad, 5.0], [1.0, 7.0], [2.0, 0.0]], 1.0)
         with pytest.raises(ValueError):
             rdp_stroke([[0.0, bad, 1.0]], 1.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, 0.0])
+    def test_bad_epsilon_raises(self, eps):
+        # NaN and inf used to keep only the endpoints, -1 acted as 1 and 0
+        # kept every point that deviates at all
+        with pytest.raises(InvalidConfigError, match="epsilon"):
+            rdp_stroke([(0, 0), (1, 1), (2, 0)], eps)
 
     @given(st.integers(3, 60), st.floats(0.2, 8.0))
     def test_property_subsequence_bound(self, n, eps):
@@ -206,3 +218,59 @@ def test_escalation_does_not_rerun_rdp(monkeypatch):
         seen[cap] = dict(calls)
     assert seen[2] == seen[sk.n]
     assert seen[2]["pass"] == 1
+
+
+def case_split():
+    """One sketch per case: a zigzag whose every point survives all
+    escalation rounds (cut mid-stroke), a walk that escalates until it fits,
+    40 single-point strokes, zero, subnormal and past-2**500 extents."""
+    rng = np.random.default_rng(3)
+    zigzag = np.column_stack([np.arange(300.0), 1000.0 * (np.arange(300) % 2)])
+    walk = np.cumsum(rng.normal(size=(500, 2)), axis=0) * 5.0
+    singles = rng.uniform(0.0, 255.0, size=(40, 2))
+    return [
+        VectorSketch(zigzag, np.zeros(300)),
+        VectorSketch(walk, np.zeros(500)),
+        VectorSketch(singles, np.ones(40)),
+        VectorSketch(np.full((5, 2), 3.0), [0, 1, 0, 0, 1]),
+        VectorSketch([[0.0, 0.0], [1e-320, 0.0], [0.0, 2e-320]], [0, 0, 1]),
+        VectorSketch(2.0**600 * walk[:200], np.zeros(200)),
+    ]
+
+
+class TestSimplifySplit:
+    def test_cases_match_per_item(self):
+        config = SimplifyConfig(epsilon=0.5, max_points=100)
+        sketches = case_split()
+        out = simplify_split(sketches, config)
+        assert_same_bytes(out, [ref.simplify_sketch(sk, config) for sk in sketches])
+        assert out[0].xy.tolist() == sketches[0].xy[:100].tolist()  # exhausted, then cut mid-stroke
+        assert simplify_sketch(sketches[1], SimplifyConfig(epsilon=0.5, max_points=500)).n > 100
+        assert out[1].n <= 100  # escalated until it fit
+        assert out[2].n == 40 and out[3].n == 2
+
+    def test_many_chunks(self):
+        config = SimplifyConfig(epsilon=0.5, max_points=100)
+        sketches = case_split() * 3
+        expected = [ref.simplify_sketch(sk, config) for sk in sketches]
+        for budget in (1, 250, 700):  # one sketch per chunk; sketches above the budget; several per chunk
+            with mock.patch.object(simplify, "_POINT_BUDGET", budget):
+                assert_same_bytes(simplify_split(sketches, config), expected)
+
+    def test_one_pass_per_chunk(self, monkeypatch):
+        calls = []
+        significance = simplify._significance
+        monkeypatch.setattr(simplify, "_significance", lambda *a: calls.append(len(a[0])) or significance(*a))
+        sketches = case_split()
+        simplify_split(sketches, SimplifyConfig(epsilon=0.5, max_points=100))
+        assert calls == [sum(sk.n for sk in sketches)]
+
+    def test_empty_split(self):
+        assert simplify_split([], SimplifyConfig()) == []
+
+    @given(splits(), simplify_configs, st.sampled_from([None, 1, 60, 300]))
+    def test_property_equals_per_item(self, sketches, config, budget):
+        expected = [ref.simplify_sketch(sk, config) for sk in sketches]
+        assert_same_bytes([simplify_sketch(sk, config) for sk in sketches], expected)
+        with mock.patch.object(simplify, "_POINT_BUDGET", budget or simplify._POINT_BUDGET):
+            assert_same_bytes(simplify_split(sketches, config), expected)
