@@ -169,12 +169,12 @@ def _nlr_profile(seed: int):
     rng = np.random.default_rng((seed, 11))
     sketch = random_sketch(rng, 24, 32.0, 32.0)
     config = RasterConfig(width=32, height=32, epsilon=1.0)
-    delta = rng.normal(size=(1, 32, 32, 1))
+    delta = rng.normal(size=32 * 32)
     attention = ad.parameter(rng.uniform(0.1, 0.9, size=(1, sketch.n)))
 
     def fn(tape: Tape | None) -> Tensor:
-        images, _ = _rasterize_batch(tape, attention, [sketch], config)
-        return ad.sum_all(tape, ad.mul_const(tape, images, delta))
+        values, support, _ = _rasterize_batch(tape, attention, [sketch], config)
+        return ad.sum_all(tape, ad.mul_const(tape, values, delta[support]))
 
     return fn, {"attention": attention}
 
@@ -208,11 +208,11 @@ def _cnn_profile(seed: int):
     cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2)
     params = init_cnn_params(rng, cfg)
     _jitter_biases(params, rng)
-    image = rng.normal(size=(1, 8, 8, 1))
+    image = rng.normal(size=8 * 8)  # one 8x8 image whose support is every pixel
     labels = np.array([1])
 
     def fn(tape: Tape | None) -> Tensor:
-        logits = cnn_forward_batch(tape, ad.constant(image), params, cfg)
+        logits = cnn_forward_batch(tape, ad.constant(image), np.arange(8 * 8), (1, 8, 8), params, cfg)
         return cross_entropy_logits(tape, logits, labels)
 
     return fn, params

@@ -23,12 +23,15 @@ holds the same values, up to the sign of a zero.
 
 An op keeps what its vjps need and no more: conv2d streams its im2col
 columns through a workspace of about 1 MiB per call and keeps only the
-padded input, from which dw rebuilds them chunk by chunk.
+padded input, from which dw rebuilds them chunk by chunk. conv2d_support,
+the first conv, reads a one-channel image as its values on a support of
+pixels, computes only the output rows that support reaches and keeps
+only their columns; its dx lives on the support alone.
 
 The op set covers exactly what the sketch pipeline runs (a fused
 bidirectional LSTM layer, a linear head, a small channels-last CNN on
-(B, H, W, C) activations, softmax cross entropy); it is not a
-general-purpose autodiff.
+(B, H, W, C) activations whose first conv reads a sparse image, softmax
+cross entropy); it is not a general-purpose autodiff.
 """
 
 from __future__ import annotations
@@ -384,7 +387,7 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     (B*H*W, O) @ (O, C) GEMM per kernel tap, in tap order, into one reused
     slab, and adds the part of each slab that lands inside the image at
     the tap's shift; what fell on the padding is never stored. dx is a new
-    contiguous (B, H, W, C) array.
+    contiguous (B, H, W, C) array. db is one GEMV, ones(B*H*W) @ g.
     """
     B, H, W, C = x.data.shape
     O = w.data.shape[0]
@@ -418,13 +421,84 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 d[:, row_to, col_to] += tap[:, row_from, col_from]
         return d
 
-    return op(
-        tape,
-        out_data,
-        (b, lambda g: g.reshape(B * H * W, O).sum(axis=0)),
-        (w, dw),
-        (x, dx),
-    )
+    return op(tape, out_data, (b, _bias_vjp(O)), (w, dw), (x, dx))
+
+
+def _bias_vjp(O: int):
+    """The bias gradient of a conv with O output channels: one GEMV,
+    ones(N) @ g, over the N = B*H*W rows of its output gradient."""
+    return lambda g: np.ones(g.size // O) @ g.reshape(-1, O)
+
+
+def conv2d_support(tape: Tape | None, x: Tensor, support: np.ndarray, shape, w: Tensor, b: Tensor) -> Tensor:
+    """conv2d of a one-channel image that is zero off a support, computed
+    only where the support reaches.
+
+    x (nnz,) holds the image's values at support, the strictly increasing
+    flat indices of those pixels in the (B, H, W) grid of shape; w is
+    (O, 1, k, k) and b (O,); the result is (B, H, W, O), as conv2d gives
+    on the dense (B, H, W, 1) image.
+
+    Indices live in the zero-padded grid (B, H + 2p, W + 2p), p = k // 2,
+    where tap (u, v) of the output pixel at flat index q reads q +
+    (u - p)(W + 2p) + (v - p): no tap wraps across a row or into the next
+    item. The rows D of output pixels whose window meets the support take
+    their (k, k) im2col columns from a padded flat copy of the image and
+    one (|D|, k*k) @ (k*k, O) GEMM plus the bias; every other row is the
+    bias. The tape keeps those columns: dw is cols.T @ g[D]. dx exists
+    only on the support: pixel s gets the sum, in tap order, of g[s - tap
+    offset] @ w over the taps, read from one (|D|, O) @ (O, k*k) GEMM
+    whose rows are looked up through a padded index map, and 0 where
+    s - offset is padding. db is one GEMV, as in conv2d.
+    """
+    B, H, W = shape
+    O, k = w.data.shape[0], w.data.shape[2]
+    p = k // 2
+    Hp, Wp = H + 2 * p, W + 2 * p
+    taps = ((np.arange(k) - p)[:, None] * Wp + (np.arange(k) - p)).reshape(-1)  # (u, v) order
+
+    def padded(i):
+        row, col = np.divmod(i, W)  # row = b*H + y
+        return (row + p * (2 * (row // H) + 1)) * Wp + (col + p)
+
+    sp = padded(support)
+    grid = np.zeros(B * Hp * Wp, dtype=bool)
+    grid[(sp[:, None] - taps).reshape(-1)] = True
+    rows = np.flatnonzero(grid.reshape(B, Hp, Wp)[:, p : p + H, p : p + W])
+    rows_p = padded(rows)
+    flat = np.zeros(grid.shape)
+    flat[sp] = x.data
+    cols = flat[rows_p[:, None] + taps]
+    del grid, flat
+    w_mat = np.ascontiguousarray(w.data.reshape(O, k * k).T)
+    out_mat = np.empty((B * H * W, O))
+    out_mat[...] = b.data
+    hit = cols @ w_mat
+    hit += b.data
+    out_mat[rows] = hit
+    g_rows = []  # g[D], taken by whichever of dw and dx runs first
+
+    def g_hit(g):
+        if not g_rows:
+            g_rows.append(g.reshape(B * H * W, O)[rows])
+        return g_rows[0]
+
+    def dw(g):
+        return np.ascontiguousarray((cols.T @ g_hit(g)).reshape(k, k, 1, O).transpose(3, 2, 0, 1))
+
+    def dx(g):
+        at = np.full(B * Hp * Wp, len(rows), dtype=np.intp)  # len(rows): padding, the zero row
+        at[rows_p] = np.arange(len(rows))
+        per_tap = np.empty((len(rows) + 1, k * k))
+        np.matmul(g_hit(g), w_mat.T, out=per_tap[:-1])
+        per_tap[-1] = 0.0
+        reads = per_tap[at[sp[:, None] - taps], np.arange(k * k)]
+        d = np.zeros(len(sp))
+        for t in range(k * k):
+            d += reads[:, t]
+        return d
+
+    return op(tape, out_mat.reshape(B, H, W, O), (b, _bias_vjp(O)), (w, dw), (x, dx))
 
 
 def maxpool2d(tape: Tape | None, x: Tensor, factor: int) -> Tensor:

@@ -1,6 +1,7 @@
 """Network building blocks: a stacked LSTM that reads each layer in both
 directions, a sigmoid attention head, and a small convolutional classifier
-whose activations are channels-last, (B, H, W, C).
+that reads the painted pixels of its one-channel input as values on a
+support, and whose activations are channels-last, (B, H, W, C).
 
 Parameter naming scheme (used by the optimizer and checkpoints):
     rnn.l{layer}.{fw|bw}.wx   (in_dim, 4*hidden)   gate order i, f, g, o
@@ -140,13 +141,26 @@ def rnn_attention_batch(
     return ad.mul_const(tape, attn, mask)
 
 
-def cnn_forward_batch(tape: Tape | None, images: Tensor, params: dict[str, Tensor], cfg: CnnConfig) -> Tensor:
-    """(B, H, W, 1) images -> (B, num_classes) logits, channels-last
-    throughout. relu runs after each max pool: it commutes with the max,
-    in values and in the cell each window's gradient reaches."""
-    x = images
+def cnn_forward_batch(
+    tape: Tape | None,
+    values: Tensor,
+    support: np.ndarray,
+    shape: tuple[int, int, int],
+    params: dict[str, Tensor],
+    cfg: CnnConfig,
+) -> Tensor:
+    """One-channel images -> (B, num_classes) logits.
+
+    The images are zero off a support: values (nnz,) holds them at
+    support, the strictly increasing flat indices of those pixels in the
+    (B, H, W) grid of shape. Conv 0 reads only the support
+    (conv2d_support); its output and every later activation are
+    channels-last, (B, H, W, C). relu runs after each max pool: it
+    commutes with the max, in values and in the cell each window's
+    gradient reaches."""
     for s, (_k, _ch, pool) in enumerate(cfg.stages):
-        x = ad.conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"])
+        w, b = params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]
+        x = ad.conv2d_support(tape, values, support, shape, w, b) if s == 0 else ad.conv2d(tape, x, w, b)
         x = ad.relu(tape, ad.maxpool2d(tape, x, pool))
     x = ad.global_avg_pool(tape, x)
     return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])

@@ -1,10 +1,11 @@
 """End-to-end assembly: model variants, augmentation, training, evaluation.
 
 Every variant runs per-point attention -> differentiable rasterization ->
-CNN. The RNN variants take the attention from the RNN, in one taped graph,
-so a single backward pass reaches every parameter; the baselines feed the
-same rasterizer fixed attention: all ones (binary) or the first-to-last
-ramp (order encoded).
+CNN; the CNN reads the owned pixels' values and their support, never a
+dense batch image. The RNN variants take the attention from the RNN, in
+one taped graph, so a single backward pass reaches every parameter; the
+baselines feed the same rasterizer fixed attention: all ones (binary) or
+the first-to-last ramp (order encoded).
 
 All randomness is derived from the experiment seed: parameter init from
 (seed, 0); epoch shuffling from (seed, 1, epoch); augmentation from
@@ -310,27 +311,37 @@ def randomize_stroke_order(sketch: VectorSketch, rng: np.random.Generator) -> Ve
 
 
 def _rasterize_batch(tape: Tape | None, attn: Tensor, sketches: list[VectorSketch], cfg: RasterConfig):
-    """The one bridge from per-point attention (B, T) to images (B, H, W, 1).
+    """The one bridge from per-point attention (B, T) to what the CNN reads.
 
-    Every variant and the nlr gradcheck pass through here. The vjp hands
-    each item's incoming pixel gradients to rasterize_backward and scatters
-    the result into the attention rows; fixed attention, which requires no
-    gradient, adds no tape op.
+    Returns (values, support, maps): support holds the flat indices, in
+    the (B, H, W) grid, of the pixels each item's rasterization owns, item
+    by item in row-major order, values (nnz,) their intensities, and maps
+    each item's AttentionMap, whose intensities are the one dense image.
+    Every variant and the nlr gradcheck pass through here. The vjp
+    scatters each item's value gradients into a zero (H, W) delta, hands
+    it to rasterize_backward and puts the result into the attention rows;
+    fixed attention, which requires no gradient, adds no tape op.
     """
     maps: list[AttentionMap] = []
-    images = np.zeros((len(sketches), cfg.height, cfg.width, 1))
+    owned = []
     for b, sk in enumerate(sketches):
         amap = rasterize_forward(sk, attn.data[b, : sk.n], cfg)
         maps.append(amap)
-        images[b, :, :, 0] = amap.intensities
+        owned.append(np.flatnonzero(amap.owner >= 0))
+    pixels = cfg.height * cfg.width
+    values = np.concatenate([amap.intensities.reshape(-1)[o] for amap, o in zip(maps, owned)])
+    support = np.concatenate([o + b * pixels for b, o in enumerate(owned)])
+    ends = np.cumsum([len(o) for o in owned])[:-1]
 
     def vjp(g):
         d = np.zeros_like(attn.data)
-        for b, sk in enumerate(sketches):
-            d[b, : sk.n] = rasterize_backward(maps[b], g[b, :, :, 0], sk.n)
+        for b, (sk, amap, o, g_item) in enumerate(zip(sketches, maps, owned, np.split(g, ends))):
+            delta = np.zeros(amap.owner.shape)
+            delta.reshape(-1)[o] = g_item
+            d[b, : sk.n] = rasterize_backward(amap, delta, sk.n)
         return d
 
-    return ad.op(tape, images, (attn, vjp)), maps
+    return ad.op(tape, values, (attn, vjp)), support, maps
 
 
 def _batch_inputs(sketches: list[VectorSketch], canvas_width: int):
@@ -373,8 +384,9 @@ def _forward_batch(
         for b, sk in enumerate(sketches):
             fixed[b, : sk.n] = 1.0 if config.variant == "cnn_only_binary" else order_ramp(sk.n)
         attn = ad.constant(fixed)
-    images, maps = _rasterize_batch(tape, attn, sketches, cfg_r)
-    logits = cnn_forward_batch(tape, images, state.params, config.cnn)
+    values, support, maps = _rasterize_batch(tape, attn, sketches, cfg_r)
+    shape = (len(sketches), cfg_r.height, cfg_r.width)
+    logits = cnn_forward_batch(tape, values, support, shape, state.params, config.cnn)
     return logits, attn, maps
 
 

@@ -1,6 +1,6 @@
 """Print a sha256 for every file a short training run of each variant writes.
 
-    python tests/artifact_digest.py --src src
+    python tests/artifact_digest.py --src src [--keep DIR]
 
 Trains each of the four variants for 2 epochs at the desk profile, with one
 BLAS thread, on seeded train, valid and test splits, and prints one line
@@ -13,7 +13,9 @@ training prepares them. Run it on two source trees and diff the outputs to
 check that a change keeps every prepared sketch, metrics file and
 checkpoint byte-identical. Exits 1 if an item of ``prepare_split`` differs
 from the same item through ``prepare_sketch``, so the diff covers the
-one-item path too.
+one-item path too. With ``--keep DIR`` the run's files stay in
+``DIR/<variant>/``, so ``tensor_diff.py`` can compare the checkpoints of
+two trees.
 
 Not a test module: pytest does not collect it.
 """
@@ -25,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import shutil
 import sys
 import tempfile
 
@@ -32,6 +35,7 @@ import tempfile
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", required=True, help="directory that holds the sketchattn package")
+    p.add_argument("--keep", help="directory to copy each variant's output files into")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
 
@@ -71,6 +75,8 @@ def main(argv=None) -> int:
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), "rb") as f:
                     print(f"{hashlib.sha256(f.read()).hexdigest()}  {variant}/{name}")
+            if args.keep:
+                shutil.copytree(out, os.path.join(args.keep, variant), dirs_exist_ok=True)
     if differs:
         print(f"prepare_split differs from prepare_sketch in split(s) {sorted(set(differs))}", file=sys.stderr)
         return 1

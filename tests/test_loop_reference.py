@@ -2,10 +2,12 @@
 simplification and raster coverage, the stacked bidirectional LSTM layer,
 the max and average pools and the one-draw random walk agree bit for bit
 with the loops and the channels-first ops in loop_reference.py, and
-conv2d's per-tap dx with the stacked-tap one. The channels-last conv2d
-and CNN agree with the channels-first ones to within 1e-12 (the bias
-gradient bit for bit): conv2d's chunked (k, k, C) im2col sums each dot
-product in another order, and two calls on one input give the same bits.
+conv2d's per-tap dx with the stacked-tap one. The channels-last conv2d,
+the support-only conv2d_support on the dense image rebuilt from its
+support, and the CNN agree with the channels-first ones to within 1e-12:
+conv2d's chunked (k, k, C) im2col, conv2d_support's rows of the support's
+reach and both ops' one-GEMV bias gradient sum each dot product in
+another order, and two calls on one input give the same bits.
 
 Rows come from a small coordinate grid (signed zero included), so
 consecutive duplicates, duplicate runs across stroke ends, one-point
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_reference as ref
+from image_support import densify, full_support
 from sketchattn import raster
 from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
 from sketchattn.ingest import random_sketch, synth_dataset
@@ -369,21 +372,18 @@ def _op_bits(op, channels_first, x, *operands, upstream):
 
 
 def _same_conv(x, w, b, upstream):
-    """conv2d against the NCHW reference (out, dx and dw to within 1e-12,
-    db bit for bit) and against a second call of itself, bit for bit."""
+    """conv2d against the NCHW reference (out, dx, dw and db to within
+    1e-12) and against a second call of itself, bit for bit."""
     out, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
     ref_out, ref_grads = _op_bits(ref.conv2d, True, x, w, b, upstream=upstream)
     again, again_grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
     names = ["out", "x", "w", "b"]
     for name, got, expected, repeat in zip(names, [out, *grads], [ref_out, *ref_grads], [again, *again_grads]):
         assert got.tobytes() == repeat.tobytes(), name
-        if name == "b":
-            # db sums the output gradient in the reference's order
-            assert got.tobytes() == expected.tobytes(), name
-        else:
-            # (k, k, C) columns and chunked GEMMs reorder the forward and dw
-            # dot products; dx's per-tap product is a GEMV at C=1
-            _close(got, expected, name)
+        # (k, k, C) columns and chunked GEMMs reorder the forward and dw
+        # dot products; dx's per-tap product is a GEMV at C=1, and db one
+        # GEMV over the output gradient's rows
+        _close(got, expected, name)
 
 
 @settings(max_examples=100, deadline=None)
@@ -440,6 +440,88 @@ def test_conv2d_dx_matches_tap_stack(k, C, O, B, H, W, seed):
     upstream = rng.normal(size=(B, H, W, O))
     _, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
     assert grads[0].tobytes() == ref.conv2d_dx_tap_stack(upstream, w).tobytes()
+
+
+def _support_conv_bits(values, support, shape, w, b, upstream):
+    """conv2d_support's output and the gradients of values, w and b, of sum(out * upstream)."""
+    x, wt, bt = ad.parameter(values.copy()), ad.parameter(w.copy()), ad.parameter(b.copy())
+    tape = ad.Tape()
+    out = ad.conv2d_support(tape, x, support, shape, wt, bt)
+    ad.backward(tape, ad.sum_all(tape, ad.mul_const(tape, out, upstream)))
+    return out.data, x.grad, wt.grad, bt.grad
+
+
+def _same_support_conv(support, shape, O, k, seed):
+    """conv2d_support on a support against the NCHW reference on the dense
+    image rebuilt from it: the output everywhere, dw, db and dx on the
+    support to within 1e-12 of the largest reference entry (the bound
+    was set before the op was first measured), and against a second call
+    of itself bit for bit."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=len(support))
+    w, b = rng.normal(size=(O, 1, k, k)), rng.normal(size=O)
+    upstream = rng.normal(size=(*shape, O))
+    got = _support_conv_bits(values, support, shape, w, b, upstream)
+    again = _support_conv_bits(values, support, shape, w, b, upstream)
+    assert all(a.tobytes() == c.tobytes() for a, c in zip(got, again))
+    dense = densify(values, support, shape)[..., None]
+    ref_out, (ref_dx, ref_dw, ref_db) = _op_bits(ref.conv2d, True, dense, w, b, upstream=upstream)
+    out, dx, dw, db = got
+    _close(out, ref_out, "out")
+    _close(dw, ref_dw, "w")
+    _close(db, ref_db, "b")
+    _close(dx, ref_dx.reshape(-1)[support], "x")
+
+
+def _border_support(B, H, W):
+    """The first and last rows and columns of every item: windows there
+    reach the padding, across a row end and across an item boundary."""
+    mask = np.zeros((B, H, W), dtype=bool)
+    mask[:, [0, -1], :] = True
+    mask[:, :, [0, -1]] = True
+    return np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("kind", ["empty", "full", "borders"])
+def test_conv2d_support_matches_channels_first(kind, B, k):
+    H, W = 7, 6
+    support = {
+        "empty": np.zeros(0, dtype=np.intp),
+        "full": np.arange(B * H * W),
+        "borders": _border_support(B, H, W),
+    }[kind]
+    _same_support_conv(support, (B, H, W), 5, k, B * 10 + k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 5]),
+    O=st.integers(1, 8),
+    B=st.sampled_from([1, 3]),
+    H=st.integers(1, 9),
+    W=st.integers(1, 9),
+    density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    borders=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_support_matches_channels_first_on_drawn_supports(k, O, B, H, W, density, borders, seed):
+    # canvases narrower than the kernel included
+    mask = np.random.default_rng(seed).random(B * H * W) < density
+    if borders:
+        mask[_border_support(B, H, W)] = True
+    _same_support_conv(np.flatnonzero(mask), (B, H, W), O, k, seed)
+
+
+def test_conv2d_support_matches_channels_first_on_desk_rasters():
+    cfg = desk_config(6)
+    ds = synth_dataset(3, 0)
+    sketches = [prepare_sketch(it.sketch, cfg) for it in ds.items[:16]]
+    attn = np.random.default_rng(2).uniform(0.1, 1.0, size=(16, max(sk.n for sk in sketches)))
+    _, support, _ = _rasterize_batch(None, ad.constant(attn), sketches, cfg.raster)
+    assert 0 < len(support) < 0.2 * 16 * 64 * 64
+    _same_support_conv(support, (16, 64, 64), 8, 3, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -505,18 +587,24 @@ def _cnn_bits(forward, images, params, cfg, upstream):
 
 
 def _same_cnn(images, cfg, seed):
-    """The NHWC CNN on (B, H, W, 1) images against the NCHW one on the same
-    bytes: logits and every gradient to within 1e-12."""
+    """The CNN on (B, H, W, 1) images, passed with every pixel in the
+    support, against the NCHW one on the same bytes: logits and every
+    gradient to within 1e-12."""
     rng = np.random.default_rng(seed)
     params = init_cnn_params(rng, cfg)
     upstream = rng.normal(size=(images.shape[0], cfg.num_classes))
-    logits, grads, dimage = _cnn_bits(cnn_forward_batch, images, params, cfg, upstream)
+    values, support, shape = full_support(images)
+
+    def forward(tape, x, tensors, cfg):
+        return cnn_forward_batch(tape, x, support, shape, tensors, cfg)
+
+    logits, grads, dimage = _cnn_bits(forward, values, params, cfg, upstream)
     B, H, W, _ = images.shape
     ref_logits, ref_grads, ref_dimage = _cnn_bits(ref.cnn_forward_batch, images.reshape(B, 1, H, W), params, cfg, upstream)
     _close(logits, ref_logits, "logits")
     for name in ref_grads:
         _close(grads[name], ref_grads[name], name)
-    _close(dimage, ref_dimage.reshape(B, H, W, 1), "images")
+    _close(dimage.reshape(B, H, W, 1), ref_dimage.reshape(B, H, W, 1), "images")
 
 
 def test_cnn_matches_channels_first_on_desk_rasters():
@@ -524,10 +612,11 @@ def test_cnn_matches_channels_first_on_desk_rasters():
     ds = synth_dataset(3, 0)
     sketches = [prepare_sketch(it.sketch, cfg) for it in ds.items[:16]]
     attn = np.random.default_rng(1).uniform(0.1, 1.0, size=(16, max(sk.n for sk in sketches)))
-    images, _ = _rasterize_batch(ad.Tape(), ad.constant(attn), sketches, cfg.raster)
-    assert images.data.shape == (16, 64, 64, 1)
-    _same_cnn(images.data, cfg.cnn, 0)
-    _same_cnn(images.data[3:4], cfg.cnn, 1)
+    values, support, _ = _rasterize_batch(ad.Tape(), ad.constant(attn), sketches, cfg.raster)
+    images = densify(values.data, support, (16, 64, 64))[..., None]
+    assert images.shape == (16, 64, 64, 1)
+    _same_cnn(images, cfg.cnn, 0)
+    _same_cnn(images[3:4], cfg.cnn, 1)
 
 
 _cnn_stages = st.lists(

@@ -28,6 +28,7 @@ from sketchattn.net.optim import ModelState, adam_step, load_checkpoint, save_ch
 from sketchattn.pipeline import VARIANTS, _batch_inputs
 
 import loop_reference as ref
+from image_support import full_support
 import tape_ops as ops
 
 
@@ -50,8 +51,10 @@ def attention_for(sketch, cfg, params, tape=None, dropout_rng=None):
 
 
 def cnn_logits(image, cfg, params):
-    """(H, W) image -> (num_classes,) logits through the B=1 batch path."""
-    return cnn_forward_batch(Tape(), ad.constant(image[None, :, :, None]), params, cfg).data[0]
+    """(H, W) image -> (num_classes,) logits through the B=1 batch path,
+    every pixel in the support."""
+    values, support, shape = full_support(image[None])
+    return cnn_forward_batch(Tape(), ad.constant(values), support, shape, params, cfg).data[0]
 
 
 def ce_loss_and_grad(logits, label):
@@ -133,6 +136,9 @@ def _away_from_zero(rng, shape):
     return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.2, 1.0, size=shape)
 
 
+# a support in the (2, 5, 4) grid with pixels on both items' borders
+_SUPPORT = np.array([0, 3, 5, 9, 10, 19, 20, 23, 31, 36, 39])
+
 # every op routed through ad.op, the package's and the test-local tape_ops
 # the reference LSTM is built from: (operand arrays, forward on those tensors)
 OP_CASES = {
@@ -152,6 +158,10 @@ OP_CASES = {
     "conv2d": (
         lambda r: [r.normal(size=(2, 5, 4, 2)), r.normal(size=(3, 2, 3, 3)), r.normal(size=3)],
         lambda t, x, w, b: ad.conv2d(t, x, w, b),
+    ),
+    "conv2d_support": (
+        lambda r: [r.normal(size=len(_SUPPORT)), r.normal(size=(3, 1, 3, 3)), r.normal(size=3)],
+        lambda t, x, w, b: ad.conv2d_support(t, x, _SUPPORT, (2, 5, 4), w, b),
     ),
     "maxpool2d_cropped": (lambda r: [_away_from_zero(r, (2, 5, 7, 2))], lambda t, a: ad.maxpool2d(t, a, 2)),
     "maxpool2d_factor3": (lambda r: [_away_from_zero(r, (1, 7, 6, 2))], lambda t, a: ad.maxpool2d(t, a, 3)),
@@ -235,16 +245,18 @@ def _captured(fn, name):
 
 
 def _conv_captures(tape):
-    """Weak references to the arrays the conv2d vjps on tape keep alive,
-    each checked to be that conv's padded input, never a column matrix of
-    B*H*W rows."""
-    held = {}
+    """Weak references to the arrays the conv vjps on tape keep alive, by
+    op: each conv2d's is its padded input, never a column matrix of
+    B*H*W rows; conv2d_support's are its columns and index arrays, each
+    of fewer rows than the B*H*W pixels of a dense image."""
+    held = {"conv2d": {}, "conv2d_support": {}}
     for fn in tape._ops:
         edges = _captured(fn, "edges")
-        if not edges[0][1].__qualname__.startswith("conv2d."):
+        kind = edges[-1][1].__qualname__.split(".")[0]
+        if kind not in held:
             continue
         (_b, _), (w, _), (x, _) = edges
-        B, H, W, C = x.data.shape
+        B, H, W, _O = _captured(fn, "out").data.shape
         k = w.data.shape[2]
         for _t, vjp in edges:
             for cell in vjp.__closure__ or ():
@@ -252,9 +264,12 @@ def _conv_captures(tape):
                 if isinstance(a, np.ndarray):
                     while a.base is not None:
                         a = a.base
-                    assert a.shape == (B, H + k - 1, W + k - 1, C), vjp.__qualname__
-                    held[id(a)] = weakref.ref(a)
-    return list(held.values())
+                    if kind == "conv2d":
+                        assert a.shape == (B, H + k - 1, W + k - 1, x.data.shape[3]), vjp.__qualname__
+                    else:
+                        assert a.shape[0] < B * H * W, vjp.__qualname__
+                    held[kind][id(a)] = weakref.ref(a)
+    return {kind: list(refs.values()) for kind, refs in held.items()}
 
 
 def _desk_step(variant):
@@ -277,10 +292,10 @@ class TestBackwardFreesAsItGoes:
         params, tape, loss = _desk_step("sketch_r2cnn")
         n_ops = len(tape)
         held = _conv_captures(tape)
-        assert len(held) == 3
+        assert len(held["conv2d"]) == 2 and len(held["conv2d_support"]) > 0
         backward(tape, loss)
         assert len(tape) == n_ops
-        assert all(a() is None for a in held)
+        assert all(a() is None for refs in held.values() for a in refs)
         assert all(p.grad is not None for p in params.values())
 
     def test_view_of_g_is_copied_not_handed_over(self):
@@ -635,11 +650,11 @@ class TestCnn:
         for name, p in params.items():
             if name.endswith(".b"):
                 p.data += rng.normal(0, 0.05, p.data.shape)  # move relu off its kink
-        image = rng.normal(size=(1, 8, 8, 1))
+        values, support, shape = full_support(rng.normal(size=(1, 8, 8, 1)))
         labels = np.array([1])
 
         def fn(tape):
-            logits = cnn_forward_batch(tape, ad.constant(image), params, cfg)
+            logits = cnn_forward_batch(tape, ad.constant(values), support, shape, params, cfg)
             return cross_entropy_logits(tape, logits, labels)
 
         rep = grad_check(fn, params, step=1e-5, tolerance=1e-4)
@@ -670,7 +685,8 @@ class TestCnn:
         cfg = CnnConfig(stages=((3, 4, 2),) * num_stages, num_classes=3)
         params = init_cnn_params(rng, cfg)
         tape = Tape()
-        cnn_forward_batch(tape, ad.constant(rng.normal(size=(2, 16, 16, 1))), params, cfg)
+        values, support, shape = full_support(rng.normal(size=(2, 16, 16, 1)))
+        cnn_forward_batch(tape, ad.constant(values), support, shape, params, cfg)
         assert len(tape) == 3 * num_stages + 2
 
     def test_config_validation(self):

@@ -42,6 +42,7 @@ from sketchattn.pipeline import (
 from sketchattn.raster import RasterConfig, rasterize_forward
 from sketchattn.simplify import SimplifyConfig
 
+from image_support import densify
 from sketch_strategies import assert_same_bytes, simplify_configs, splits
 
 TINY = dict(
@@ -153,22 +154,55 @@ class TestRasterizeBatch:
         rows[1, 2:] = 0.0
 
         tape = Tape()
-        images, maps = _rasterize_batch(tape, ad.constant(rows), sketches, cfg)
+        values, support, maps = _rasterize_batch(tape, ad.constant(rows), sketches, cfg)
         assert len(tape) == 0
-        assert images.data.shape == (2, 48, 48, 1)
+        assert values.data.shape == support.shape == (len(support),)
+        images = densify(values.data, support, (2, 48, 48))
         for b, sk in enumerate(sketches):
             expect = rasterize_forward(sk, rows[b, : sk.n], cfg)
-            np.testing.assert_array_equal(images.data[b, :, :, 0], expect.intensities)
+            np.testing.assert_array_equal(images[b], expect.intensities)
             np.testing.assert_array_equal(maps[b].owner, expect.owner)
 
         tape = Tape()
         attn = ad.parameter(rows)
-        images, maps = _rasterize_batch(tape, attn, sketches, cfg)
+        values, support, maps = _rasterize_batch(tape, attn, sketches, cfg)
         assert len(tape) == 1
-        backward(tape, ad.sum_all(tape, images))
+        backward(tape, ad.sum_all(tape, values))
         assert np.all(attn.grad[1, 2:] == 0.0)
         for b, sk in enumerate(sketches):
             assert attn.grad[b, : sk.n].sum() == pytest.approx(maps[b].owned_pixel_count, abs=1e-9)
+
+    @given(st.integers(1, 4), st.integers(0, 2**16), st.sampled_from([(16, 16), (24, 40), (64, 64)]))
+    def test_values_support_and_vjp_match_per_item_rasterization(self, B, seed, size):
+        from sketchattn.net.autodiff import backward
+        from sketchattn.pipeline import _rasterize_batch
+        from sketchattn.raster import rasterize_backward
+
+        rng = np.random.default_rng(seed)
+        H, W = size
+        cfg = RasterConfig(width=W, height=H, epsilon=1.0)
+        sketches = [
+            normalize_to_canvas(random_sketch(rng, int(rng.integers(1, 30)), 64.0, 64.0), W, H, CANVAS_MARGIN)
+            for _ in range(B)
+        ]
+        rows = rng.uniform(0.1, 0.9, size=(B, max(sk.n for sk in sketches)))
+        tape = Tape()
+        attn = ad.parameter(rows)
+        values, support, maps = _rasterize_batch(tape, attn, sketches, cfg)
+        assert support.dtype.kind == "i" and np.all(np.diff(support) > 0)
+        upstream = rng.normal(size=values.data.shape)
+        backward(tape, ad.sum_all(tape, ad.mul_const(tape, values, upstream)))
+        for b, sk in enumerate(sketches):
+            mine = (support >= b * H * W) & (support < (b + 1) * H * W)
+            expect = rasterize_forward(sk, rows[b, : sk.n], cfg)
+            owned = expect.owner >= 0
+            # the item's owned pixels, row-major, bit for bit
+            assert support[mine].tolist() == (np.flatnonzero(owned) + b * H * W).tolist()
+            assert values.data[mine].tobytes() == expect.intensities[owned].tobytes()
+            delta = np.zeros((H, W))
+            delta[owned] = upstream[mine]
+            assert attn.grad[b, : sk.n].tobytes() == rasterize_backward(expect, delta, sk.n).tobytes()
+            assert np.all(attn.grad[b, sk.n :] == 0.0)
 
 
 class TestPrepareSplit:
