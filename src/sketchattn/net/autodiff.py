@@ -22,11 +22,31 @@ every later one, is added into a zero buffer. Either way the gradient
 holds the same values, up to the sign of a zero.
 
 An op keeps what its vjps need and no more: conv2d streams its im2col
-columns through a workspace of about 1 MiB per call and keeps only the
-padded input, from which dw rebuilds them chunk by chunk. conv2d_support,
-the first conv, reads a one-channel image as its values on a support of
+columns through about 1 MiB of buffer per call and keeps only the padded
+input, from which dw rebuilds them chunk by chunk. conv2d_support, the
+first conv, reads a one-channel image as its values on a support of
 pixels, computes only the output rows that support reaches and keeps
 only their columns; its dx lives on the support alone.
+
+A tape may carry a Workspace: training builds one per epoch and gives it
+to every step's tape, and the ops that make a step's large arrays (conv2d,
+conv2d_support, maxpool2d, relu, lstm) take them from it through _buffer,
+so each step reuses the memory of the last instead of faulting in fresh
+pages. Without a workspace (inference passes no tape at all) they are
+plain np.empty/np.zeros arrays. Only memory placement changes, never
+arithmetic, so the bits are the same either way. The lifetime rules:
+
+- a workspace array is reused only once nothing reads it again: op()
+  gives it back when backward has run the closure of its last reader
+  (see Workspace), and a new tape may claim the workspace only once the
+  last one has run backward or been dropped (else WorkspaceBusyError);
+- an operand may take a workspace array that a vjp returned as its
+  gradient, as it takes a new array; that gradient is given back once
+  the op that made the operand has read it;
+- no parameter gradient that reaches adam_step is a workspace array:
+  every dw and db is a new array;
+- no tensor that outlives the step is a workspace array: the logits, the
+  attention and the loss are new arrays.
 
 The op set covers exactly what the sketch pipeline runs (a fused
 bidirectional LSTM layer, a linear head, a small channels-last CNN on
@@ -36,12 +56,15 @@ cross entropy); it is not a general-purpose autodiff.
 
 from __future__ import annotations
 
+import bisect
+import math
+import weakref
 from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import LabelOutOfRangeError, ShapeMismatchError, TapeConsumedError
+from ..errors import LabelOutOfRangeError, ShapeMismatchError, TapeConsumedError, WorkspaceBusyError
 
 
 class Tensor:
@@ -60,14 +83,113 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class Tape:
-    """Recorded computation of one forward pass."""
+# a Workspace's arrays start on multiples of _ALIGN bytes within segments
+# of at least _SEGMENT bytes (4 MiB)
+_ALIGN = 64
+_SEGMENT = 1 << 22
 
-    __slots__ = ("_ops", "_consumed")
+
+class Workspace:
+    """The step buffers of one training run, reused from step to step.
+
+    A tape built on a workspace claims it; the ops it records take their
+    large arrays from it (through _buffer), and op() gives each array back
+    as soon as backward has passed its last reader:
+    - the arrays an op took in its forward (those taken since the previous
+      op was recorded) once its closure has run, since every reader of
+      them was recorded after it;
+    - what a closure took once it has run, except a result it handed over
+      as an operand's gradient;
+    - a handed-over gradient once the closure of the op that made its
+      tensor has read it.
+    An op may give back a scratch array early (give_back).
+
+    The arrays are views of byte segments, each placed at the smallest
+    free range that holds it; a range given back merges with its free
+    neighbours. A request that finds no room adds a segment of _SEGMENT
+    bytes, or of its own size if larger, so capacity only grows. Once the
+    first steps have sized it, a step allocates nothing, and the segments
+    hold little more than what a step has live at once.
+    """
+
+    __slots__ = ("_segments", "_free", "_live", "_log", "_recorded", "_holder", "__weakref__")
 
     def __init__(self):
+        self._segments: list[np.ndarray] = []
+        self._free: list[tuple[int, int, int]] = []  # (segment, start, stop): byte ranges no live array uses, in order
+        self._live: dict[int, tuple] = {}  # id(array handed out) -> (array, its range)
+        self._log: list[np.ndarray] = []  # arrays handed out in the running step, in order
+        self._recorded = 0  # len(_log) when the last op was recorded
+        self._holder = None  # weak reference to the tape that claimed it last
+
+    def _claim(self, tape: "Tape") -> None:
+        holder = self._holder() if self._holder is not None else None
+        if holder is not None and not holder._consumed:
+            raise WorkspaceBusyError("the workspace's last tape has not run backward and is still alive")
+        self._holder = weakref.ref(tape)
+        self._free = [(k, 0, seg.nbytes) for k, seg in enumerate(self._segments)]
+        self._live.clear()
+        self._log.clear()
+        self._recorded = 0
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialised array that no other live array of the step
+        shares memory with."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        size = max(-(-nbytes // _ALIGN) * _ALIGN, _ALIGN)
+        fits = [i for i, (_k, lo, hi) in enumerate(self._free) if hi - lo >= size]
+        if not fits:
+            self._segments.append(np.empty(max(size, _SEGMENT), np.uint8))
+            self._free.append((len(self._segments) - 1, 0, self._segments[-1].nbytes))
+            fits = [len(self._free) - 1]
+        i = min(fits, key=lambda i: self._free[i][2] - self._free[i][1])
+        k, lo, hi = self._free[i]
+        if hi - lo == size:
+            del self._free[i]
+        else:
+            self._free[i] = (k, lo + size, hi)
+        a = self._segments[k][lo : lo + nbytes].view(dtype).reshape(shape)
+        self._live[id(a)] = (a, (k, lo, lo + size))
+        self._log.append(a)
+        return a
+
+    def holds(self, a) -> bool:
+        """Whether a is an array take handed out and nothing gave back."""
+        entry = self._live.get(id(a))
+        return entry is not None and entry[0] is a
+
+    def give_back(self, a) -> None:
+        """Free the range of an array take handed out (else nothing)."""
+        entry = self._live.pop(id(a), None)
+        if entry is None:
+            return
+        k, lo, hi = entry[1]
+        i = bisect.bisect(self._free, entry[1])
+        if i < len(self._free) and self._free[i][:2] == (k, hi):
+            hi = self._free.pop(i)[2]
+        if i > 0 and (self._free[i - 1][0], self._free[i - 1][2]) == (k, lo):
+            i -= 1
+            lo = self._free.pop(i)[1]
+        self._free.insert(i, (k, lo, hi))
+
+    def buffers(self) -> tuple[np.ndarray, ...]:
+        """Every segment."""
+        return tuple(self._segments)
+
+
+class Tape:
+    """Recorded computation of one forward pass, and the workspace (or
+    None) its ops take their step buffers from."""
+
+    __slots__ = ("_ops", "_consumed", "workspace", "__weakref__")
+
+    def __init__(self, workspace: Workspace | None = None):
         self._ops = []
         self._consumed = False
+        self.workspace = workspace
+        if workspace is not None:
+            workspace._claim(self)
 
     def record(self, backward_fn) -> None:
         self._ops.append(backward_fn)
@@ -117,43 +239,74 @@ def op(tape: Tape | None, data, *edges) -> Tensor:
     reached and runs only the vjps of operands that require one.
 
     An operand with no gradient yet takes the vjp's result as its gradient
-    when that result owns its memory, shares none with g and has the
-    operand's dtype, shape and strides; otherwise, and for every later
-    contribution, the result is added into the operand's gradient, which
-    starts as zeros. A handed-over result may hold -0.0 where the sum
-    0.0 + -0.0 held 0.0.
+    when that result owns its memory (or is an array the tape's workspace
+    handed out), shares none with g and has the operand's dtype, shape and
+    strides; otherwise, and for every later contribution, the result is
+    added into the operand's gradient, which starts as zeros. A
+    handed-over result may hold -0.0 where the sum 0.0 + -0.0 held 0.0.
+    With a workspace, the closure then gives back what is not read again:
+    what its vjps took, except a handed-over gradient, what the op took in
+    its forward, and g.
     """
     out = Tensor(data, tape is not None and any(t.requires_grad for t, _ in edges))
     if out.requires_grad:
+        ws, taken = tape.workspace, ()
+        if ws is not None:  # what the op took since the last op was recorded
+            taken, ws._recorded = ws._log[ws._recorded :], len(ws._log)
 
         def bwd():
             g = out.grad
             if g is None:
                 return
+            mark = len(ws._log) if ws is not None else 0
             for t, vjp in edges:
                 if t.requires_grad:
                     d = vjp(g)
                     if t.grad is not None:
                         t.grad += d
-                    elif _owned_like(d, t.data) and not np.may_share_memory(d, g):
+                    elif _owned_like(d, t.data, ws) and not np.may_share_memory(d, g):
                         t.grad = d
                     else:
                         t.grad = np.zeros_like(t.data)
                         t.grad += d
+            if ws is not None:  # nothing reads these again (see Workspace)
+                grads = {id(t.grad) for t, _ in edges}
+                for a in (*(a for a in ws._log[mark:] if id(a) not in grads), *taken, g):
+                    ws.give_back(a)
 
         tape.record(bwd)
     return out
 
 
-def _owned_like(d, data: np.ndarray) -> bool:
-    """Whether d is an array that owns its memory, laid out like data."""
+def _owned_like(d, data: np.ndarray, ws: Workspace | None) -> bool:
+    """Whether d is an array that owns its memory, or that ws handed out
+    and still holds for it, laid out like data."""
     return (
         isinstance(d, np.ndarray)
-        and d.base is None
+        and (d.base is None or (ws is not None and ws.holds(d)))
         and d.dtype == data.dtype
         and d.shape == data.shape
         and d.strides == data.strides
     )
+
+
+def _buffer(tape: Tape | None, shape, dtype=np.float64, *, zero: bool = False) -> np.ndarray:
+    """A step array: from the tape's workspace when it has one, else
+    np.empty (np.zeros if zero)."""
+    ws = tape.workspace if tape is not None else None
+    if ws is None:
+        return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
+    a = ws.take(shape, dtype)
+    if zero:
+        a.fill(0)
+    return a
+
+
+def _give_back(tape: Tape | None, *arrays) -> None:
+    """Give back to the tape's workspace, if any, arrays no one reads again."""
+    if tape is not None and tape.workspace is not None:
+        for a in arrays:
+            tape.workspace.give_back(a)
 
 
 def mul_const(tape: Tape | None, a: Tensor, c) -> Tensor:
@@ -187,7 +340,8 @@ def sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
 
 
 def relu(tape: Tape | None, a: Tensor) -> Tensor:
-    return op(tape, np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
+    out = np.maximum(a.data, 0.0, out=_buffer(tape, a.data.shape))
+    return op(tape, out, (a, lambda g: np.multiply(g, a.data > 0, out=_buffer(tape, g.shape))))
 
 
 def reshape(tape: Tape | None, a: Tensor, shape) -> Tensor:
@@ -235,18 +389,23 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
         return np.take_along_axis(a, idx, axis=1)
 
     wx, wh, b = (np.stack([fw[k].data, bw[k].data]) for k in range(3))
-    xs = np.stack([x.data, reverse(x.data)]).reshape(2, B * T, D)
-    xw = (xs @ wx).reshape(2, B, T, 4 * H)
+    xs = _buffer(tape, (2, B, T, D))
+    xs[0] = x.data
+    xs[1] = reverse(x.data)
+    xs = xs.reshape(2, B * T, D)
+    xw_buf = _buffer(tape, (2, B * T, 4 * H))
+    xw = np.matmul(xs, wx, out=xw_buf).reshape(2, B, T, 4 * H)
     b = b[:, None, :]
     keep = tape is not None and any(t.requires_grad for t in (x, *fw, *bw))
     rows = T if keep else 1
-    acts = np.empty((rows, 2, B, 4 * H))
-    cs = np.zeros((T + 1 if keep else 1, 2, B, H))  # row 0: the zero state
-    tcs = np.empty((rows, 2, B, H))
-    hs = np.empty((T + 1, 2, B, H))
+    acts = _buffer(tape, (rows, 2, B, 4 * H))
+    cs = _buffer(tape, (T + 1 if keep else 1, 2, B, H))
+    cs[0] = 0.0  # the zero state
+    tcs = _buffer(tape, (rows, 2, B, H))
+    hs = _buffer(tape, (T + 1, 2, B, H))
     hs[0] = 0.0
-    z = np.empty((2, B, 4 * H))
-    ig = np.empty((2, B, H))
+    z = _buffer(tape, (2, B, 4 * H))
+    ig = _buffer(tape, (2, B, H))
     gates = tuple(acts[..., k * H : (k + 1) * H] for k in range(4))  # i, f, g, o
     if keep:
         step_rows = zip(acts, *gates, cs[:-1], cs[1:], tcs)
@@ -270,9 +429,10 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
             c += ig
             np.tanh(c, out=tc)
             np.multiply(o, tc, out=h)
-    out = np.empty((B, T, 2 * H))
+    out = _buffer(tape, (B, T, 2 * H))
     out[..., :H] = hs[1:, 0].transpose(1, 0, 2)
     out[..., H:] = reverse(hs[1:, 1].transpose(1, 0, 2))
+    _give_back(tape, xw_buf, z, ig)
     saved = [acts, cs, tcs] if keep else []  # what only BPTT reads
     del acts, cs, tcs
     dz_run = []  # dZ (2, B*T, 4H), filled by whichever vjp runs first
@@ -286,7 +446,7 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
         i, f, g, o = a4[..., 0, :], a4[..., 1, :], a4[..., 2, :], a4[..., 3, :]
         # dZ_t = k_t * (dc_t for gates i, f, g; dh_t for gate o); k is
         # built time-major through a view of dZ's batch-major buffer
-        d = np.empty((2, B, T, 4, H))
+        d = _buffer(tape, (2, B, T, 4, H))
         k = d.transpose(2, 0, 1, 3, 4)
         tmp = cs[:-1]  # c_{t-1}, spent once k's f factor holds it
         np.multiply(tmp, f, out=k[..., 1, :])
@@ -305,10 +465,13 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
         np.multiply(tcs, tcs, out=dc_dh)
         np.subtract(1.0, dc_dh, out=dc_dh)
         np.multiply(o, dc_dh, out=dc_dh)
-        dout = np.stack([grad[..., :H], reverse(grad[..., H:])]).transpose(2, 0, 1, 3)
+        douts = _buffer(tape, (2, B, T, H))
+        douts[0] = grad[..., :H]
+        douts[1] = reverse(grad[..., H:])
+        dout = douts.transpose(2, 0, 1, 3)
         whT = wh.transpose(0, 2, 1)
-        dh, dc = np.empty((2, B, H)), np.empty((2, B, H))
-        dh_next, dc_next = np.zeros((2, B, H)), np.zeros((2, B, H))
+        dh, dc = _buffer(tape, (2, B, H)), _buffer(tape, (2, B, H))
+        dh_next, dc_next = _buffer(tape, (2, B, H), zero=True), _buffer(tape, (2, B, H), zero=True)
         dc_gates = dc[:, :, None, :]
         d_steps = d.reshape(2, B, T, 4 * H).transpose(2, 0, 1, 3)
         steps = (dout, dc_dh, f, k[..., :3, :], k[..., 3, :], d_steps)
@@ -320,19 +483,21 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
             k_o *= dh
             np.matmul(d_t, whT, out=dh_next)
             np.multiply(dc, f_t, out=dc_next)
+        _give_back(tape, acts, cs, tcs, douts, dh, dc, dh_next, dc_next)
         dz_run.append(d.reshape(2, B * T, 4 * H))
         return dz_run[0]
 
     def dx(grad):
-        dxs = (dz(grad) @ wx.transpose(0, 2, 1)).reshape(2, B, T, D)
+        dxs = np.matmul(dz(grad), wx.transpose(0, 2, 1), out=_buffer(tape, (2, B * T, D))).reshape(2, B, T, D)
         return dxs[0] + reverse(dxs[1])
 
     def direction(r, p):
         wx_t, wh_t, b_t = p
 
         def dwh(grad):
-            h_prev = np.ascontiguousarray(hs[:-1, r].transpose(1, 0, 2)).reshape(B * T, H)
-            return h_prev.T @ dz(grad)[r]
+            h_prev = _buffer(tape, (B, T, H))
+            np.copyto(h_prev, hs[:-1, r].transpose(1, 0, 2))
+            return h_prev.reshape(B * T, H).T @ dz(grad)[r]
 
         return (
             (wx_t, lambda g: xs[r].T @ dz(g)[r]),
@@ -355,23 +520,43 @@ def _shift(n: int, d: int) -> tuple[slice, slice]:
     return slice(max(d, 0), max(min(n, n + d), 0)), slice(max(-d, 0), max(min(n, n - d), 0))
 
 
-# float64 entries (1 MiB) of one conv2d call's im2col workspace; a chunk
-# is as many whole images as fit, and at least one
+# float64 entries (1 MiB) of one conv2d call's im2col buffer; a chunk is
+# as many whole images as fit, and at least one
 _COL_BUDGET = 1 << 17
+# float64 entries of conv2d's dx slab, the per-tap product of a chunk of
+# whole images (at least one), sized to stay in cache between its k*k
+# shifted adds
+_DX_BUDGET = 1 << 14
 
 
-def _im2col_chunks(win: np.ndarray):
+def _images_per_chunk(budget: int, per_image: int, B: int) -> int:
+    return min(B, max(1, budget // per_image))
+
+
+def _im2col_chunks(win: np.ndarray, work: np.ndarray):
     """Yield (rows, cols): each chunk of whole images as a row slice of the
     (B*H*W, k*k*C) im2col matrix and its columns, copied from the window
-    view win (B, H, W, k, k, C) into one workspace reused across chunks."""
+    view win (B, H, W, k, k, C) into work (n, H, W, k, k, C), reused
+    across chunks of n images."""
     B, H, W, k, _, C = win.shape
-    n = max(1, _COL_BUDGET // (H * W * k * k * C))
-    work = np.empty((min(n, B), H, W, k, k, C))
+    n = work.shape[0]
     for lo in range(0, B, n):
         hi = min(lo + n, B)
         cols = work[: hi - lo]
         np.copyto(cols, win[lo:hi])
         yield slice(lo * H * W, hi * H * W), cols.reshape((hi - lo) * H * W, k * k * C)
+
+
+def _padded(tape: Tape | None, x: np.ndarray, pad: int) -> np.ndarray:
+    """x (B, H, W, C) zero-padded by pad on both spatial axes."""
+    B, H, W, C = x.shape
+    xp = _buffer(tape, (B, H + 2 * pad, W + 2 * pad, C))
+    xp[:, :pad] = 0.0
+    xp[:, H + pad :] = 0.0
+    xp[:, pad : H + pad, :pad] = 0.0
+    xp[:, pad : H + pad, W + pad :] = 0.0
+    xp[:, pad : H + pad, pad : W + pad] = x
+    return xp
 
 
 def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -380,45 +565,56 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (B, H, W, C), w: (O, C, k, k), b: (O,) -> (B, H, W, O). im2col in
     (k, k, C) column order, the order of the padded NHWC window view, with
     w reshaped to match: the columns of each chunk of whole images are
-    copied into a workspace of about _COL_BUDGET entries and multiplied
-    into their rows of the output. The tape keeps the padded input, not
-    the columns; dw rebuilds them chunk by chunk into its own workspace
-    and sums the chunks' GEMMs in chunk order. dx runs one
-    (B*H*W, O) @ (O, C) GEMM per kernel tap, in tap order, into one reused
-    slab, and adds the part of each slab that lands inside the image at
-    the tap's shift; what fell on the padding is never stored. dx is a new
-    contiguous (B, H, W, C) array. db is one GEMV, ones(B*H*W) @ g.
+    copied into a buffer of about _COL_BUDGET entries and multiplied into
+    their rows of the output. The tape keeps the padded input, not the
+    columns; dw rebuilds them chunk by chunk into its own buffer and sums
+    the chunks' GEMMs in chunk order. dx runs per chunk of whole images
+    of about _DX_BUDGET slab entries: one (n*H*W, O) @ (O, C) GEMM per
+    kernel tap, in tap order, into one reused slab, adding the part of
+    each slab that lands inside the image at the tap's shift; what fell on
+    the padding is never stored. Each pixel's sum runs in tap order, as
+    unchunked. dx is a contiguous (B, H, W, C) array that owns its memory.
+    db is one GEMV, ones(B*H*W) @ g.
     """
     B, H, W, C = x.data.shape
     O = w.data.shape[0]
     k = w.data.shape[2]
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = _padded(tape, x.data, pad)
     win = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)  # (B, H, W, k, k, C)
     w_mat = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0)).reshape(k * k * C, O)
-    out_mat = np.empty((B * H * W, O))
-    for rows, cols in _im2col_chunks(win):
+    n_cols = _images_per_chunk(_COL_BUDGET, H * W * k * k * C, B)
+    out_mat = _buffer(tape, (B * H * W, O))
+    work = _buffer(tape, (n_cols, H, W, k, k, C))
+    for rows, cols in _im2col_chunks(win, work):
         np.matmul(cols, w_mat, out=out_mat[rows])
+    _give_back(tape, work)
     out_data = out_mat.reshape(B, H, W, O)
     out_data += b.data
 
     def dw(g):
         g_mat = g.reshape(B * H * W, O)
-        d = sum(cols.T @ g_mat[rows] for rows, cols in _im2col_chunks(win))
+        work = _buffer(tape, (n_cols, H, W, k, k, C))
+        d = sum(cols.T @ g_mat[rows] for rows, cols in _im2col_chunks(win, work))
+        _give_back(tape, work)
         return np.ascontiguousarray(d.reshape(k, k, C, O).transpose(3, 2, 0, 1))
 
     def dx(g):
         g_mat = g.reshape(B * H * W, O)
         w_taps = w.data.transpose(2, 3, 0, 1).reshape(k * k, O, C)
-        slab = np.empty((B * H * W, C))
-        tap = slab.reshape(B, H, W, C)
-        d = np.zeros((B, H, W, C))
-        for u in range(k):
-            row_to, row_from = _shift(H, u - pad)
-            for v in range(k):
-                col_to, col_from = _shift(W, v - pad)
-                np.matmul(g_mat, w_taps[u * k + v], out=slab)
-                d[:, row_to, col_to] += tap[:, row_from, col_from]
+        n = _images_per_chunk(_DX_BUDGET, H * W * C, B)
+        slab = _buffer(tape, (n * H * W, C))
+        d = _buffer(tape, (B, H, W, C), zero=True)
+        for lo in range(0, B, n):
+            hi = min(lo + n, B)
+            g_chunk, part = g_mat[lo * H * W : hi * H * W], slab[: (hi - lo) * H * W]
+            tap, d_chunk = part.reshape(hi - lo, H, W, C), d[lo:hi]
+            for u in range(k):
+                row_to, row_from = _shift(H, u - pad)
+                for v in range(k):
+                    col_to, col_from = _shift(W, v - pad)
+                    np.matmul(g_chunk, w_taps[u * k + v], out=part)
+                    d_chunk[:, row_to, col_to] += tap[:, row_from, col_from]
         return d
 
     return op(tape, out_data, (b, _bias_vjp(O)), (w, dw), (x, dx))
@@ -462,16 +658,18 @@ def conv2d_support(tape: Tape | None, x: Tensor, support: np.ndarray, shape, w: 
         return (row + p * (2 * (row // H) + 1)) * Wp + (col + p)
 
     sp = padded(support)
-    grid = np.zeros(B * Hp * Wp, dtype=bool)
+    grid = _buffer(tape, (B * Hp * Wp,), bool, zero=True)
     grid[(sp[:, None] - taps).reshape(-1)] = True
     rows = np.flatnonzero(grid.reshape(B, Hp, Wp)[:, p : p + H, p : p + W])
     rows_p = padded(rows)
-    flat = np.zeros(grid.shape)
+    flat = _buffer(tape, grid.shape, zero=True)
     flat[sp] = x.data
-    cols = flat[rows_p[:, None] + taps]
+    # every index is in range; "clip" lets take write into out unbuffered
+    cols = np.take(flat, rows_p[:, None] + taps, out=_buffer(tape, (len(rows), k * k)), mode="clip")
+    _give_back(tape, grid, flat)
     del grid, flat
     w_mat = np.ascontiguousarray(w.data.reshape(O, k * k).T)
-    out_mat = np.empty((B * H * W, O))
+    out_mat = _buffer(tape, (B * H * W, O))
     out_mat[...] = b.data
     hit = cols @ w_mat
     hit += b.data
@@ -508,19 +706,23 @@ def maxpool2d(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     deterministic. The vjp copies the gradient onto that element rather
     than multiplying by a mask, so an inf gradient leaves the others 0."""
     f = factor
-    Ho, Wo = x.data.shape[1] // f, x.data.shape[2] // f
+    B, H, W, C = x.data.shape
+    Ho, Wo = H // f, W // f
     cells = [np.s_[:, i : Ho * f : f, j : Wo * f : f] for i in range(f) for j in range(f)]
-    out_data = x.data[cells[0]].copy()
+    out_data = _buffer(tape, (B, Ho, Wo, C))
+    np.copyto(out_data, x.data[cells[0]])
     for cell in cells[1:]:
         np.maximum(out_data, x.data[cell], out=out_data)
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
-        free = np.ones(out_data.shape, dtype=bool)
+        dx = _buffer(tape, x.data.shape, zero=True)
+        free = _buffer(tape, out_data.shape, bool)
+        free.fill(True)
+        first = _buffer(tape, out_data.shape, bool)
         for cell in cells:
-            first = np.equal(x.data[cell], out_data)
+            np.equal(x.data[cell], out_data, out=first)
             first &= free
-            dx[cell] = np.where(first, g, 0.0)
+            np.copyto(dx[cell], g, where=first)
             free ^= first
         return dx
 

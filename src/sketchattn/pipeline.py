@@ -40,7 +40,7 @@ from .errors import (
 from .geometry import CANVAS_MARGIN, VectorSketch, normalize_to_canvas, stroke_slices
 from .ingest import Dataset, check_document
 from .net import autodiff as ad
-from .net.autodiff import Tape, Tensor, backward, cross_entropy_logits
+from .net.autodiff import Tape, Tensor, Workspace, backward, cross_entropy_logits
 from .net.model import (
     CnnConfig,
     RnnConfig,
@@ -50,7 +50,7 @@ from .net.model import (
     rnn_attention_batch,
 )
 from .net.optim import ModelState, adam_step, load_checkpoint, save_checkpoint
-from .raster import AttentionMap, RasterConfig, order_ramp, rasterize_backward, rasterize_forward
+from .raster import RasterConfig, order_ramp, rasterize_backward, rasterize_forward
 from .simplify import SimplifyConfig, simplify_sketch, simplify_split
 
 VARIANTS = ("sketch_r2cnn", "cnn_only_binary", "order_encoded_cnn", "random_stroke_order_r2cnn")
@@ -322,12 +322,8 @@ def _rasterize_batch(tape: Tape | None, attn: Tensor, sketches: list[VectorSketc
     it to rasterize_backward and puts the result into the attention rows;
     fixed attention, which requires no gradient, adds no tape op.
     """
-    maps: list[AttentionMap] = []
-    owned = []
-    for b, sk in enumerate(sketches):
-        amap = rasterize_forward(sk, attn.data[b, : sk.n], cfg)
-        maps.append(amap)
-        owned.append(np.flatnonzero(amap.owner >= 0))
+    maps = [rasterize_forward(sk, attn.data[b, : sk.n], cfg) for b, sk in enumerate(sketches)]
+    owned = [amap.owned for amap in maps]
     pixels = cfg.height * cfg.width
     values = np.concatenate([amap.intensities.reshape(-1)[o] for amap, o in zip(maps, owned)])
     support = np.concatenate([o + b * pixels for b, o in enumerate(owned)])
@@ -473,15 +469,18 @@ def train(
     augmented, then, for random_stroke_order_r2cnn, stroke-shuffled. Valid
     and test splits are scored by evaluate. Writes per-epoch checkpoints, a
     best-validation checkpoint, and a JSON-lines metrics file when out_dir
-    is given. Aborts with NonFiniteAttentionError if the RNN's attention
-    leaves the reals and with NonFiniteLossError if the loss does, each
-    after writing nonfinite_dump.json (epoch, step, which tensor) to
-    out_dir. Training stops early once at least one early-stop threshold
-    is set and every one that is set is met. A split
-    that is given but has no items raises EmptyDatasetError, a valid or
-    test split whose category list is not the train split's raises
-    CategoryMismatchError, and a valid threshold without a valid split
-    raises InvalidConfigError, all before training starts.
+    is given. The steps of an epoch share one autodiff Workspace, so each
+    reuses the step buffers of the last; it is dropped before the held-out
+    splits are scored, whose tapeless passes allocate as before. Aborts
+    with NonFiniteAttentionError if the RNN's attention leaves the reals
+    and with NonFiniteLossError if the loss does, each after writing
+    nonfinite_dump.json (epoch, step, which tensor) to out_dir. Training
+    stops early once at least one early-stop threshold is set and every
+    one that is set is met. A split that is given but has no items raises
+    EmptyDatasetError, a valid or test split whose category list is not
+    the train split's raises CategoryMismatchError, and a valid threshold
+    without a valid split raises InvalidConfigError, all before training
+    starts.
     """
     if config.early_stop_valid_acc is not None and valid_ds is None:
         raise InvalidConfigError("'early_stop_valid_acc' is set but no valid split is given")
@@ -514,6 +513,7 @@ def train(
     step = 0
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
+        workspace = Workspace()
         order = np.random.default_rng((config.seed, 1, epoch)).permutation(len(prepared_train))
         correct = 0
         loss_sum = 0.0
@@ -528,7 +528,7 @@ def train(
                     sk = randomize_stroke_order(sk, order_rng)
                 sketches.append(sk)
             y = labels_train[sel]
-            tape = Tape()
+            tape = Tape(workspace)
             dropout_rng = np.random.default_rng((config.seed, 3, epoch, step))
             try:
                 logits, _, _ = _forward_batch(state, config, sketches, tape, dropout_rng)
@@ -550,6 +550,7 @@ def train(
             loss_sum += float(loss.data) * len(sel)
             correct += int((logits.data.argmax(axis=1) == y).sum())
             step += 1
+        workspace = tape = None  # frees the step buffers
 
         train_acc = correct / len(prepared_train)
         train_loss = loss_sum / len(prepared_train)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +83,14 @@ class AttentionMap:
     alpha: np.ndarray  # (H, W) float64, meaningful only where owned
     table: SegmentTable
 
+    @cached_property
+    def owned(self) -> np.ndarray:
+        """Row-major flat indices of the owned pixels, computed once."""
+        return np.flatnonzero(self.owner >= 0)
+
     @property
     def owned_pixel_count(self) -> int:
-        return int(np.count_nonzero(self.owner >= 0))
+        return len(self.owned)
 
 
 def segment_table(sketch: VectorSketch) -> SegmentTable:
@@ -197,15 +203,12 @@ def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> 
     """
     a = _check_inputs(sketch, attention)
     table, owner, alpha = coverage(sketch, config)
-    intensities = np.zeros(owner.shape, dtype=np.float64)
-    mask = owner >= 0
-    if mask.any():
-        ow = owner[mask]
-        alm = alpha[mask]
-        ai = a[table.start[ow]]
-        aj = a[table.end[ow]]
-        intensities[mask] = (1.0 - alm) * ai + alm * aj
-    return AttentionMap(intensities, owner, alpha, table)
+    amap = AttentionMap(np.zeros(owner.shape, dtype=np.float64), owner, alpha, table)
+    o = amap.owned
+    ow = owner.reshape(-1)[o]
+    alm = alpha.reshape(-1)[o]
+    amap.intensities.reshape(-1)[o] = (1.0 - alm) * a[table.start[ow]] + alm * a[table.end[ow]]
+    return amap
 
 
 def rasterize_backward(amap: AttentionMap, delta: np.ndarray, n_points: int) -> np.ndarray:
@@ -221,13 +224,12 @@ def rasterize_backward(amap: AttentionMap, delta: np.ndarray, n_points: int) -> 
     if len(amap.table) and n_points <= int(amap.table.end.max()):
         raise ShapeMismatchError("n_points too small for the provenance table")
     grad = np.zeros(n_points, dtype=np.float64)
-    mask = amap.owner >= 0
-    if mask.any():
-        ow = amap.owner[mask]
-        al = amap.alpha[mask]
-        d = delta[mask]
-        np.add.at(grad, amap.table.start[ow], d * (1.0 - al))
-        np.add.at(grad, amap.table.end[ow], d * al)
+    o = amap.owned
+    ow = amap.owner.reshape(-1)[o]
+    al = amap.alpha.reshape(-1)[o]
+    d = delta.reshape(-1)[o]
+    np.add.at(grad, amap.table.start[ow], d * (1.0 - al))
+    np.add.at(grad, amap.table.end[ow], d * al)
     return grad
 
 

@@ -6,8 +6,10 @@ Each pair runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0``
 once in each tree, each run in its own process with the tree as working
 directory. The parent goes first in even-numbered pairs and the change in
 odd-numbered ones, so drift on the machine falls on both sides alike. Next
-to the run's own metrics it records ``minor_faults``: the child's minor page
-faults, read from ``getrusage(RUSAGE_CHILDREN)`` before and after the run.
+to the run's own metrics it records the child's ``minor_faults`` (minor page
+faults) and ``system_s`` (kernel CPU seconds), read from
+``getrusage(RUSAGE_CHILDREN)`` before and after the run, so that a claim
+about faults shows the kernel time that goes with them.
 
 For every metric it prints the median and the quartiles of each side, in
 how many pairs the change beat the parent, in the direction the change
@@ -30,23 +32,35 @@ import sys
 import numpy as np
 
 
+def _children() -> tuple[int, float]:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_minflt, usage.ru_stime
+
+
+def run_child(cmd: list[str], cwd: str):
+    """Run cmd in cwd to completion: (the finished process, {"minor_faults":
+    its minor page faults, "system_s": its kernel CPU seconds})."""
+    faults, stime = _children()
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    faults_after, stime_after = _children()
+    return proc, {"minor_faults": faults_after - faults, "system_s": stime_after - stime}
+
+
 def run_once(tree: str, workload: str, seconds: float, seed: int) -> dict:
     """One benchmark run in tree: whether it was correct, and its metric
-    values plus minor_faults."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    proc = subprocess.run(
+    values plus minor_faults and system_s."""
+    proc, usage = run_child(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        tree,
     )
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
         return {"correct": False, "metrics": {}}
     record = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in record["metrics"].items()}
-    metrics["minor_faults"] = faults
+    metrics.update(usage)
     return {"correct": record["correct"], "metrics": metrics}
 
 

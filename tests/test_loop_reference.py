@@ -442,6 +442,21 @@ def test_conv2d_dx_matches_tap_stack(k, C, O, B, H, W, seed):
     assert grads[0].tobytes() == ref.conv2d_dx_tap_stack(upstream, w).tobytes()
 
 
+@pytest.mark.parametrize("B, H, C, O", [(16, 32, 8, 16), (16, 16, 16, 32), (5, 9, 3, 4)])
+def test_conv2d_dx_same_bits_for_every_chunk_of_images(B, H, C, O):
+    # each image's taps are summed in tap order whatever the chunk, so
+    # every dx budget gives the whole-batch tap stack's bits
+    rng = np.random.default_rng(B * H + C)
+    x, w, b = rng.normal(size=(B, H, H, C)), rng.normal(size=(O, C, 3, 3)), rng.normal(size=O)
+    upstream = rng.normal(size=(B, H, H, O))
+    expected = ref.conv2d_dx_tap_stack(upstream, w).tobytes()
+    for images in (1, 2, 3, 4, B):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_DX_BUDGET", images * H * H * C)
+            _, grads = _op_bits(ad.conv2d, False, x, w, b, upstream=upstream)
+        assert grads[0].tobytes() == expected, images
+
+
 def _support_conv_bits(values, support, shape, w, b, upstream):
     """conv2d_support's output and the gradients of values, w and b, of sum(out * upstream)."""
     x, wt, bt = ad.parameter(values.copy()), ad.parameter(w.copy()), ad.parameter(b.copy())

@@ -142,6 +142,13 @@ class TestForward:
         assert amap.owner[9, 15] == -1  # distance exactly 1.0
         assert amap.owner[11, 15] == -1
 
+    def test_owned_pixels_are_the_row_major_owned_indices_computed_once(self):
+        sk = make([(3.5, 3.5, 0), (12.5, 9.5, 0), (4.5, 12.5, 1), (10.5, 2.5, 1)])
+        amap = rasterize_forward(sk, [0.2, 0.9, 0.4, 0.7], RasterConfig(16, 16, 1.0))
+        assert amap.owned.tolist() == np.flatnonzero(amap.owner >= 0).tolist()
+        assert amap.owned is amap.owned
+        assert amap.owned_pixel_count == len(amap.owned) > 0
+
     def test_provenance_at(self):
         sk = make([(5.5, 5.5, 0), (12.5, 5.5, 1)])
         amap = rasterize_forward(sk, [1.0, 0.0], RasterConfig(32, 32, 1.0))
