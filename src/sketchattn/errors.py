@@ -100,10 +100,5 @@ class TapeConsumedError(SketchError):
     """backward() was called more than once on the same tape."""
 
 
-class WorkspaceBusyError(SketchError):
-    """A tape claimed a workspace whose buffers a live tape has not yet
-    released by running backward."""
-
-
 class NonFiniteLossError(SketchError):
     """Training produced a NaN or infinite loss."""

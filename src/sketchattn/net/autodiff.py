@@ -34,19 +34,14 @@ conv2d_support, maxpool2d, relu, lstm) take them from it through _buffer,
 so each step reuses the memory of the last instead of faulting in fresh
 pages. Without a workspace (inference passes no tape at all) they are
 plain np.empty/np.zeros arrays. Only memory placement changes, never
-arithmetic, so the bits are the same either way. The lifetime rules:
-
-- a workspace array is reused only once nothing reads it again: op()
-  gives it back when backward has run the closure of its last reader
-  (see Workspace), and a new tape may claim the workspace only once the
-  last one has run backward or been dropped (else WorkspaceBusyError);
-- an operand may take a workspace array that a vjp returned as its
-  gradient, as it takes a new array; that gradient is given back once
-  the op that made the operand has read it;
-- no parameter gradient that reaches adam_step is a workspace array:
-  every dw and db is a new array;
-- no tensor that outlives the step is a workspace array: the logits, the
-  attention and the loss are new arrays.
+arithmetic, so the bits are the same either way. The one lifetime rule is
+Python's reference count: a range is reused once no array views it (see
+Workspace), so a step's array comes back when the last closure, tensor or
+local that reads it is released, and an operand may take a workspace
+array that a vjp returned as its gradient, as it takes a new array.
+Nothing that outlives the step is a workspace array, so every range is
+back before the next step: every dw and db that reaches adam_step, the
+logits, the attention and the loss are new arrays.
 
 The op set covers exactly what the sketch pipeline runs (a fused
 bidirectional LSTM layer, a linear head, a small channels-last CNN on
@@ -64,7 +59,7 @@ from itertools import repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import LabelOutOfRangeError, ShapeMismatchError, TapeConsumedError, WorkspaceBusyError
+from ..errors import LabelOutOfRangeError, ShapeMismatchError, TapeConsumedError
 
 
 class Tensor:
@@ -92,49 +87,37 @@ _SEGMENT = 1 << 22
 class Workspace:
     """The step buffers of one training run, reused from step to step.
 
-    A tape built on a workspace claims it; the ops it records take their
-    large arrays from it (through _buffer), and op() gives each array back
-    as soon as backward has passed its last reader:
-    - the arrays an op took in its forward (those taken since the previous
-      op was recorded) once its closure has run, since every reader of
-      them was recorded after it;
-    - what a closure took once it has run, except a result it handed over
-      as an operand's gradient;
-    - a handed-over gradient once the closure of the op that made its
-      tensor has read it.
-    An op may give back a scratch array early (give_back).
+    The ops a tape records take their large arrays from its workspace
+    (through _buffer), and a range is reused once no array views it. take
+    hands out a reshape of a one-dimensional block whose base is a
+    memoryview of its segment, not an ndarray, so every reshape, transpose
+    or slice of it has the block as its base and keeps it alive. A weak
+    reference to the block returns its range when the block dies; its
+    callback holds only _live and _returned, not the workspace, so a
+    dropped workspace frees its segments at once, without the cyclic
+    collector. take merges the returned ranges into the free list first.
 
     The arrays are views of byte segments, each placed at the smallest
-    free range that holds it; a range given back merges with its free
+    free range that holds it; a returned range merges with its free
     neighbours. A request that finds no room adds a segment of _SEGMENT
     bytes, or of its own size if larger, so capacity only grows. Once the
     first steps have sized it, a step allocates nothing, and the segments
     hold little more than what a step has live at once.
     """
 
-    __slots__ = ("_segments", "_free", "_live", "_log", "_recorded", "_holder", "__weakref__")
+    __slots__ = ("_segments", "_free", "_live", "_returned", "__weakref__")
 
     def __init__(self):
         self._segments: list[np.ndarray] = []
         self._free: list[tuple[int, int, int]] = []  # (segment, start, stop): byte ranges no live array uses, in order
-        self._live: dict[int, tuple] = {}  # id(array handed out) -> (array, its range)
-        self._log: list[np.ndarray] = []  # arrays handed out in the running step, in order
-        self._recorded = 0  # len(_log) when the last op was recorded
-        self._holder = None  # weak reference to the tape that claimed it last
-
-    def _claim(self, tape: "Tape") -> None:
-        holder = self._holder() if self._holder is not None else None
-        if holder is not None and not holder._consumed:
-            raise WorkspaceBusyError("the workspace's last tape has not run backward and is still alive")
-        self._holder = weakref.ref(tape)
-        self._free = [(k, 0, seg.nbytes) for k, seg in enumerate(self._segments)]
-        self._live.clear()
-        self._log.clear()
-        self._recorded = 0
+        self._live: dict[int, weakref.ref] = {}  # id(block) -> weak reference to each live block handed out
+        self._returned: list[tuple[int, int, int]] = []  # ranges of the blocks that died since the last take
 
     def take(self, shape, dtype=np.float64) -> np.ndarray:
-        """An uninitialised array that no other live array of the step
-        shares memory with."""
+        """An uninitialised array that no other live array shares memory
+        with; its range is reused once no array views it."""
+        while self._returned:
+            self._free_range(*self._returned.pop())
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         size = max(-(-nbytes // _ALIGN) * _ALIGN, _ALIGN)
@@ -149,29 +132,29 @@ class Workspace:
             del self._free[i]
         else:
             self._free[i] = (k, lo + size, hi)
-        a = self._segments[k][lo : lo + nbytes].view(dtype).reshape(shape)
-        self._live[id(a)] = (a, (k, lo, lo + size))
-        self._log.append(a)
-        return a
+        block = np.frombuffer(memoryview(self._segments[k])[lo : lo + nbytes], dtype)
+        live, returned, key = self._live, self._returned, id(block)
 
-    def holds(self, a) -> bool:
-        """Whether a is an array take handed out and nothing gave back."""
-        entry = self._live.get(id(a))
-        return entry is not None and entry[0] is a
+        def died(_ref, span=(k, lo, lo + size)):
+            del live[key]
+            returned.append(span)
 
-    def give_back(self, a) -> None:
-        """Free the range of an array take handed out (else nothing)."""
-        entry = self._live.pop(id(a), None)
-        if entry is None:
-            return
-        k, lo, hi = entry[1]
-        i = bisect.bisect(self._free, entry[1])
+        live[key] = weakref.ref(block, died)
+        return block.reshape(shape)
+
+    def _free_range(self, k: int, lo: int, hi: int) -> None:
+        """Put a range back in the free list, merged with its free neighbours."""
+        i = bisect.bisect(self._free, (k, lo, hi))
         if i < len(self._free) and self._free[i][:2] == (k, hi):
             hi = self._free.pop(i)[2]
         if i > 0 and (self._free[i - 1][0], self._free[i - 1][2]) == (k, lo):
             i -= 1
             lo = self._free.pop(i)[1]
         self._free.insert(i, (k, lo, hi))
+
+    def holds(self, a) -> bool:
+        """Whether a views the whole of an array that take handed out."""
+        return isinstance(a.base, np.ndarray) and id(a.base) in self._live and a.nbytes == a.base.nbytes
 
     def buffers(self) -> tuple[np.ndarray, ...]:
         """Every segment."""
@@ -182,14 +165,12 @@ class Tape:
     """Recorded computation of one forward pass, and the workspace (or
     None) its ops take their step buffers from."""
 
-    __slots__ = ("_ops", "_consumed", "workspace", "__weakref__")
+    __slots__ = ("_ops", "_consumed", "workspace")
 
     def __init__(self, workspace: Workspace | None = None):
         self._ops = []
         self._consumed = False
         self.workspace = workspace
-        if workspace is not None:
-            workspace._claim(self)
 
     def record(self, backward_fn) -> None:
         self._ops.append(backward_fn)
@@ -239,26 +220,20 @@ def op(tape: Tape | None, data, *edges) -> Tensor:
     reached and runs only the vjps of operands that require one.
 
     An operand with no gradient yet takes the vjp's result as its gradient
-    when that result owns its memory (or is an array the tape's workspace
-    handed out), shares none with g and has the operand's dtype, shape and
-    strides; otherwise, and for every later contribution, the result is
-    added into the operand's gradient, which starts as zeros. A
-    handed-over result may hold -0.0 where the sum 0.0 + -0.0 held 0.0.
-    With a workspace, the closure then gives back what is not read again:
-    what its vjps took, except a handed-over gradient, what the op took in
-    its forward, and g.
+    when that result owns its memory (or is the whole of an array the
+    tape's workspace handed out), shares none with g and has the operand's
+    dtype, shape and strides; otherwise, and for every later contribution,
+    the result is added into the operand's gradient, which starts as zeros.
+    A handed-over result may hold -0.0 where the sum 0.0 + -0.0 held 0.0.
     """
     out = Tensor(data, tape is not None and any(t.requires_grad for t, _ in edges))
     if out.requires_grad:
-        ws, taken = tape.workspace, ()
-        if ws is not None:  # what the op took since the last op was recorded
-            taken, ws._recorded = ws._log[ws._recorded :], len(ws._log)
+        ws = tape.workspace
 
         def bwd():
             g = out.grad
             if g is None:
                 return
-            mark = len(ws._log) if ws is not None else 0
             for t, vjp in edges:
                 if t.requires_grad:
                     d = vjp(g)
@@ -269,18 +244,14 @@ def op(tape: Tape | None, data, *edges) -> Tensor:
                     else:
                         t.grad = np.zeros_like(t.data)
                         t.grad += d
-            if ws is not None:  # nothing reads these again (see Workspace)
-                grads = {id(t.grad) for t, _ in edges}
-                for a in (*(a for a in ws._log[mark:] if id(a) not in grads), *taken, g):
-                    ws.give_back(a)
 
         tape.record(bwd)
     return out
 
 
 def _owned_like(d, data: np.ndarray, ws: Workspace | None) -> bool:
-    """Whether d is an array that owns its memory, or that ws handed out
-    and still holds for it, laid out like data."""
+    """Whether d is an array that owns its memory, or the whole of one that
+    ws handed out, laid out like data."""
     return (
         isinstance(d, np.ndarray)
         and (d.base is None or (ws is not None and ws.holds(d)))
@@ -300,13 +271,6 @@ def _buffer(tape: Tape | None, shape, dtype=np.float64, *, zero: bool = False) -
     if zero:
         a.fill(0)
     return a
-
-
-def _give_back(tape: Tape | None, *arrays) -> None:
-    """Give back to the tape's workspace, if any, arrays no one reads again."""
-    if tape is not None and tape.workspace is not None:
-        for a in arrays:
-            tape.workspace.give_back(a)
 
 
 def mul_const(tape: Tape | None, a: Tensor, c) -> Tensor:
@@ -432,7 +396,6 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
     out = _buffer(tape, (B, T, 2 * H))
     out[..., :H] = hs[1:, 0].transpose(1, 0, 2)
     out[..., H:] = reverse(hs[1:, 1].transpose(1, 0, 2))
-    _give_back(tape, xw_buf, z, ig)
     saved = [acts, cs, tcs] if keep else []  # what only BPTT reads
     del acts, cs, tcs
     dz_run = []  # dZ (2, B*T, 4H), filled by whichever vjp runs first
@@ -483,7 +446,6 @@ def lstm(tape: Tape | None, x: Tensor, lengths, fw, bw) -> Tensor:
             k_o *= dh
             np.matmul(d_t, whT, out=dh_next)
             np.multiply(dc, f_t, out=dc_next)
-        _give_back(tape, acts, cs, tcs, douts, dh, dc, dh_next, dc_next)
         dz_run.append(d.reshape(2, B * T, 4 * H))
         return dz_run[0]
 
@@ -588,7 +550,6 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     work = _buffer(tape, (n_cols, H, W, k, k, C))
     for rows, cols in _im2col_chunks(win, work):
         np.matmul(cols, w_mat, out=out_mat[rows])
-    _give_back(tape, work)
     out_data = out_mat.reshape(B, H, W, O)
     out_data += b.data
 
@@ -596,7 +557,6 @@ def conv2d(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g_mat = g.reshape(B * H * W, O)
         work = _buffer(tape, (n_cols, H, W, k, k, C))
         d = sum(cols.T @ g_mat[rows] for rows, cols in _im2col_chunks(win, work))
-        _give_back(tape, work)
         return np.ascontiguousarray(d.reshape(k, k, C, O).transpose(3, 2, 0, 1))
 
     def dx(g):
@@ -666,8 +626,7 @@ def conv2d_support(tape: Tape | None, x: Tensor, support: np.ndarray, shape, w: 
     flat[sp] = x.data
     # every index is in range; "clip" lets take write into out unbuffered
     cols = np.take(flat, rows_p[:, None] + taps, out=_buffer(tape, (len(rows), k * k)), mode="clip")
-    _give_back(tape, grid, flat)
-    del grid, flat
+    del grid, flat  # their ranges come back for out_mat
     w_mat = np.ascontiguousarray(w.data.reshape(O, k * k).T)
     out_mat = _buffer(tape, (B * H * W, O))
     out_mat[...] = b.data

@@ -13,7 +13,10 @@ around the backward closure that op records. Each count is exclusive: an op
 called inside another (``dropout`` calls ``mul_const``) is not counted
 twice. ``other`` is whatever the call faulted outside every op, so
 ``total`` is at least the sum of the op counts. System CPU time is
-attributed the same way.
+attributed the same way. ``Workspace.take`` is wrapped too, to report the
+training workspace's footprint: the bytes of its segments and the peak of
+the bytes its live arrays occupy (segment bytes less free ranges, read
+after each take), each the largest over the workspaces the call made.
 
 Point ``--src`` at another tree's ``src`` to profile it; the workloads are
 read from this tree's ``perfbench``. Not a test module: pytest does not
@@ -48,10 +51,12 @@ def _usage():
 class FaultProfile:
     """Wraps the ops on enter and restores them on exit; ``counts[name]``
     holds [forward faults, backward faults, forward system s, backward
-    system s] for each op name."""
+    system s] for each op name, and ``workspace`` the largest segment bytes
+    and peak live bytes over the workspaces."""
 
     def __init__(self):
         self.counts = defaultdict(lambda: [0, 0, 0.0, 0.0])
+        self.workspace = {"segment_bytes": 0, "peak_live_bytes": 0}
         self._stack = []  # [op name, faults of nested ops, system s of nested ops]
         self._restore = []
 
@@ -74,6 +79,19 @@ class FaultProfile:
             record(tape, profile._wrap(backward_fn, name, 1))
 
         autodiff.Tape.record = counted_record
+        take = autodiff.Workspace.take
+        self._restore.append((autodiff.Workspace, "take", take))
+
+        def measured_take(ws, *args, **kwargs):
+            a = take(ws, *args, **kwargs)
+            segments = sum(seg.nbytes for seg in ws.buffers())
+            live = segments - sum(hi - lo for _k, lo, hi in ws._free)
+            footprint = profile.workspace
+            footprint["segment_bytes"] = max(footprint["segment_bytes"], segments)
+            footprint["peak_live_bytes"] = max(footprint["peak_live_bytes"], live)
+            return a
+
+        autodiff.Workspace.take = measured_take
         return self
 
     def __exit__(self, *exc) -> None:
@@ -109,7 +127,7 @@ class FaultProfile:
         }
         in_ops = sum(c[0] + c[1] for c in self.counts.values())
         return {"total_faults": total_faults, "total_system_s": round(total_stime, 6),
-                "other_faults": total_faults - in_ops, "ops": ops}
+                "other_faults": total_faults - in_ops, "ops": ops, "workspace": dict(self.workspace)}
 
 
 def profile_train(train_call) -> dict:
@@ -127,6 +145,8 @@ def table(report: dict) -> str:
         lines.append(f"| `{name}` | {c['forward_faults']:,} | {c['backward_faults']:,} |")
     lines.append(f"| outside ops | {report['other_faults']:,} | |")
     lines.append(f"| **total** | {report['total_faults']:,} | system {report['total_system_s']:.3f} s |")
+    ws = report["workspace"]
+    lines.append(f"\nworkspace: {ws['segment_bytes']:,} B of segments, {ws['peak_live_bytes']:,} B live at peak")
     return "\n".join(lines)
 
 

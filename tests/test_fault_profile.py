@@ -20,7 +20,7 @@ def test_report_attributes_every_op_and_restores_them():
         raster=RasterConfig(width=16, height=16),
     )
     originals = {name: getattr(ad, name) for name in AUTODIFF_OPS}
-    record = ad.Tape.record
+    record, take = ad.Tape.record, ad.Workspace.take
     report = profile_train(lambda: pipeline.train(cfg, ds))
 
     ran = {"lstm", "dropout", "linear", "sigmoid", "reshape", "mul_const", "conv2d_support", "conv2d",
@@ -33,6 +33,8 @@ def test_report_attributes_every_op_and_restores_them():
     assert report["total_faults"] >= parts
     assert report["other_faults"] == report["total_faults"] - parts
     assert report["total_system_s"] >= 0.0
-    assert "| `conv2d` |" in table(report) and "**total**" in table(report)
+    footprint = report["workspace"]
+    assert footprint["segment_bytes"] >= ad._SEGMENT and 0 < footprint["peak_live_bytes"] <= footprint["segment_bytes"]
+    assert "| `conv2d` |" in table(report) and "**total**" in table(report) and "live at peak" in table(report)
     assert {name: getattr(ad, name) for name in AUTODIFF_OPS} == originals
-    assert ad.Tape.record is record
+    assert ad.Tape.record is record and ad.Workspace.take is take

@@ -1,5 +1,6 @@
-"""The per-epoch training workspace: step buffers are reused, never read
-stale, never handed to Adam, and change no bit of a training run."""
+"""The per-epoch training workspace: step buffers are reused once no array
+views them, never read stale, never handed to Adam, and change no bit of a
+training run."""
 
 import gc
 import os
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from sketchattn import pipeline
-from sketchattn.errors import WorkspaceBusyError
 from sketchattn.ingest import Dataset, LabeledSketch, random_sketch, synth_dataset
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape, Workspace, backward
@@ -45,8 +45,8 @@ def _poison(a):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_poisoned_and_absent_workspaces_give_the_same_bytes(variant, tmp_path, monkeypatch):
     expected = _artifacts(variant, tmp_path / "plain")
-    workspaces = []
-    original_backward, original_give_back = pipeline.backward, Workspace.give_back
+    workspaces, returned = [], []
+    original_backward, original_free_range = pipeline.backward, Workspace._free_range
 
     def poisoning_backward(tape, loss):
         original_backward(tape, loss)
@@ -54,15 +54,16 @@ def test_poisoned_and_absent_workspaces_give_the_same_bytes(variant, tmp_path, m
         for buf in tape.workspace.buffers():  # every byte, free or not
             _poison(buf)
 
-    def poisoning_give_back(ws, a):
-        if ws.holds(a):  # a stale read of a given-back array meets NaN
-            _poison(a)
-        original_give_back(ws, a)
+    def poisoning_free_range(ws, k, lo, hi):
+        _poison(ws.buffers()[k][lo:hi])  # a stale read of a returned range meets NaN
+        returned.append(hi - lo)
+        original_free_range(ws, k, lo, hi)
 
     monkeypatch.setattr(pipeline, "backward", poisoning_backward)
-    monkeypatch.setattr(Workspace, "give_back", poisoning_give_back)
+    monkeypatch.setattr(Workspace, "_free_range", poisoning_free_range)
     assert _artifacts(variant, tmp_path / "poisoned") == expected
     assert workspaces and all(ws is not None and ws.buffers() for ws in workspaces)
+    assert returned
     monkeypatch.undo()
     monkeypatch.setattr(pipeline, "Workspace", lambda: None)  # every tape without a workspace
     assert _artifacts(variant, tmp_path / "absent") == expected
@@ -108,56 +109,74 @@ def test_tape_with_and_without_workspace_same_gradients(variant, monkeypatch):
     assert ws.buffers()
 
 
-def test_a_live_unconsumed_tape_keeps_the_workspace():
+def test_a_range_comes_back_only_once_no_view_of_its_array_is_left():
     ws = Workspace()
-    x = ad.parameter(np.ones((1, 4, 4, 2)))
-    tape = Tape(ws)
-    y = ad.relu(tape, x)
-    with pytest.raises(WorkspaceBusyError):
-        Tape(ws)
-    backward(tape, ad.sum_all(tape, y))
-    Tape(ws)  # after backward
-    dropped = Tape(ws)
-    ad.relu(dropped, x)
-    del dropped
-    gc.collect()
-    Tape(ws)  # after the last tape was dropped
+    a = ws.take((4, 25))
+    start = a.ctypes.data
+    views = [a.reshape(100), a.T, a[1:, 3:]]
+    del a
+    while views:  # each view alone keeps the range
+        b = ws.take((4, 25))
+        assert not any(np.shares_memory(b, v) for v in views)
+        del b
+        views.pop()
+    assert ws.take((4, 25)).ctypes.data == start
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_training_step_starts_with_no_live_workspace_array(variant, monkeypatch):
+    starts = []
+
+    def checking_tape(ws):
+        starts.append(len(ws._live))
+        return Tape(ws)
+
+    monkeypatch.setattr(pipeline, "Tape", checking_tape)
+    train_ds, valid_ds = _datasets()
+    pipeline.train(desk_config(len(train_ds.categories), variant=variant, epochs=2), train_ds, valid_ds)
+    assert starts == [0] * (2 * -(-len(train_ds.items) // 16))
 
 
 class TestWorkspaceAllocator:
     def test_live_arrays_do_not_overlap_and_given_back_ranges_are_reused(self):
         ws = Workspace()
-        Tape(ws)
         a, b, c = ws.take((100,)), ws.take((3, 7), np.intp), ws.take((50,), bool)
         assert not any(np.shares_memory(p, q) for p, q in ((a, b), (a, c), (b, c)))
-        assert len(ws.buffers()) == 1 and ws.holds(a) and not ws.holds(a.copy())
-        ws.give_back(a)
-        assert not ws.holds(a)
-        d = ws.take((100,))
-        assert np.shares_memory(a, d)  # the smallest free range that holds it
-        ws.give_back(np.zeros(3))  # not handed out: nothing happens
-        ws.give_back(d)
-        ws.give_back(d)  # twice: nothing more happens
+        assert len(ws.buffers()) == 1 and ws.holds(a) and ws.holds(b.T)
+        assert not ws.holds(a.copy()) and not ws.holds(a[1:]) and not ws.holds(Workspace().take((100,)))
+        start = a.ctypes.data
+        del a
+        assert ws.take((100,)).ctypes.data == start  # the smallest free range that holds it
 
     def test_given_back_neighbours_merge_into_one_range(self):
         ws = Workspace()
-        Tape(ws)
         half = ad._SEGMENT // 2 // 8
         a, b = ws.take((half,)), ws.take((half,))
-        ws.give_back(b)
-        ws.give_back(a)
+        start = a.ctypes.data
+        del b, a
         whole = ws.take((2 * half,))  # fits only once a and b are one range again
-        assert np.shares_memory(whole, a) and np.shares_memory(whole, b)
-        assert len(ws.buffers()) == 1
+        assert whole.ctypes.data == start and len(ws.buffers()) == 1
 
     def test_a_request_beyond_every_free_range_adds_a_segment_of_its_size(self):
         ws = Workspace()
-        Tape(ws)
         big = ws.take((ad._SEGMENT // 8 + 1,))
         small = ws.take((10,))
         sizes = sorted(buf.nbytes for buf in ws.buffers())
         assert sizes == [ad._SEGMENT, -(-big.nbytes // ad._ALIGN) * ad._ALIGN]
         assert not np.shares_memory(big, small)
+
+    def test_a_dropped_workspace_dies_at_once_while_its_arrays_live(self):
+        ws = Workspace()
+        a = ws.take((10,))
+        gone = weakref.ref(ws)
+        gc.disable()  # by reference counts alone: no cycle runs through a's callback
+        try:
+            del ws
+            assert gone() is None
+        finally:
+            gc.enable()
+        a.fill(1.0)  # its segment lives as long as a
+        assert a.sum() == 10.0
 
     def test_a_repeated_step_allocates_nothing(self, monkeypatch):
         ws = Workspace()
@@ -187,12 +206,15 @@ def test_training_frees_the_workspace_before_scoring(monkeypatch):
         original_backward(tape, loss)
 
     def checking_evaluate(*args, **kwargs):
-        gc.collect()
         assert all(ref() is None for ref in alive)
         return original_evaluate(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "backward", capturing_backward)
     monkeypatch.setattr(pipeline, "evaluate", checking_evaluate)
     train_ds, valid_ds = _datasets()
-    pipeline.train(desk_config(len(train_ds.categories), epochs=1), train_ds, valid_ds)
+    gc.disable()  # by reference counts alone, not the cyclic collector
+    try:
+        pipeline.train(desk_config(len(train_ds.categories), epochs=1), train_ds, valid_ds)
+    finally:
+        gc.enable()
     assert alive
