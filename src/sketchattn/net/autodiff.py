@@ -30,7 +30,7 @@ only their columns; its dx lives on the support alone.
 
 A tape may carry a Workspace: training builds one per epoch and gives it
 to every step's tape, and the ops that make a step's large arrays (conv2d,
-conv2d_support, maxpool2d, relu, lstm) take them from it through _buffer,
+conv2d_support, maxpool_relu, lstm) take them from it through _buffer,
 so each step reuses the memory of the last instead of faulting in fresh
 pages. Without a workspace (inference passes no tape at all) they are
 plain np.empty/np.zeros arrays. Only memory placement changes, never
@@ -45,8 +45,9 @@ logits, the attention and the loss are new arrays.
 
 The op set covers exactly what the sketch pipeline runs (a fused
 bidirectional LSTM layer, a linear head, a small channels-last CNN on
-(B, H, W, C) activations whose first conv reads a sparse image, softmax
-cross entropy); it is not a general-purpose autodiff.
+(B, H, W, C) activations whose first conv reads a sparse image and whose
+max pools apply the relu, softmax cross entropy); it is not a
+general-purpose autodiff.
 """
 
 from __future__ import annotations
@@ -155,10 +156,6 @@ class Workspace:
     def holds(self, a) -> bool:
         """Whether a views the whole of an array that take handed out."""
         return isinstance(a.base, np.ndarray) and id(a.base) in self._live and a.nbytes == a.base.nbytes
-
-    def buffers(self) -> tuple[np.ndarray, ...]:
-        """Every segment."""
-        return tuple(self._segments)
 
 
 class Tape:
@@ -301,11 +298,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
     s = _stable_sigmoid(a.data)
     return op(tape, s, (a, lambda g: g * s * (1.0 - s)))
-
-
-def relu(tape: Tape | None, a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0, out=_buffer(tape, a.data.shape))
-    return op(tape, out, (a, lambda g: np.multiply(g, a.data > 0, out=_buffer(tape, g.shape))))
 
 
 def reshape(tape: Tape | None, a: Tensor, shape) -> Tensor:
@@ -658,12 +650,15 @@ def conv2d_support(tape: Tape | None, x: Tensor, support: np.ndarray, shape, w: 
     return op(tape, out_mat.reshape(B, H, W, O), (b, _bias_vjp(O)), (w, dw), (x, dx))
 
 
-def maxpool2d(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
-    """Non-overlapping max pooling over (B, H, W, C); trailing rows/cols
-    that do not fill a window are dropped. Ties go to the first element
-    (row-major in the window), which keeps the backward pass
-    deterministic. The vjp copies the gradient onto that element rather
-    than multiplying by a mask, so an inf gradient leaves the others 0."""
+def maxpool_relu(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
+    """relu of non-overlapping max pooling over (B, H, W, C); trailing
+    rows/cols that do not fill a window are dropped. relu commutes with
+    the max, so it runs in place on the pooled output. A window whose max
+    is positive sends its gradient to its first maximal element (row-major
+    in the window), which keeps the backward pass deterministic; every
+    other window sends none, as relu's > 0 mask would. The vjp copies the
+    gradient onto that element rather than multiplying by a mask, so an
+    inf gradient leaves the others +0.0."""
     f = factor
     B, H, W, C = x.data.shape
     Ho, Wo = H // f, W // f
@@ -672,11 +667,11 @@ def maxpool2d(tape: Tape | None, x: Tensor, factor: int) -> Tensor:
     np.copyto(out_data, x.data[cells[0]])
     for cell in cells[1:]:
         np.maximum(out_data, x.data[cell], out=out_data)
+    np.maximum(out_data, 0.0, out=out_data)
 
     def vjp(g):
         dx = _buffer(tape, x.data.shape, zero=True)
-        free = _buffer(tape, out_data.shape, bool)
-        free.fill(True)
+        free = np.greater(out_data, 0.0, out=_buffer(tape, out_data.shape, bool))
         first = _buffer(tape, out_data.shape, bool)
         for cell in cells:
             np.equal(x.data[cell], out_data, out=first)

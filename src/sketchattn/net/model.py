@@ -155,12 +155,12 @@ def cnn_forward_batch(
     support, the strictly increasing flat indices of those pixels in the
     (B, H, W) grid of shape. Conv 0 reads only the support
     (conv2d_support); its output and every later activation are
-    channels-last, (B, H, W, C). relu runs after each max pool: it
-    commutes with the max, in values and in the cell each window's
-    gradient reaches."""
+    channels-last, (B, H, W, C). Each stage is a conv and maxpool_relu,
+    the max pool that applies the relu: relu commutes with the max, in
+    values and in the cell each window's gradient reaches."""
     for s, (_k, _ch, pool) in enumerate(cfg.stages):
         w, b = params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]
         x = ad.conv2d_support(tape, values, support, shape, w, b) if s == 0 else ad.conv2d(tape, x, w, b)
-        x = ad.relu(tape, ad.maxpool2d(tape, x, pool))
+        x = ad.maxpool_relu(tape, x, pool)
     x = ad.global_avg_pool(tape, x)
     return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])

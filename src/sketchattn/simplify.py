@@ -11,8 +11,7 @@ A whole split is simplified at once: :func:`simplify_split` lays its
 sketches out ragged (``geometry.ragged_points``) and runs one RDP pass
 over every stroke of a chunk of whole sketches, then escalates epsilon
 per sketch by thresholding what that pass recorded.
-:func:`simplify_sketch` is its one-item case, as :func:`rdp_stroke` is
-the one-stroke case.
+:func:`simplify_sketch` is its one-item case.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, NonFiniteCoordinateError, require_finite
+from .errors import InvalidConfigError, require_finite
 from .geometry import VectorSketch, ragged_points, segment_projection
 
 MAX_ESCALATIONS = 10
@@ -117,28 +116,6 @@ def _kept(sig: np.ndarray, shift: np.ndarray, epsilon) -> np.ndarray:
     """Points RDP keeps at ``epsilon`` (one, or one per point): those whose
     significance passes the threshold, so every stroke end (+inf)."""
     return sig > _threshold(epsilon, shift)
-
-
-def rdp_stroke(points, epsilon: float) -> np.ndarray:
-    """Simplify one polyline; returns the kept points as an (k, 2) array.
-
-    The first and last points are always retained. Ties in the maximum
-    deviation go to the earliest point, which makes the algorithm
-    idempotent. Non-finite coordinates raise NonFiniteCoordinateError, an
-    epsilon that is not finite and positive InvalidConfigError.
-    """
-    require_finite(epsilon=epsilon)
-    if epsilon <= 0:
-        raise InvalidConfigError(f"epsilon must be > 0, got {epsilon!r}")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("rdp_stroke expects an (n, 2) point array")
-    if not np.isfinite(pts).all():  # a NaN distance would never split its interval
-        raise NonFiniteCoordinateError("stroke contains NaN or infinite coordinates")
-    eps = float(epsilon)
-    ends = np.array([len(pts)] if len(pts) else [], dtype=np.intp)  # one stroke, none in an empty array
-    sig, shift = _significance(pts, ends, eps)
-    return pts[_kept(sig, shift, eps)]
 
 
 def simplify_split(sketches: list[VectorSketch], config: SimplifyConfig) -> list[VectorSketch]:

@@ -16,7 +16,8 @@ how many pairs the change beat the parent, in the direction the change
 tree's ``BENCHMARK.json`` gives (lower, for metrics it does not list),
 whether the gap between the medians exceeds the parent's interquartile
 range, and a verdict (see ``verdict``) against that metric's ``bound``
-there. The exit status is 1 if any run failed or reported
+there. Each run's metrics go to stderr as it ends, so every run can be
+reported. The exit status is 1 if any run failed or reported
 ``correct: false``, whatever the verdicts.
 
 Not a test module: pytest does not collect it.
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
             record = run_once(sides[side], args.workload, args.seconds, args.seed)
             ok &= record["correct"] is True
             runs[side].append(record["metrics"])
-            print(f"pair {k} {side}: correct={record['correct']}", file=sys.stderr, flush=True)
+            print(f"pair {k} {side}: correct={record['correct']} {json.dumps(record['metrics'])}", file=sys.stderr, flush=True)
 
     spec = end_to_end(args.change)
     names = sorted(set().union(*(m.keys() for side in runs.values() for m in side)))

@@ -37,7 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the autodiff ops the model and the pipeline call through the module
 AUTODIFF_OPS = (
     "lstm", "dropout", "linear", "sigmoid", "reshape", "mul_const", "conv2d_support",
-    "conv2d", "maxpool2d", "relu", "global_avg_pool", "cross_entropy_logits",
+    "conv2d", "maxpool_relu", "global_avg_pool", "cross_entropy_logits",
 )
 # ops the pipeline calls by its own names: (attribute, op name)
 PIPELINE_OPS = (("_rasterize_batch", "rasterize_batch"), ("cross_entropy_logits", "cross_entropy_logits"))
@@ -84,7 +84,7 @@ class FaultProfile:
 
         def measured_take(ws, *args, **kwargs):
             a = take(ws, *args, **kwargs)
-            segments = sum(seg.nbytes for seg in ws.buffers())
+            segments = sum(seg.nbytes for seg in ws._segments)
             live = segments - sum(hi - lo for _k, lo, hi in ws._free)
             footprint = profile.workspace
             footprint["segment_bytes"] = max(footprint["segment_bytes"], segments)

@@ -10,8 +10,8 @@ from before both directions of a layer advanced as one stacked recurrence
 backward op over reversed prefixes, and a concat), and the channels-first
 CNN ops and forward pass, kept from before activations became (B, H, W, C)
 (im2col through a transposed copy, a k*k col2im scatter, an argmax max
-pool, relu before the pool). Three more are kept from before the backward
-pass freed memory as it went: ``accumulating_op``, the tape op that adds
+pool, and relu as an op of its own, run before the pool). Three more are
+kept from before the backward pass freed memory as it went: ``accumulating_op``, the tape op that adds
 every vjp result into a zero buffer; ``conv2d_dx_tap_stack``, the NHWC
 conv dx that stacked all k*k tap products before adding them into a padded
 buffer; and the random walk that drew and clipped one step per point.
@@ -334,6 +334,11 @@ def maxpool2d(tape: Tape, x: Tensor, factor: int) -> Tensor:
     return op(tape, out_data, (x, vjp))
 
 
+def relu(tape: Tape, a: Tensor) -> Tensor:
+    """Elementwise max(a, 0); its vjp multiplies g by the a > 0 mask."""
+    return op(tape, np.maximum(a.data, 0.0), (a, lambda g: np.multiply(g, a.data > 0)))
+
+
 def global_avg_pool(tape: Tape, x: Tensor) -> Tensor:
     """(B, C, H, W) -> (B, C) spatial mean."""
     B, C, H, W = x.data.shape
@@ -344,7 +349,7 @@ def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg
     """(B, 1, H, W) images -> (B, num_classes) logits."""
     x = images
     for s, (_k, _ch, pool) in enumerate(cfg.stages):
-        x = ad.relu(tape, conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]))
+        x = relu(tape, conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]))
         x = maxpool2d(tape, x, pool)
     x = global_avg_pool(tape, x)
     return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])

@@ -16,9 +16,10 @@ from sketchattn.ingest import random_sketch, synth_dataset
 from sketchattn.net.gradcheck import grad_check
 from sketchattn.pipeline import desk_config, evaluate, init_model_state, train
 from sketchattn.raster import RasterConfig, rasterize_backward, rasterize_forward
-from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
+from sketchattn.simplify import SimplifyConfig, simplify_sketch
 
 from raster_oracle import oracle_rasterize
+from rdp_support import rdp_stroke
 
 CFG64 = RasterConfig(width=64, height=64, epsilon=1.0)
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -24,7 +24,7 @@ def test_report_attributes_every_op_and_restores_them():
     report = profile_train(lambda: pipeline.train(cfg, ds))
 
     ran = {"lstm", "dropout", "linear", "sigmoid", "reshape", "mul_const", "conv2d_support", "conv2d",
-           "maxpool2d", "relu", "global_avg_pool", "cross_entropy_logits", "rasterize_batch"}
+           "maxpool_relu", "global_avg_pool", "cross_entropy_logits", "rasterize_batch"}
     assert set(report["ops"]) == ran
     for counts in report["ops"].values():
         assert set(counts) == {"forward_faults", "backward_faults", "forward_system_s", "backward_system_s"}

@@ -1,13 +1,15 @@
 """The vectorised sketch constructor, stroke slices, segment table, RDP
 simplification and raster coverage, the stacked bidirectional LSTM layer,
-the max and average pools and the one-draw random walk agree bit for bit
-with the loops and the channels-first ops in loop_reference.py, and
-conv2d's per-tap dx with the stacked-tap one. The channels-last conv2d,
-the support-only conv2d_support on the dense image rebuilt from its
-support, and the CNN agree with the channels-first ones to within 1e-12:
-conv2d's chunked (k, k, C) im2col, conv2d_support's rows of the support's
-reach and both ops' one-GEMV bias gradient sum each dot product in
-another order, and two calls on one input give the same bits.
+the max pool that applies the relu (up to the sign of a zero gradient
+that the reference's relu mask writes), the average pool and the one-draw
+random walk agree bit for bit with the loops and the channels-first ops
+in loop_reference.py, and conv2d's per-tap dx with the stacked-tap one.
+The channels-last conv2d, the support-only conv2d_support on the dense
+image rebuilt from its support, and the CNN agree with the channels-first
+ones to within 1e-12: conv2d's chunked (k, k, C) im2col, conv2d_support's
+rows of the support's reach and both ops' one-GEMV bias gradient sum each
+dot product in another order, and two calls on one input give the same
+bits.
 
 Rows come from a small coordinate grid (signed zero included), so
 consecutive duplicates, duplicate runs across stroke ends, one-point
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import loop_reference as ref
 from image_support import densify, full_support
+from rdp_support import rdp_stroke
 from sketchattn import raster
 from sketchattn.geometry import normalize_to_canvas, stroke_slices, validate_and_normalize
 from sketchattn.ingest import random_sketch, synth_dataset
@@ -29,7 +32,7 @@ from sketchattn.net import autodiff as ad
 from sketchattn.net.model import CnnConfig, cnn_forward_batch, init_cnn_params
 from sketchattn.pipeline import _rasterize_batch, desk_config, prepare_sketch
 from sketchattn.raster import RasterConfig, rasterize_forward, segment_table
-from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch
+from sketchattn.simplify import SimplifyConfig, simplify_sketch
 
 _grid = st.sampled_from([0.0, -0.0, 1.0, 2.5])
 _rows = st.lists(st.tuples(_grid, _grid, st.integers(0, 1)), min_size=1, max_size=30)
@@ -539,6 +542,19 @@ def test_conv2d_support_matches_channels_first_on_desk_rasters():
     _same_support_conv(support, (16, 64, 64), 8, 3, 0)
 
 
+def _pool_relu_bits(x, f, upstream, reference=False):
+    """maxpool_relu's output and dx, or the channels-first reference's
+    relu then argmax pool. Where a window's max is <= 0, the reference's
+    relu mask writes g*0 into its first maximum: -0.0 for a negative g
+    (hence the + 0.0 that compares) and NaN for an infinite one, where
+    maxpool_relu leaves +0.0."""
+    if reference:
+        out, (dx,) = _op_bits(lambda t, a: ref.maxpool2d(t, ref.relu(t, a), f), True, x, upstream=upstream)
+    else:
+        out, (dx,) = _op_bits(lambda t, a: ad.maxpool_relu(t, a, f), False, x, upstream=upstream)
+    return out, dx
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     f=st.integers(1, 3),
@@ -554,10 +570,10 @@ def test_maxpool2d_and_global_avg_pool_match_channels_first(f, C, B, H, W, seed)
     rng = np.random.default_rng(seed)
     x = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(B, H, W, C))
     upstream = rng.normal(size=(B, H // f, W // f, C))
-    out, (dx,) = _op_bits(lambda t, a: ad.maxpool2d(t, a, f), False, x, upstream=upstream)
-    ref_out, (ref_dx,) = _op_bits(lambda t, a: ref.maxpool2d(t, a, f), True, x, upstream=upstream)
+    out, dx = _pool_relu_bits(x, f, upstream)
+    ref_out, ref_dx = _pool_relu_bits(x, f, upstream, reference=True)
     assert out.tobytes() == ref_out.tobytes()
-    assert dx.tobytes() == ref_dx.tobytes()
+    assert dx.tobytes() == (ref_dx + 0.0).tobytes()
     g = rng.normal(size=(B, C))
     mean, (dx,) = _op_bits(ad.global_avg_pool, False, x, upstream=g)
     ref_mean, (ref_dx,) = _op_bits(ref.global_avg_pool, True, x, upstream=g)
@@ -569,8 +585,8 @@ def test_maxpool_tied_window_sends_gradient_to_first_cell():
     x = np.ones((1, 4, 6, 2))
     x[0, 2:, :2] = [[[-1.0, 3.0], [3.0, 3.0]], [[3.0, -1.0], [3.0, 3.0]]]  # ties within one window
     upstream = np.arange(1.0, 13.0).reshape(1, 2, 3, 2)
-    _, (dx,) = _op_bits(lambda t, a: ad.maxpool2d(t, a, 2), False, x, upstream=upstream)
-    _, (ref_dx,) = _op_bits(lambda t, a: ref.maxpool2d(t, a, 2), True, x, upstream=upstream)
+    _, dx = _pool_relu_bits(x, 2, upstream)
+    _, ref_dx = _pool_relu_bits(x, 2, upstream, reference=True)
     assert dx.tobytes() == ref_dx.tobytes()
     expected = np.zeros_like(x)
     expected[0, ::2, ::2] = upstream[0]
@@ -583,12 +599,16 @@ def test_maxpool_inf_gradient_leaves_other_cells_at_zero():
     x = rng.normal(size=(2, 5, 5, 3))
     upstream = rng.normal(size=(2, 2, 2, 3))
     upstream[0, 1, 0, 2], upstream[1, 0, 1, 0] = np.inf, -np.inf
-    _, (dx,) = _op_bits(lambda t, a: ad.maxpool2d(t, a, 2), False, x, upstream=upstream)
-    _, (ref_dx,) = _op_bits(lambda t, a: ref.maxpool2d(t, a, 2), True, x, upstream=upstream)
-    assert dx.tobytes() == ref_dx.tobytes()
+    with np.errstate(invalid="ignore"):  # the reference's inf * 0
+        out, dx = _pool_relu_bits(x, 2, upstream)
+        _, ref_dx = _pool_relu_bits(x, 2, upstream, reference=True)
+    # the -inf falls on a window whose max is negative: the reference's
+    # relu mask makes it NaN there, maxpool_relu sends nothing
+    assert out[1, 0, 1, 0] == 0.0 and np.isnan(ref_dx).sum() == 1
+    assert dx.tobytes() == np.where(np.isnan(ref_dx), 0.0, ref_dx + 0.0).tobytes()
     assert not np.isnan(dx).any()
-    assert np.count_nonzero(dx) == upstream.size
-    assert np.isinf(dx).sum() == 2
+    assert np.count_nonzero(dx) == np.count_nonzero(out) > 0
+    assert np.isinf(dx).sum() == 1
 
 
 def _cnn_bits(forward, images, params, cfg, upstream):

@@ -132,8 +132,17 @@ class TestAutodiffCore:
 
 
 def _away_from_zero(rng, shape):
-    # relu and max-pool probes stay off their kinks and ties
+    # maxpool_relu probes stay off its kinks and ties
     return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.2, 1.0, size=shape)
+
+
+def _mixed_sign_windows(rng, shape):
+    """(B, H, 4, C) values off the kinks for 2x2 windows: columns 0-1 are
+    negative, so the relu masks their windows, and columns 2-3 of both
+    signs, so their windows' max is positive."""
+    x = np.abs(_away_from_zero(rng, shape))
+    x[:, :, [0, 1, 3]] *= -1.0
+    return x
 
 
 # a support in the (2, 5, 4) grid with pixels on both items' borders
@@ -153,7 +162,6 @@ OP_CASES = {
     ),
     "sigmoid": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ad.sigmoid(t, a)),
     "tanh": (lambda r: [r.normal(size=(2, 5))], lambda t, a: ops.tanh(t, a)),
-    "relu": (lambda r: [_away_from_zero(r, (3, 4))], lambda t, a: ad.relu(t, a)),
     "reshape": (lambda r: [r.normal(size=(2, 6))], lambda t, a: ad.reshape(t, a, (3, 4))),
     "conv2d": (
         lambda r: [r.normal(size=(2, 5, 4, 2)), r.normal(size=(3, 2, 3, 3)), r.normal(size=3)],
@@ -163,8 +171,9 @@ OP_CASES = {
         lambda r: [r.normal(size=len(_SUPPORT)), r.normal(size=(3, 1, 3, 3)), r.normal(size=3)],
         lambda t, x, w, b: ad.conv2d_support(t, x, _SUPPORT, (2, 5, 4), w, b),
     ),
-    "maxpool2d_cropped": (lambda r: [_away_from_zero(r, (2, 5, 7, 2))], lambda t, a: ad.maxpool2d(t, a, 2)),
-    "maxpool2d_factor3": (lambda r: [_away_from_zero(r, (1, 7, 6, 2))], lambda t, a: ad.maxpool2d(t, a, 3)),
+    "maxpool_relu_cropped": (lambda r: [_away_from_zero(r, (2, 5, 7, 2))], lambda t, a: ad.maxpool_relu(t, a, 2)),
+    "maxpool_relu_factor3": (lambda r: [_away_from_zero(r, (1, 7, 6, 2))], lambda t, a: ad.maxpool_relu(t, a, 3)),
+    "maxpool_relu_mixed_sign": (lambda r: [_mixed_sign_windows(r, (2, 4, 4, 3))], lambda t, a: ad.maxpool_relu(t, a, 2)),
     "global_avg_pool": (lambda r: [r.normal(size=(2, 4, 5, 3))], lambda t, a: ad.global_avg_pool(t, a)),
     "sum_all": (lambda r: [r.normal(size=(3, 4))], lambda t, a: ad.sum_all(t, a)),
     "cross_entropy_logits": (
@@ -197,10 +206,24 @@ class TestOpHelper:
     def test_maxpool_cropped_tail_gets_zero_gradient(self):
         x = ad.parameter(_away_from_zero(np.random.default_rng(0), (1, 5, 7, 1)))
         tape = Tape()
-        backward(tape, ad.sum_all(tape, ad.maxpool2d(tape, x, 2)))
+        backward(tape, ad.sum_all(tape, ad.maxpool_relu(tape, x, 2)))
         assert x.grad.shape == (1, 5, 7, 1)
         assert np.all(x.grad[:, 4, :, :] == 0.0) and np.all(x.grad[:, :, 6, :] == 0.0)
-        assert x.grad[:, :4, :6, :].sum() == 6.0
+        assert x.grad[:, :4, :6, :].sum() == 6.0  # every window's max is positive here
+
+    def test_maxpool_relu_window_with_nonpositive_max_sends_nothing(self):
+        # relu(maxpool2d(x)) wrote g*0 into such a window's first maximum:
+        # -0.0 for a negative g, NaN for an infinite one; a max of exactly
+        # 0.0 sends nothing either, as relu's > 0 mask did
+        x = ad.parameter(np.array([[-1.0, -2.0, 0.0, -1.0], [-3.0, -0.5, -2.0, 0.0]]).reshape(1, 2, 4, 1).repeat(3, axis=3))
+        upstream = np.array([[np.inf, -np.inf, -1.5], [np.inf, -np.inf, -2.0]]).reshape(1, 1, 2, 3)
+        tape = Tape()
+        out = ad.maxpool_relu(tape, x, 2)
+        assert out.data.tobytes() == np.zeros((1, 1, 2, 3)).tobytes()
+        with np.errstate(invalid="ignore"):  # the loss 0 * inf is NaN; only its gradient is read
+            loss = ad.sum_all(tape, ad.mul_const(tape, out, upstream))
+        backward(tape, loss)
+        assert x.grad.tobytes() == np.zeros(x.data.shape).tobytes()
 
     def test_unreached_and_constant_operands_keep_no_gradient(self):
         x = ad.parameter(np.array([0.3, -0.7]))
@@ -332,13 +355,13 @@ class TestBackwardFreesAsItGoes:
         up = rng.normal(size=(3, 4))
         tape = Tape()
         a = ad.mul_const(tape, x, 2.0)
-        b = ad.relu(tape, x)
+        b = ad.sigmoid(tape, x)
         s = ops.add(tape, a, b)  # both vjps return g itself
         backward(tape, ad.sum_all(tape, ad.mul_const(tape, s, up)))
         for t in (s, a, b):
             assert t.grad.tobytes() == up.tobytes()
-        # relu's vjp ran first and handed its result over; mul_const's adds
-        assert x.grad.tobytes() == (up * (x.data > 0) + up * 2.0).tobytes()
+        # sigmoid's vjp ran first and handed its new array over; mul_const's adds
+        assert x.grad.tobytes() == (up * b.data * (1.0 - b.data) + up * 2.0).tobytes()
 
     def test_one_op_consuming_a_tensor_twice_leaves_g_alone(self):
         rng = np.random.default_rng(3)
@@ -678,8 +701,8 @@ class TestCnn:
             assert logits.shape == (4,)
 
     @pytest.mark.parametrize("num_stages", [1, 2, 3])
-    def test_three_ops_per_stage_plus_two(self, num_stages):
-        # conv, max pool and relu per stage, then the global pool and the
+    def test_two_ops_per_stage_plus_two(self, num_stages):
+        # conv and maxpool_relu per stage, then the global pool and the
         # linear head: the benchmark's cnn.tape_ops counts these
         rng = np.random.default_rng(13)
         cfg = CnnConfig(stages=((3, 4, 2),) * num_stages, num_classes=3)
@@ -687,7 +710,7 @@ class TestCnn:
         tape = Tape()
         values, support, shape = full_support(rng.normal(size=(2, 16, 16, 1)))
         cnn_forward_batch(tape, ad.constant(values), support, shape, params, cfg)
-        assert len(tape) == 3 * num_stages + 2
+        assert len(tape) == 2 * num_stages + 2
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):

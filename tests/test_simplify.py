@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sketchattn import simplify
-from sketchattn.errors import InvalidConfigError, NonFiniteCoordinateError
+from sketchattn.errors import InvalidConfigError, MalformedPointsError, NonFiniteCoordinateError
 from sketchattn.geometry import VectorSketch, validate_and_normalize
-from sketchattn.simplify import SimplifyConfig, rdp_stroke, simplify_sketch, simplify_split
+from sketchattn.simplify import SimplifyConfig, simplify_sketch, simplify_split
 
 import loop_reference as ref
+from rdp_support import rdp_stroke
 from sketch_strategies import assert_same_bytes, simplify_configs, splits
 
 
@@ -103,18 +104,20 @@ class TestRdpStroke:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_raise(self, bad):
         # a NaN made its interval's maximum NaN, so the interval never split
-        # and (1, 7), 7 from the chord, vanished along with the NaN point
+        # and (1, 7), 7 from the chord, vanished along with the NaN point;
+        # no sketch can hold one, so none reaches the RDP pass
         with pytest.raises(NonFiniteCoordinateError):
-            rdp_stroke([[0.0, 0.0], [bad, 5.0], [1.0, 7.0], [2.0, 0.0]], 1.0)
-        with pytest.raises(ValueError):
-            rdp_stroke([[0.0, bad, 1.0]], 1.0)
+            VectorSketch(np.array([[0.0, 0.0], [bad, 5.0], [1.0, 7.0], [2.0, 0.0]]), np.array([0, 0, 0, 1]))
+        with pytest.raises(MalformedPointsError):
+            VectorSketch(np.array([[0.0, bad, 1.0]]), np.array([1]))
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, 0.0])
     def test_bad_epsilon_raises(self, eps):
         # NaN and inf used to keep only the endpoints, -1 acted as 1 and 0
-        # kept every point that deviates at all
+        # kept every point that deviates at all; the config that carries
+        # epsilon to the RDP pass rejects them
         with pytest.raises(InvalidConfigError, match="epsilon"):
-            rdp_stroke([(0, 0), (1, 1), (2, 0)], eps)
+            SimplifyConfig(epsilon=eps)
 
     @given(st.integers(3, 60), st.floats(0.2, 8.0))
     def test_property_subsequence_bound(self, n, eps):

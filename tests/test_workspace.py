@@ -38,6 +38,11 @@ def _artifacts(variant, out_dir):
     return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
 
 
+def segments(ws: Workspace) -> tuple[np.ndarray, ...]:
+    """Every segment of ws, free bytes included."""
+    return tuple(ws._segments)
+
+
 def _poison(a):
     a.reshape(-1).view(np.uint8).fill(0xFF)  # NaN as float64, -1 as intp, True as bool
 
@@ -51,18 +56,18 @@ def test_poisoned_and_absent_workspaces_give_the_same_bytes(variant, tmp_path, m
     def poisoning_backward(tape, loss):
         original_backward(tape, loss)
         workspaces.append(tape.workspace)
-        for buf in tape.workspace.buffers():  # every byte, free or not
+        for buf in segments(tape.workspace):  # every byte, free or not
             _poison(buf)
 
     def poisoning_free_range(ws, k, lo, hi):
-        _poison(ws.buffers()[k][lo:hi])  # a stale read of a returned range meets NaN
+        _poison(segments(ws)[k][lo:hi])  # a stale read of a returned range meets NaN
         returned.append(hi - lo)
         original_free_range(ws, k, lo, hi)
 
     monkeypatch.setattr(pipeline, "backward", poisoning_backward)
     monkeypatch.setattr(Workspace, "_free_range", poisoning_free_range)
     assert _artifacts(variant, tmp_path / "poisoned") == expected
-    assert workspaces and all(ws is not None and ws.buffers() for ws in workspaces)
+    assert workspaces and all(ws is not None and segments(ws) for ws in workspaces)
     assert returned
     monkeypatch.undo()
     monkeypatch.setattr(pipeline, "Workspace", lambda: None)  # every tape without a workspace
@@ -78,7 +83,7 @@ def test_no_gradient_adam_reads_shares_memory_with_the_workspace(monkeypatch):
         original_backward(tape, loss)
 
     def checking_adam(state, lr):
-        buffers = seen["workspace"].buffers()
+        buffers = segments(seen["workspace"])
         grads = [p.grad for p in state.params.values() if p.grad is not None]
         assert grads and buffers
         assert not any(np.shares_memory(g, buf) for g in grads for buf in buffers)
@@ -106,7 +111,7 @@ def test_tape_with_and_without_workspace_same_gradients(variant, monkeypatch):
         assert tape.workspace is ws
         backward(tape, loss)
         assert {name: p.grad.tobytes() for name, p in params.items()} == plain
-    assert ws.buffers()
+    assert segments(ws)
 
 
 def test_a_range_comes_back_only_once_no_view_of_its_array_is_left():
@@ -142,7 +147,7 @@ class TestWorkspaceAllocator:
         ws = Workspace()
         a, b, c = ws.take((100,)), ws.take((3, 7), np.intp), ws.take((50,), bool)
         assert not any(np.shares_memory(p, q) for p, q in ((a, b), (a, c), (b, c)))
-        assert len(ws.buffers()) == 1 and ws.holds(a) and ws.holds(b.T)
+        assert len(segments(ws)) == 1 and ws.holds(a) and ws.holds(b.T)
         assert not ws.holds(a.copy()) and not ws.holds(a[1:]) and not ws.holds(Workspace().take((100,)))
         start = a.ctypes.data
         del a
@@ -155,13 +160,13 @@ class TestWorkspaceAllocator:
         start = a.ctypes.data
         del b, a
         whole = ws.take((2 * half,))  # fits only once a and b are one range again
-        assert whole.ctypes.data == start and len(ws.buffers()) == 1
+        assert whole.ctypes.data == start and len(segments(ws)) == 1
 
     def test_a_request_beyond_every_free_range_adds_a_segment_of_its_size(self):
         ws = Workspace()
         big = ws.take((ad._SEGMENT // 8 + 1,))
         small = ws.take((10,))
-        sizes = sorted(buf.nbytes for buf in ws.buffers())
+        sizes = sorted(buf.nbytes for buf in segments(ws))
         assert sizes == [ad._SEGMENT, -(-big.nbytes // ad._ALIGN) * ad._ALIGN]
         assert not np.shares_memory(big, small)
 
@@ -183,18 +188,18 @@ class TestWorkspaceAllocator:
         monkeypatch.setattr(pipeline, "Workspace", lambda: ws)
         train_ds, _ = _datasets()
         cfg = desk_config(len(train_ds.categories), epochs=1)
-        segments = []
+        seen = []
         original_backward = pipeline.backward
 
         def counting_backward(tape, loss):
             original_backward(tape, loss)
-            segments.append(tuple(id(buf) for buf in ws.buffers()))
+            seen.append(tuple(id(buf) for buf in segments(ws)))
 
         monkeypatch.setattr(pipeline, "backward", counting_backward)
         pipeline.train(cfg, train_ds)
         pipeline.train(cfg, train_ds)  # the same batches again, on the sized workspace
-        later = segments[len(segments) // 2 :]
-        assert len(set(later)) == 1 and later[0] == segments[len(segments) // 2 - 1]
+        later = seen[len(seen) // 2 :]
+        assert len(set(later)) == 1 and later[0] == seen[len(seen) // 2 - 1]
 
 
 def test_training_frees_the_workspace_before_scoring(monkeypatch):
