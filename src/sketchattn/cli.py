@@ -181,7 +181,7 @@ def _nlr_profile(seed: int):
 
 def _rnn_profile(seed: int):
     rng = np.random.default_rng((seed, 12))
-    cfg = RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0)
+    cfg = RnnConfig(hidden_size=8, dropout_prob=0.0)
     params = init_rnn_params(rng, cfg)
     sketch = random_sketch(rng, 5, 64.0, 64.0)
     inputs, _ = _batch_inputs([sketch], 64)
@@ -205,7 +205,7 @@ def _jitter_biases(params, rng) -> None:
 
 def _cnn_profile(seed: int):
     rng = np.random.default_rng((seed, 13))
-    cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2)
+    cfg = CnnConfig(stages=(4, 8), num_classes=2)
     params = init_cnn_params(rng, cfg)
     _jitter_biases(params, rng)
     image = rng.normal(size=8 * 8)  # one 8x8 image whose support is every pixel
@@ -222,8 +222,8 @@ def _full_profile(seed: int):
     cfg = desk_config(
         2,
         seed=seed,
-        rnn=RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0),
-        cnn=CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2),
+        rnn=RnnConfig(hidden_size=8, dropout_prob=0.0),
+        cnn=CnnConfig(stages=(4, 8), num_classes=2),
         raster=RasterConfig(width=16, height=16, epsilon=1.0),
     )
     state = init_model_state(cfg)

@@ -8,7 +8,7 @@ Parameter naming scheme (used by the optimizer and checkpoints):
     rnn.l{layer}.{fw|bw}.wh   (hidden, 4*hidden)
     rnn.l{layer}.{fw|bw}.b    (4*hidden,)          forget-gate bias starts at 1
     head.w (feat, 1), head.b (1,)
-    cnn.conv{k}.w (out_ch, in_ch, k, k), cnn.conv{k}.b (out_ch,)
+    cnn.conv{s}.w (out_ch, in_ch, KERNEL, KERNEL), cnn.conv{s}.b (out_ch,)
     cnn.fc.w (feat, classes), cnn.fc.b (classes,)
 """
 
@@ -24,17 +24,21 @@ from .autodiff import Tape, Tensor
 
 # per point (dx, dy, s): the offset encoding built in pipeline._batch_inputs
 INPUT_SIZE = 3
+# every profile's network: NUM_LAYERS bidirectional LSTM layers, then CNN
+# stages of a KERNEL x KERNEL conv and a POOL x POOL maxpool_relu each
+NUM_LAYERS = 2
+KERNEL = 3
+POOL = 2
 
 
 @dataclass(frozen=True)
 class RnnConfig:
     hidden_size: int = 512
-    num_layers: int = 2
     dropout_prob: float = 0.5
 
     def __post_init__(self):
-        if self.hidden_size < 1 or self.num_layers < 1:
-            raise InvalidConfigError("hidden_size and num_layers must be >= 1")
+        if self.hidden_size < 1:
+            raise InvalidConfigError("hidden_size must be >= 1")
         if not (0.0 <= self.dropout_prob < 1.0):
             raise InvalidConfigError("dropout_prob must lie in [0, 1)")
 
@@ -45,17 +49,14 @@ class RnnConfig:
 
 @dataclass(frozen=True)
 class CnnConfig:
-    stages: tuple[tuple[int, int, int], ...] = ((3, 16, 2), (3, 32, 2), (3, 64, 2))
+    stages: tuple[int, ...] = (16, 32, 64)  # each stage's output channels
     num_classes: int = 6
 
     def __post_init__(self):
-        # JSON documents carry the stages as nested lists
-        object.__setattr__(self, "stages", tuple(tuple(stage) for stage in self.stages))
-        for k, ch, pool in self.stages:
-            if k % 2 != 1 or k < 1:
-                raise InvalidConfigError("conv kernels must be odd")
-            if ch < 1 or pool < 1:
-                raise InvalidConfigError("channel counts and pooling factors must be >= 1")
+        # JSON documents carry the stages as a list
+        object.__setattr__(self, "stages", tuple(self.stages))
+        if not self.stages or min(self.stages) < 1:
+            raise InvalidConfigError(f"'stages' must hold at least one channel count, each >= 1, got {self.stages}")
         if self.num_classes < 2:
             raise InvalidConfigError("need at least two classes")
 
@@ -69,7 +70,7 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 def init_rnn_params(rng: np.random.Generator, cfg: RnnConfig) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     H = cfg.hidden_size
-    for layer in range(cfg.num_layers):
+    for layer in range(NUM_LAYERS):
         in_dim = INPUT_SIZE if layer == 0 else cfg.feature_size
         bound = 1.0 / np.sqrt(in_dim)
         for d in ("fw", "bw"):
@@ -89,10 +90,10 @@ def init_rnn_params(rng: np.random.Generator, cfg: RnnConfig) -> dict[str, Tenso
 def init_cnn_params(rng: np.random.Generator, cfg: CnnConfig) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     ch_in = 1  # the one attention-painted image channel
-    for s, (k, ch, _pool) in enumerate(cfg.stages):
-        fan_in = ch_in * k * k
+    for s, ch in enumerate(cfg.stages):
+        fan_in = ch_in * KERNEL * KERNEL
         bound = np.sqrt(6.0 / fan_in)
-        params[f"cnn.conv{s}.w"] = ad.parameter(rng.uniform(-bound, bound, size=(ch, ch_in, k, k)))
+        params[f"cnn.conv{s}.w"] = ad.parameter(rng.uniform(-bound, bound, size=(ch, ch_in, KERNEL, KERNEL)))
         params[f"cnn.conv{s}.b"] = ad.parameter(np.zeros(ch))
         ch_in = ch
     bound = 1.0 / np.sqrt(ch_in)
@@ -129,10 +130,10 @@ def rnn_attention_batch(
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
 
     x = ad.constant(inputs)
-    for layer in range(cfg.num_layers):
+    for layer in range(NUM_LAYERS):
         fw, bw = (tuple(params[f"rnn.l{layer}.{d}.{w}"] for w in ("wx", "wh", "b")) for d in ("fw", "bw"))
         x = ad.lstm(tape, x, lengths, fw, bw)
-        if layer < cfg.num_layers - 1 and dropout_rng is not None and cfg.dropout_prob > 0.0:
+        if layer < NUM_LAYERS - 1 and dropout_rng is not None and cfg.dropout_prob > 0.0:
             x = ad.dropout(tape, x, cfg.dropout_prob, dropout_rng)
 
     flat = ad.reshape(tape, x, (B * T, cfg.feature_size))
@@ -155,12 +156,12 @@ def cnn_forward_batch(
     support, the strictly increasing flat indices of those pixels in the
     (B, H, W) grid of shape. Conv 0 reads only the support
     (conv2d_support); its output and every later activation are
-    channels-last, (B, H, W, C). Each stage is a conv and maxpool_relu,
-    the max pool that applies the relu: relu commutes with the max, in
-    values and in the cell each window's gradient reaches."""
-    for s, (_k, _ch, pool) in enumerate(cfg.stages):
+    channels-last, (B, H, W, C). Each stage is a conv and maxpool_relu
+    by POOL, the max pool that applies the relu: relu commutes with the
+    max, in values and in the cell each window's gradient reaches."""
+    for s in range(len(cfg.stages)):
         w, b = params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]
         x = ad.conv2d_support(tape, values, support, shape, w, b) if s == 0 else ad.conv2d(tape, x, w, b)
-        x = ad.maxpool_relu(tape, x, pool)
+        x = ad.maxpool_relu(tape, x, POOL)
     x = ad.global_avg_pool(tape, x)
     return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])

@@ -42,6 +42,7 @@ from .ingest import Dataset, check_document
 from .net import autodiff as ad
 from .net.autodiff import Tape, Tensor, Workspace, backward, cross_entropy_logits
 from .net.model import (
+    POOL,
     CnnConfig,
     RnnConfig,
     cnn_forward_batch,
@@ -60,7 +61,7 @@ PAPER_LR = 1e-4  # the paper's rate for training from scratch
 METRICS_FORMAT = "sketchattn-metrics"
 METRICS_VERSION = 1
 CONFIG_FORMAT = "sketchattn-config"
-CONFIG_VERSION = 3
+CONFIG_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,7 @@ _VALUE_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
     "float | None": (lambda v: v is None or _is_int(v) or isinstance(v, float), "null or a number"),
-    "tuple[tuple[int, int, int], ...]": (
-        lambda v: isinstance(v, list) and all(isinstance(s, list) and len(s) == 3 and all(map(_is_int, s)) for s in v),
-        "a list of [kernel, channels, pool] integer triples",
-    ),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integer channel counts"),
 }
 
 
@@ -156,13 +154,13 @@ class ExperimentConfig:
             if acc is not None and not 0.0 <= acc <= 1.0:  # false for NaN too
                 raise InvalidConfigError(f"config {name!r} must lie in [0, 1], got {acc!r}")
         h, w = self.raster.height, self.raster.width
-        for s, (_k, _ch, pool) in enumerate(self.cnn.stages):
-            if h < pool or w < pool:
+        for s in range(len(self.cnn.stages)):
+            if h < POOL or w < POOL:
                 raise InvalidConfigError(
-                    f"cnn stage {s} pools by {pool} but its input is {h}x{w} (height x width): "
+                    f"cnn stage {s} pools by {POOL} but its input is {h}x{w} (height x width): "
                     "the canvas is too small for the stages"
                 )
-            h, w = h // pool, w // pool
+            h, w = h // POOL, w // POOL
         if min(self.raster.width, self.raster.height) <= 2 * CANVAS_MARGIN:
             raise InvalidConfigError(f"raster {self.raster.width}x{self.raster.height} (width x height): 'width' and "
                                      f"'height' must exceed {2 * CANVAS_MARGIN:g}, twice the canvas margin")
@@ -175,7 +173,7 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d["format"] = CONFIG_FORMAT
         d["version"] = CONFIG_VERSION
-        d["cnn"]["stages"] = [list(s) for s in self.cnn.stages]
+        d["cnn"]["stages"] = list(self.cnn.stages)
         return d
 
     @staticmethod
@@ -206,7 +204,7 @@ def desk_config(num_classes: int, **overrides) -> ExperimentConfig:
     """
     return ExperimentConfig(**{
         "rnn": RnnConfig(hidden_size=32, dropout_prob=0.2),
-        "cnn": CnnConfig(stages=((3, 8, 2), (3, 16, 2), (3, 32, 2)), num_classes=num_classes),
+        "cnn": CnnConfig(stages=(8, 16, 32), num_classes=num_classes),
         "raster": RasterConfig(width=64, height=64),
         "augment": AugmentConfig(reflect_prob=0.0),
         "batch_size": 16,
@@ -317,10 +315,10 @@ def _rasterize_batch(tape: Tape | None, attn: Tensor, sketches: list[VectorSketc
     the (B, H, W) grid, of the pixels each item's rasterization owns, item
     by item in row-major order, values (nnz,) their intensities, and maps
     each item's AttentionMap, whose intensities are the one dense image.
-    Every variant and the nlr gradcheck pass through here. The vjp
-    scatters each item's value gradients into a zero (H, W) delta, hands
-    it to rasterize_backward and puts the result into the attention rows;
-    fixed attention, which requires no gradient, adds no tape op.
+    Every variant and the nlr gradcheck pass through here. The vjp hands
+    each item's slice of the value gradients, which lies on its owned
+    pixels, to rasterize_backward and puts the result into the attention
+    rows; fixed attention, which requires no gradient, adds no tape op.
     """
     maps = [rasterize_forward(sk, attn.data[b, : sk.n], cfg) for b, sk in enumerate(sketches)]
     owned = [amap.owned for amap in maps]
@@ -331,10 +329,8 @@ def _rasterize_batch(tape: Tape | None, attn: Tensor, sketches: list[VectorSketc
 
     def vjp(g):
         d = np.zeros_like(attn.data)
-        for b, (sk, amap, o, g_item) in enumerate(zip(sketches, maps, owned, np.split(g, ends))):
-            delta = np.zeros(amap.owner.shape)
-            delta.reshape(-1)[o] = g_item
-            d[b, : sk.n] = rasterize_backward(amap, delta, sk.n)
+        for b, (sk, amap, g_item) in enumerate(zip(sketches, maps, np.split(g, ends))):
+            d[b, : sk.n] = rasterize_backward(amap, g_item, sk.n)
         return d
 
     return ad.op(tape, values, (attn, vjp)), support, maps

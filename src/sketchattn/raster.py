@@ -214,20 +214,22 @@ def rasterize_forward(sketch: VectorSketch, attention, config: RasterConfig) -> 
 def rasterize_backward(amap: AttentionMap, delta: np.ndarray, n_points: int) -> np.ndarray:
     """Adjoint of rasterize_forward w.r.t. the attention values.
 
-    Each owned pixel scatters delta * (1 - alpha) to its segment's start
-    point and delta * alpha to its end point; accumulation runs in fixed
+    delta is the (H, W) image gradient or its values at amap.owned. Each
+    owned pixel scatters delta * (1 - alpha) to its segment's start point
+    and delta * alpha to its end point; accumulation runs in fixed
     row-major pixel order.
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != amap.owner.shape:
-        raise ShapeMismatchError(f"delta shape {delta.shape} != raster shape {amap.owner.shape}")
+    d = np.asarray(delta, dtype=np.float64)
+    o = amap.owned
+    if d.shape == amap.owner.shape:
+        d = d.reshape(-1)[o]
+    elif d.shape != o.shape:
+        raise ShapeMismatchError(f"delta shape {d.shape} is neither {amap.owner.shape} nor the owned pixels' {o.shape}")
     if len(amap.table) and n_points <= int(amap.table.end.max()):
         raise ShapeMismatchError("n_points too small for the provenance table")
     grad = np.zeros(n_points, dtype=np.float64)
-    o = amap.owned
     ow = amap.owner.reshape(-1)[o]
     al = amap.alpha.reshape(-1)[o]
-    d = delta.reshape(-1)[o]
     np.add.at(grad, amap.table.start[ow], d * (1.0 - al))
     np.add.at(grad, amap.table.end[ow], d * al)
     return grad

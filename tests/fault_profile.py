@@ -5,18 +5,20 @@
 Sets up a benchmark workload (``perfbench/workloads.py``) with one BLAS
 thread, runs ``--warmup`` untimed ``train`` calls as the benchmark's train
 phase does (one epoch, checkpoints in a temporary directory), then profiles
-one more. Every op that ``sketchattn.net.model`` and ``sketchattn.pipeline``
-reach through the ``autodiff`` module (and the pipeline's rasterization
-bridge and cross entropy) is wrapped so that ``getrusage`` is read around
-its forward call, and ``Tape.record`` is wrapped so that the same is done
-around the backward closure that op records. Each count is exclusive: an op
+one more. Every tape op that the profiled tree's ``autodiff`` module
+defines (its public functions whose first parameter is ``tape``, other than
+``op`` and ``backward``), and the pipeline's rasterization bridge and cross
+entropy, is wrapped so that ``getrusage`` is read around its forward call,
+and ``Tape.record`` is wrapped so that the same is done around the backward
+closure that op records. Each count is exclusive: an op
 called inside another (``dropout`` calls ``mul_const``) is not counted
 twice. ``other`` is whatever the call faulted outside every op, so
 ``total`` is at least the sum of the op counts. System CPU time is
 attributed the same way. ``Workspace.take`` is wrapped too, to report the
 training workspace's footprint: the bytes of its segments and the peak of
 the bytes its live arrays occupy (segment bytes less free ranges, read
-after each take), each the largest over the workspaces the call made.
+after each take), each the largest over the workspaces the call made; a
+tree without ``Workspace`` reports none. The report lists the wrapped ops.
 
 Point ``--src`` at another tree's ``src`` to profile it; the workloads are
 read from this tree's ``perfbench``. Not a test module: pytest does not
@@ -25,6 +27,7 @@ collect it.
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import resource
@@ -34,13 +37,18 @@ from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# the autodiff ops the model and the pipeline call through the module
-AUTODIFF_OPS = (
-    "lstm", "dropout", "linear", "sigmoid", "reshape", "mul_const", "conv2d_support",
-    "conv2d", "maxpool_relu", "global_avg_pool", "cross_entropy_logits",
-)
 # ops the pipeline calls by its own names: (attribute, op name)
 PIPELINE_OPS = (("_rasterize_batch", "rasterize_batch"), ("cross_entropy_logits", "cross_entropy_logits"))
+
+
+def tape_ops(autodiff) -> list[str]:
+    """The tape ops an ``autodiff`` module defines: its public functions
+    whose first parameter is ``tape``, other than ``op`` and ``backward``."""
+    return sorted(
+        name for name, fn in vars(autodiff).items()
+        if inspect.isfunction(fn) and not name.startswith("_") and name not in ("op", "backward")
+        and list(inspect.signature(fn).parameters)[:1] == ["tape"]
+    )
 
 
 def _usage():
@@ -49,23 +57,31 @@ def _usage():
 
 
 class FaultProfile:
-    """Wraps the ops on enter and restores them on exit; ``counts[name]``
-    holds [forward faults, backward faults, forward system s, backward
-    system s] for each op name, and ``workspace`` the largest segment bytes
-    and peak live bytes over the workspaces."""
+    """Wraps the ops of the given ``autodiff`` and ``pipeline`` modules
+    (by default the imported ``sketchattn`` ones) on enter and restores them
+    on exit; ``counts[name]`` holds [forward faults, backward faults,
+    forward system s, backward system s] for each op name, ``wrapped`` the
+    op names, and ``workspace`` the largest segment bytes and peak live
+    bytes over the workspaces, or None when the tree has no ``Workspace``."""
 
-    def __init__(self):
+    def __init__(self, autodiff=None, pipeline=None):
         self.counts = defaultdict(lambda: [0, 0, 0.0, 0.0])
-        self.workspace = {"segment_bytes": 0, "peak_live_bytes": 0}
+        self.wrapped = []
+        self.workspace = None
+        self._modules = autodiff, pipeline
         self._stack = []  # [op name, faults of nested ops, system s of nested ops]
         self._restore = []
 
     def __enter__(self) -> "FaultProfile":
-        from sketchattn import pipeline
-        from sketchattn.net import autodiff
+        autodiff, pipeline = self._modules
+        if autodiff is None:
+            from sketchattn.net import autodiff
+        if pipeline is None:
+            from sketchattn import pipeline
 
-        targets = [(autodiff, name, name) for name in AUTODIFF_OPS]
+        targets = [(autodiff, name, name) for name in tape_ops(autodiff)]
         targets += [(pipeline, attr, name) for attr, name in PIPELINE_OPS]
+        self.wrapped = sorted({name for _module, _attr, name in targets})
         for module, attr, name in targets:
             original = getattr(module, attr)
             self._restore.append((module, attr, original))
@@ -79,6 +95,9 @@ class FaultProfile:
             record(tape, profile._wrap(backward_fn, name, 1))
 
         autodiff.Tape.record = counted_record
+        if not hasattr(autodiff, "Workspace"):
+            return self
+        self.workspace = {"segment_bytes": 0, "peak_live_bytes": 0}
         take = autodiff.Workspace.take
         self._restore.append((autodiff.Workspace, "take", take))
 
@@ -127,12 +146,14 @@ class FaultProfile:
         }
         in_ops = sum(c[0] + c[1] for c in self.counts.values())
         return {"total_faults": total_faults, "total_system_s": round(total_stime, 6),
-                "other_faults": total_faults - in_ops, "ops": ops, "workspace": dict(self.workspace)}
+                "other_faults": total_faults - in_ops, "ops": ops, "wrapped": list(self.wrapped),
+                "workspace": None if self.workspace is None else dict(self.workspace)}
 
 
-def profile_train(train_call) -> dict:
-    """Run train_call() under a FaultProfile and report its counts."""
-    with FaultProfile() as prof:
+def profile_train(train_call, autodiff=None, pipeline=None) -> dict:
+    """Run train_call() under a FaultProfile of the given modules and
+    report its counts."""
+    with FaultProfile(autodiff, pipeline) as prof:
         faults, stime = _usage()
         train_call()
         faults_after, stime_after = _usage()
@@ -145,8 +166,10 @@ def table(report: dict) -> str:
         lines.append(f"| `{name}` | {c['forward_faults']:,} | {c['backward_faults']:,} |")
     lines.append(f"| outside ops | {report['other_faults']:,} | |")
     lines.append(f"| **total** | {report['total_faults']:,} | system {report['total_system_s']:.3f} s |")
+    lines.append(f"\nwrapped: {', '.join(report['wrapped'])}")
     ws = report["workspace"]
-    lines.append(f"\nworkspace: {ws['segment_bytes']:,} B of segments, {ws['peak_live_bytes']:,} B live at peak")
+    if ws is not None:
+        lines.append(f"workspace: {ws['segment_bytes']:,} B of segments, {ws['peak_live_bytes']:,} B live at peak")
     return "\n".join(lines)
 
 

@@ -346,11 +346,12 @@ def global_avg_pool(tape: Tape, x: Tensor) -> Tensor:
 
 
 def cnn_forward_batch(tape: Tape, images: Tensor, params: dict[str, Tensor], cfg: CnnConfig) -> Tensor:
-    """(B, 1, H, W) images -> (B, num_classes) logits."""
+    """(B, 1, H, W) images -> (B, num_classes) logits: per stage a conv
+    (3x3 through the weights' shape), relu and a 2x2 max pool."""
     x = images
-    for s, (_k, _ch, pool) in enumerate(cfg.stages):
+    for s in range(len(cfg.stages)):
         x = relu(tape, conv2d(tape, x, params[f"cnn.conv{s}.w"], params[f"cnn.conv{s}.b"]))
-        x = maxpool2d(tape, x, pool)
+        x = maxpool2d(tape, x, 2)
     x = global_avg_pool(tape, x)
     return ad.linear(tape, x, params["cnn.fc.w"], params["cnn.fc.b"])
 

@@ -174,7 +174,7 @@ def test_criterion_06_end_to_end_gradient_flow():
 
     cfg = desk_config(
         2, seed=0, epochs=1,
-        rnn=RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0),
+        rnn=RnnConfig(hidden_size=8, dropout_prob=0.0),
         raster=RasterConfig(width=16, height=16, epsilon=1.0),
     )
     state = init_model_state(cfg)

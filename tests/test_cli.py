@@ -435,8 +435,8 @@ class TestTrainEvalPredict:
 
         cfg = desk_config(
             2, seed=3, epochs=1,
-            rnn=RnnConfig(hidden_size=8, num_layers=1, dropout_prob=0.0),
-            cnn=CnnConfig(stages=((3, 4, 2),), num_classes=2),
+            rnn=RnnConfig(hidden_size=8, dropout_prob=0.0),
+            cnn=CnnConfig(stages=(4,), num_classes=2),
             raster=RasterConfig(width=16, height=16, epsilon=1.0),
         )
         cfg_file = tmp_path / "cfg.json"
@@ -450,7 +450,7 @@ class TestTrainEvalPredict:
         written = json.loads((out_dir / "config.json").read_text())
         assert written["seed"] == 3
         assert written["rnn"]["hidden_size"] == 8
-        assert written["version"] == 3
+        assert written["version"] == 4
 
     def test_config_file_with_removed_key_named(self, trained, tmp_path, capsys):
         # a key the config no longer has used to be dropped without a word
@@ -482,15 +482,17 @@ class TestTrainEvalPredict:
             (None, "early_stop_train_acc", "x"),
             ("rnn", "hidden_size", 8.0),
             ("raster", "width", 64.5),
-            ("cnn", "stages", [[3, 8.5, 2]]),
+            ("cnn", "stages", [8.5]),
+            ("cnn", "stages", []),
             ("simplify", "max_points", 100.5),
         ],
         ids=["lr_string", "seed_float", "batch_size_float", "epochs_zero", "early_stop_string",
-             "hidden_size_float", "width_float", "stage_channels_float", "max_points_float"],
+             "hidden_size_float", "width_float", "stage_channels_float", "no_stage", "max_points_float"],
     )
     def test_config_file_with_ill_typed_value_named(self, trained, tmp_path, capsys, section, key, value):
         # each used to pass the config check, write config.json and then end
-        # in an uncaught TypeError, UFuncNoLoopError or IndexError traceback
+        # in an uncaught TypeError, UFuncNoLoopError, IndexError or (no stage)
+        # UnboundLocalError traceback
         base, _, _ = trained
         from sketchattn.pipeline import desk_config
 
@@ -576,7 +578,7 @@ class TestTrainEvalPredict:
 
         doc = desk_config(2).to_json_dict()
         doc["raster"].update(width=16, height=16)
-        doc["cnn"]["stages"] = [[3, 4, 2]] * 5
+        doc["cnn"]["stages"] = [4] * 5
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(doc))
         out_dir = tmp_path / "run8"

@@ -654,9 +654,7 @@ def test_cnn_matches_channels_first_on_desk_rasters():
     _same_cnn(images[3:4], cfg.cnn, 1)
 
 
-_cnn_stages = st.lists(
-    st.tuples(st.sampled_from([1, 3, 5]), st.integers(1, 8), st.integers(1, 3)), min_size=1, max_size=3
-)
+_cnn_stages = st.lists(st.integers(1, 8), min_size=1, max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -667,10 +665,10 @@ _cnn_stages = st.lists(
     seed=st.integers(0, 2**16),
 )
 def test_cnn_matches_channels_first_on_drawn_shapes(stages, extra, B, seed):
-    # the canvas is the least one every stage can pool (1 px when every
-    # factor is 1) plus a drawn margin, so pooling crops tails; sparse
-    # images leave tied windows of background
-    need = int(np.prod([pool for _k, _ch, pool in stages]))
+    # the canvas is the least one every stage can pool plus a drawn
+    # margin, so pooling crops tails; sparse images leave tied windows of
+    # background
+    need = 2 ** len(stages)
     H, W = need + extra[0], need + extra[1]
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, size=(B, H, W, 1)) * (rng.random((B, H, W, 1)) < 0.4)

@@ -16,7 +16,9 @@ from sketchattn.ingest import random_sketch
 from sketchattn.net import autodiff as ad
 from sketchattn.net.autodiff import Tape, Tensor, backward, cross_entropy_logits
 from sketchattn.net.gradcheck import grad_check
+from sketchattn.net import model
 from sketchattn.net.model import (
+    NUM_LAYERS,
     CnnConfig,
     RnnConfig,
     cnn_forward_batch,
@@ -34,7 +36,7 @@ import tape_ops as ops
 
 def small_rnn(seed=0, hidden=8):
     rng = np.random.default_rng(seed)
-    cfg = RnnConfig(hidden_size=hidden, num_layers=2, dropout_prob=0.0)
+    cfg = RnnConfig(hidden_size=hidden, dropout_prob=0.0)
     return cfg, init_rnn_params(rng, cfg)
 
 
@@ -461,10 +463,10 @@ class TestRnnAttention:
 
     def test_dropout_runs_iff_an_rng_is_given(self):
         rng = np.random.default_rng(7)
-        cfg = RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.5)
+        cfg = RnnConfig(hidden_size=4, dropout_prob=0.5)
         params = init_rnn_params(rng, cfg)
         sk = random_sketch(rng, 4, 64, 64)
-        plain = attention_for(sk, RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.0), params).data
+        plain = attention_for(sk, RnnConfig(hidden_size=4, dropout_prob=0.0), params).data
         np.testing.assert_array_equal(attention_for(sk, cfg, params).data, plain)
         dropped = attention_for(sk, cfg, params, dropout_rng=rng).data
         assert dropped.shape == (1, sk.n)
@@ -620,16 +622,19 @@ class TestFusedLstm:
 
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
-    def test_one_recurrence_op_per_layer(self, num_layers, training):
+    def test_one_recurrence_op_per_layer(self, num_layers, training, monkeypatch):
         # per layer one lstm op (and dropout between layers when training);
-        # then reshape, linear, sigmoid, reshape and the padding mask
-        cfg = RnnConfig(hidden_size=4, num_layers=num_layers, dropout_prob=0.5)
+        # then reshape, linear, sigmoid, reshape and the padding mask. Every
+        # profile has NUM_LAYERS layers; the other counts check the loop
+        monkeypatch.setattr(model, "NUM_LAYERS", num_layers)
+        cfg = RnnConfig(hidden_size=4, dropout_prob=0.5)
         params = init_rnn_params(np.random.default_rng(17), cfg)
         rng = np.random.default_rng(17)
         tape = Tape()
         rnn_attention_batch(tape, rng.normal(size=(3, 6, 3)), np.array([6, 1, 4]), params, cfg,
                             rng if training else None)
         assert len(tape) == num_layers + (num_layers - 1 if training else 0) + 5
+        assert sum(name.endswith(".fw.wx") for name in params) == num_layers
 
     def test_attention_tape_length_independent_of_sequence_length(self):
         cfg, params = small_rnn(13)
@@ -661,14 +666,14 @@ class TestFusedLstm:
 class TestCnn:
     def test_zero_image_equal_logits(self):
         rng = np.random.default_rng(9)
-        cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=3)
+        cfg = CnnConfig(stages=(4, 8), num_classes=3)
         params = init_cnn_params(rng, cfg)
         logits = cnn_logits(np.zeros((16, 16)), cfg, params)
         assert np.allclose(logits, logits[0])
 
     def test_all_parameters_match_finite_differences(self):
         rng = np.random.default_rng(10)
-        cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2)
+        cfg = CnnConfig(stages=(4, 8), num_classes=2)
         params = init_cnn_params(rng, cfg)
         for name, p in params.items():
             if name.endswith(".b"):
@@ -685,7 +690,7 @@ class TestCnn:
 
     def test_logits_continuous_in_input_scale(self):
         rng = np.random.default_rng(11)
-        cfg = CnnConfig(stages=((3, 4, 2),), num_classes=2)
+        cfg = CnnConfig(stages=(4,), num_classes=2)
         params = init_cnn_params(rng, cfg)
         img = rng.uniform(0.1, 1.0, size=(8, 8))
         base = cnn_logits(img, cfg, params)
@@ -694,7 +699,7 @@ class TestCnn:
 
     def test_works_on_any_canvas(self):
         rng = np.random.default_rng(12)
-        cfg = CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=4)
+        cfg = CnnConfig(stages=(4, 8), num_classes=4)
         params = init_cnn_params(rng, cfg)
         for size in (16, 24, 64):
             logits = cnn_logits(rng.normal(size=(size, size)), cfg, params)
@@ -705,7 +710,7 @@ class TestCnn:
         # conv and maxpool_relu per stage, then the global pool and the
         # linear head: the benchmark's cnn.tape_ops counts these
         rng = np.random.default_rng(13)
-        cfg = CnnConfig(stages=((3, 4, 2),) * num_stages, num_classes=3)
+        cfg = CnnConfig(stages=(4,) * num_stages, num_classes=3)
         params = init_cnn_params(rng, cfg)
         tape = Tape()
         values, support, shape = full_support(rng.normal(size=(2, 16, 16, 1)))
@@ -714,9 +719,12 @@ class TestCnn:
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
-            CnnConfig(stages=((2, 4, 2),))
-        with pytest.raises(InvalidConfigError):
             CnnConfig(num_classes=1)
+        # an empty stage list used to be accepted, then cnn_forward_batch
+        # raised UnboundLocalError in train, evaluate and forward_classify
+        for stages in [(), (0,), (8, 0), (8, -1, 16)]:
+            with pytest.raises(InvalidConfigError, match="'stages' must hold at least one channel count"):
+                CnnConfig(stages=stages, num_classes=2)
 
 
 class TestCrossEntropy:
@@ -835,10 +843,10 @@ class TestAdam:
         # the profile is the config defaults; a changed default fails here
         assert paper_scale_config(6).to_json_dict() == {
             "format": "sketchattn-config",
-            "version": 3,
+            "version": 4,
             "variant": "sketch_r2cnn",
-            "rnn": {"hidden_size": 512, "num_layers": 2, "dropout_prob": 0.5},
-            "cnn": {"stages": [[3, 16, 2], [3, 32, 2], [3, 64, 2]], "num_classes": 6},
+            "rnn": {"hidden_size": 512, "dropout_prob": 0.5},
+            "cnn": {"stages": [16, 32, 64], "num_classes": 6},
             "raster": {"width": 224, "height": 224, "epsilon": 1.0},
             "simplify": {"epsilon": 2.0, "max_points": 448, "escalation_factor": 1.5},
             "augment": {"reflect_prob": 0.5, "removal_prob": 0.3, "jitter_sigma": 1.0},
@@ -853,25 +861,25 @@ class TestAdam:
 
 class TestModelStateAndCheckpoints:
     def test_init_deterministic(self):
-        cfg = RnnConfig(hidden_size=8, num_layers=2)
+        cfg = RnnConfig(hidden_size=8)
         p1 = init_rnn_params(np.random.default_rng(5), cfg)
         p2 = init_rnn_params(np.random.default_rng(5), cfg)
         for k in p1:
             np.testing.assert_array_equal(p1[k].data, p2[k].data)
 
     def test_forget_gate_bias_one(self):
-        cfg = RnnConfig(hidden_size=8, num_layers=1)
+        cfg = RnnConfig(hidden_size=8)
         params = init_rnn_params(np.random.default_rng(0), cfg)
-        for d in ("fw", "bw"):
-            b = params[f"rnn.l0.{d}.b"].data
+        for layer, d in itertools.product(range(NUM_LAYERS), ("fw", "bw")):
+            b = params[f"rnn.l{layer}.{d}.b"].data
             np.testing.assert_array_equal(b[8:16], np.ones(8))
             np.testing.assert_array_equal(b[:8], np.zeros(8))
 
     def test_recurrent_blocks_orthogonal(self):
-        cfg = RnnConfig(hidden_size=16, num_layers=1)
+        cfg = RnnConfig(hidden_size=16)
         params = init_rnn_params(np.random.default_rng(1), cfg)
-        for d in ("fw", "bw"):
-            wh = params[f"rnn.l0.{d}.wh"].data
+        for layer, d in itertools.product(range(NUM_LAYERS), ("fw", "bw")):
+            wh = params[f"rnn.l{layer}.{d}.wh"].data
             for k in range(4):
                 blk = wh[:, 16 * k : 16 * (k + 1)]
                 np.testing.assert_allclose(blk.T @ blk, np.eye(16), atol=1e-10)
@@ -882,7 +890,7 @@ class TestModelStateAndCheckpoints:
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
-        cfg = CnnConfig(stages=((3, 4, 2),), num_classes=2)
+        cfg = CnnConfig(stages=(4,), num_classes=2)
         state = fresh_state(init_cnn_params(rng, cfg), config={"k": 1}, categories=["a", "b"])
         for p in state.params.values():
             p.grad = rng.normal(size=p.data.shape)
@@ -898,7 +906,7 @@ class TestModelStateAndCheckpoints:
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         rng = np.random.default_rng(16)
-        cfg = CnnConfig(stages=((3, 4, 2),), num_classes=2)
+        cfg = CnnConfig(stages=(4,), num_classes=2)
         state = fresh_state(init_cnn_params(rng, cfg))
         save_checkpoint(state, tmp_path / "a.json")
         save_checkpoint(state, tmp_path / "b.json")

@@ -44,8 +44,8 @@ def test_counters_match_direct_counts():
     ds = synth_dataset(1, 0)
     cfg = desk_config(
         len(ds.categories), epochs=1, batch_size=4,
-        rnn=RnnConfig(hidden_size=4, num_layers=2, dropout_prob=0.2),
-        cnn=CnnConfig(stages=((3, 4, 2),), num_classes=len(ds.categories)),
+        rnn=RnnConfig(hidden_size=4, dropout_prob=0.2),
+        cnn=CnnConfig(stages=(4,), num_classes=len(ds.categories)),
         raster=RasterConfig(width=16, height=16, epsilon=1.0),
         augment=AugmentConfig(reflect_prob=0.0, removal_prob=0.0, jitter_sigma=0.0),
     )

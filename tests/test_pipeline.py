@@ -46,8 +46,8 @@ from image_support import densify
 from sketch_strategies import assert_same_bytes, simplify_configs, splits
 
 TINY = dict(
-    rnn=RnnConfig(hidden_size=8, num_layers=2, dropout_prob=0.0),
-    cnn=CnnConfig(stages=((3, 4, 2), (3, 8, 2)), num_classes=2),
+    rnn=RnnConfig(hidden_size=8, dropout_prob=0.0),
+    cnn=CnnConfig(stages=(4, 8), num_classes=2),
     raster=RasterConfig(width=16, height=16, epsilon=1.0),
 )
 
@@ -670,17 +670,43 @@ class TestExperimentConfig:
     def test_paper_scale_round_trip(self):
         cfg = paper_scale_config(6, seed=4, lr=5e-5)
         d = json.loads(json.dumps(cfg.to_json_dict()))
-        assert d["version"] == 3
+        assert d["version"] == 4
+        assert d["cnn"]["stages"] == [16, 32, 64]
         assert ExperimentConfig.from_json_dict(d) == cfg
 
     def test_settable_value_count(self):
-        # one per leaf field; a new knob changes this count, and with it this test
+        # every settable leaf field: a knob added or removed changes this
+        # list, and with it this test and CHANGES.md
         sections = pipeline._SECTIONS
 
-        def leaves(cls):
-            return sum(leaves(sections[f.name]) if f.name in sections else 1 for f in dataclasses.fields(cls))
+        def leaves(cls, prefix=""):
+            return [
+                name
+                for f in dataclasses.fields(cls)
+                for name in (leaves(sections[f.name], f"{f.name}.") if f.name in sections else [prefix + f.name])
+            ]
 
-        assert leaves(ExperimentConfig) == 21
+        assert leaves(ExperimentConfig) == [
+            "variant",
+            "rnn.hidden_size", "rnn.dropout_prob",
+            "cnn.stages", "cnn.num_classes",
+            "raster.width", "raster.height", "raster.epsilon",
+            "simplify.epsilon", "simplify.max_points", "simplify.escalation_factor",
+            "augment.reflect_prob", "augment.removal_prob", "augment.jitter_sigma",
+            "batch_size", "epochs", "lr", "seed", "early_stop_train_acc", "early_stop_valid_acc",
+        ]  # 20 entries
+
+    def test_stage_triples_named(self):
+        d = desk_config(2).to_json_dict()
+        d["cnn"]["stages"] = [[3, 8, 2], [3, 16, 2], [3, 32, 2]]
+        with pytest.raises(InvalidConfigError, match="'cnn'.*'stages' must be a list of integer channel counts"):
+            ExperimentConfig.from_json_dict(d)
+
+    def test_num_layers_named(self):
+        d = desk_config(2).to_json_dict()
+        d["rnn"]["num_layers"] = 2
+        with pytest.raises(InvalidConfigError, match="'rnn'.*'num_layers'"):
+            ExperimentConfig.from_json_dict(d)
 
     @pytest.mark.parametrize("key", ["reflect", "stroke_removal", "jitter"])
     def test_removed_augment_switch_named(self, key):
@@ -690,7 +716,7 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfigError, match=f"'augment'.*'{key}'"):
             ExperimentConfig.from_json_dict(d)
 
-    @pytest.mark.parametrize("version", [1, 2, 99, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 99, None])
     def test_other_versions_rejected(self, version):
         d = desk_config(2).to_json_dict()
         if version is None:
@@ -734,10 +760,12 @@ class TestExperimentConfig:
             ExperimentConfig.from_json_dict(d)
 
     def test_ill_typed_values_rejected(self):
-        for section, key, value in [("rnn", "hidden_size", "wide"), ("cnn", "stages", 5)]:
+        # an empty stage list used to be accepted, then train raised UnboundLocalError
+        for section, key, value in [("rnn", "hidden_size", "wide"), ("cnn", "stages", 5), ("cnn", "stages", []),
+                                    ("cnn", "stages", [8, 0])]:
             d = desk_config(2).to_json_dict()
             d[section][key] = value
-            with pytest.raises(InvalidConfigError, match=f"'{section}'"):
+            with pytest.raises(InvalidConfigError, match=f"'{section}'.*'{key}'"):
                 ExperimentConfig.from_json_dict(d)
         d = desk_config(2).to_json_dict()
         d["batch_size"] = "many"
@@ -768,10 +796,9 @@ class TestExperimentConfig:
         assert cfg.batch_size == 48
         assert cfg.lr == 1e-4
         assert cfg.rnn.hidden_size == 512
-        assert cfg.rnn.num_layers == 2
         assert cfg.rnn.feature_size == 1024 and cfg.rnn.dropout_prob == 0.5
         assert cfg.raster.width == cfg.raster.height == 224
-        assert cfg.cnn.stages == ((3, 16, 2), (3, 32, 2), (3, 64, 2))
+        assert cfg.cnn.stages == (16, 32, 64)
 
     def test_metrics_final(self):
         m = Metrics()
@@ -846,7 +873,7 @@ class TestPoolingFitsTheCanvas:
     # five halvings of a 16x16 canvas leave nothing for the fifth stage to
     # pool: these configs used to be accepted, then gave NaN logits, an
     # evaluate() accuracy read off them and a NonFiniteLossError in train()
-    EMPTIED = dict(raster=RasterConfig(16, 16, 1.0), cnn=CnnConfig(stages=((3, 4, 2),) * 5, num_classes=6))
+    EMPTIED = dict(raster=RasterConfig(16, 16, 1.0), cnn=CnnConfig(stages=(4,) * 5, num_classes=6))
 
     def test_constructor_names_first_emptied_stage(self):
         with pytest.raises(InvalidConfigError, match=r"cnn stage 4 pools by 2 but its input is 1x1"):
@@ -855,10 +882,9 @@ class TestPoolingFitsTheCanvas:
     @pytest.mark.parametrize(
         "width, height, stages, first_bad",
         [
-            (64, 2, ((3, 8, 2), (3, 8, 2)), 1),  # one axis runs out first
-            (9, 64, ((3, 8, 3), (3, 8, 2), (3, 8, 2)), 2),  # 9 -> 3 -> 1: cropped halving
-            (1, 1, ((1, 2, 2),), 0),
-            (5, 5, ((3, 2, 1), (3, 2, 6)), 1),
+            (64, 2, (8, 8), 1),  # one axis runs out first
+            (9, 64, (8, 8, 8, 8), 3),  # 9 -> 4 -> 2 -> 1: cropped halving
+            (1, 1, (2,), 0),
         ],
     )
     def test_any_axis_and_pool_factor(self, width, height, stages, first_bad):
@@ -868,15 +894,15 @@ class TestPoolingFitsTheCanvas:
     def test_from_json_dict_rejects(self):
         d = desk_config(6).to_json_dict()
         d["raster"].update(width=16, height=16)
-        d["cnn"]["stages"] = [[3, 4, 2]] * 5
+        d["cnn"]["stages"] = [4] * 5
         with pytest.raises(InvalidConfigError, match="cnn stage 4"):
             ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
 
     def test_pooling_down_to_one_pixel_accepted(self):
-        cfg = desk_config(6, raster=RasterConfig(16, 16, 1.0), cnn=CnnConfig(stages=((3, 4, 2),) * 4, num_classes=6))
+        cfg = desk_config(6, raster=RasterConfig(16, 16, 1.0), cnn=CnnConfig(stages=(4,) * 4, num_classes=6))
         logits, _, _ = forward_classify(init_model_state(cfg), cfg, prepare_sketch(synth_generate("line", 0).sketch, cfg))
         assert np.isfinite(logits).all()
-        desk_config(2, raster=RasterConfig(9, 9, 1.0), cnn=CnnConfig(stages=((3, 2, 3), (1, 2, 3)), num_classes=2))
+        desk_config(2, raster=RasterConfig(9, 9, 1.0), cnn=CnnConfig(stages=(2, 2, 2), num_classes=2))
 
 
 class TestCanvasMargin:
@@ -885,7 +911,7 @@ class TestCanvasMargin:
     @pytest.mark.parametrize("width, height", [(8, 8), (64, 8), (8, 64), (9, 9), (9, 64), (64, 9)])
     def test_config_accepts_exactly_what_the_canvas_step_accepts(self, width, height):
         sketch = synth_generate("line", 0).sketch
-        raster, cnn = RasterConfig(width, height, 1.0), CnnConfig(stages=((3, 2, 1),), num_classes=2)
+        raster, cnn = RasterConfig(width, height, 1.0), CnnConfig(stages=(2,), num_classes=2)
         try:
             normalize_to_canvas(sketch, width, height, CANVAS_MARGIN)
         except InvalidCanvasError:

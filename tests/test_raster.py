@@ -39,7 +39,7 @@ def make(points):
 
 def baseline_map(variant, sk, raster=CFG64):
     """The attention map a baseline variant's forward_classify rasterizes."""
-    cfg = desk_config(2, variant=variant, raster=raster, cnn=CnnConfig(stages=((3, 4, 2),), num_classes=2))
+    cfg = desk_config(2, variant=variant, raster=raster, cnn=CnnConfig(stages=(4,), num_classes=2))
     _, attention, amap = forward_classify(init_model_state(cfg), cfg, sk)
     return attention, amap
 
@@ -296,6 +296,22 @@ class TestBackward:
             rasterize_backward(amap, np.zeros((32, 32)), 2)
         with pytest.raises(ShapeMismatchError):
             rasterize_backward(amap, np.zeros((64, 64)), 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 60), size=st.sampled_from([(16, 16), (64, 64), (48, 32)]))
+    def test_owned_values_equal_the_image(self, seed, n, size):
+        # the bridge hands over only the image's values at amap.owned
+        rng = np.random.default_rng(seed)
+        cfg = RasterConfig(*size, 1.0)
+        sk = random_sketch(rng, n, *size)
+        amap = rasterize_forward(sk, rng.uniform(0, 1, sk.n), cfg)
+        delta = rng.normal(size=amap.owner.shape)
+        on_support = delta.reshape(-1)[amap.owned]
+        assert rasterize_backward(amap, on_support, sk.n).tobytes() == rasterize_backward(amap, delta, sk.n).tobytes()
+        for wrong in (amap.owned_pixel_count + 1, amap.owned_pixel_count - 1):
+            if wrong >= 0:
+                with pytest.raises(ShapeMismatchError, match="owned pixels"):
+                    rasterize_backward(amap, np.zeros(wrong), sk.n)
 
     def test_zero_gradient_for_points_with_no_owned_pixels(self):
         # second stroke fully overdrawn by a later identical stroke
